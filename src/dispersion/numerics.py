@@ -49,18 +49,36 @@ def integrate(
 def bisect_increasing(
     fn: Callable[[np.ndarray], np.ndarray],
     targets: np.ndarray,
-    lo: float,
-    hi: float,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     iters: int = 72,
 ) -> np.ndarray:
     """Vectorized bisection: solve fn(x) = t for each t in `targets`.
 
-    fn must be nondecreasing. lo/hi may be +-inf; finite brackets are then
-    grown geometrically until they cover all targets. 72 halvings shrink the
+    fn must be nondecreasing. Scalar lo/hi may be +-inf; finite brackets are
+    then grown geometrically until they cover all targets. lo/hi may instead
+    be finite arrays giving one bracket per target. 72 halvings shrink the
     bracket below 1e-21 of its initial width, far past the 1e-12
     in-probability tolerance used for inverse-CDF sampling.
+
+    Distribution.quantile uses it to build each law's inverse table, as the
+    fallback for Newton iterations that stall inside their node bracket, and
+    for targets beyond the table's probability range.
     """
     targets = np.asarray(targets, dtype=float)
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        lo, hi = _bracket(fn, targets, lo, hi)
+    los = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape)
+    his = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape)
+    for _ in range(iters):
+        mid = 0.5 * (los + his)
+        below = fn(mid) < targets
+        los = np.where(below, mid, los)
+        his = np.where(below, his, mid)
+    return 0.5 * (los + his)
+
+
+def _bracket(fn, targets: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     tmin = float(np.min(targets))
     tmax = float(np.max(targets))
     a = lo if np.isfinite(lo) else -1.0
@@ -79,12 +97,4 @@ def bisect_increasing(
             b = b * 2.0 + 1.0
         else:  # pragma: no cover
             raise DivergentTail("could not bracket quantile from above")
-    los = np.full_like(targets, a)
-    his = np.full_like(targets, b)
-    for _ in range(iters):
-        mid = 0.5 * (los + his)
-        below = fn(mid) < targets
-        los = np.where(below, mid, los)
-        his = np.where(below, his, mid)
-    return 0.5 * (los + his)
-
+    return a, b

@@ -17,7 +17,7 @@ from dispersion import (
 )
 from dispersion.combinators import _convolve_numeric
 from dispersion.dist import CONTINUOUS, LATTICE
-from dispersion.numerics import integrate
+from dispersion.numerics import bisect_increasing, integrate
 
 from conftest import STANDARD_INSTANCES
 
@@ -136,6 +136,50 @@ def test_quantile_inverts_cdf(spec, instances):
         assert np.all(np.asarray(d.cdf(xs - 1.0), float) < ps + 1e-12)
     else:
         assert np.allclose(np.asarray(d.cdf(xs), float), ps, atol=1e-10)
+
+
+# continuous laws without a closed-form ppf invert through the table;
+# truncations, a density pole, a reflection and a numeric convolution ride along
+_TABLE_LAWS = {
+    spec: lambda spec=spec: make_distribution(spec)
+    for spec in STANDARD_INSTANCES
+    if (d := make_distribution(spec)).ppf is None and not d.is_lattice
+}
+_TABLE_LAWS.update({
+    "truncate(damped-hazard:theta=0.1,lower,10)":
+        lambda: truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0),
+    "truncate(normal-mix,lower,2)":
+        lambda: truncate(make_distribution("normal-mix"), "lower", 2.0),
+    "mix(weibull:alpha=0.6,gamma:alpha=0.5)":
+        lambda: mix([make_distribution("weibull:alpha=0.6"),
+                     make_distribution("gamma:alpha=0.5")], [0.5, 0.5]),
+    "affine(erf-hazard,-1,0)":
+        lambda: affine(make_distribution("erf-hazard"), -1.0, 0.0),
+    "convolve(logistic,normal)":
+        lambda: convolve(make_distribution("logistic"), make_distribution("normal")),
+})
+# the numeric convolution's cdf saturates at 1 - 2e-12, so the cdf bisection
+# that serves targets beyond the table cannot bracket 1 - 1e-13
+_CDF_SATURATES = {"convolve(logistic,normal)"}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_LAWS))
+def test_table_quantile_matches_bisection(name):
+    d = _TABLE_LAWS[name]()
+    nodes = d._inverse_table()[0]
+    top = [] if name in _CDF_SATURATES else [1 - 1e-13]
+    ps = np.unique(np.concatenate([[1e-15, 1e-13], nodes[::32], [0.5], top]))
+    xs = np.asarray(d.quantile(ps), float)
+    assert np.all(np.isfinite(xs))
+    assert np.all(np.diff(xs) >= 0)
+    lo, hi = d.support.lower, d.support.upper
+    low = ps <= 0.5
+    ref_lo = bisect_increasing(d.cdf, ps[low], lo, hi)
+    ref_hi = bisect_increasing(lambda x: -d.sf(x), -(1 - ps[~low]), lo, hi)
+    gap_lo = np.abs(np.asarray(d.cdf(xs[low])) - np.asarray(d.cdf(ref_lo)))
+    gap_hi = np.abs(np.asarray(d.sf(xs[~low])) - np.asarray(d.sf(ref_hi)))
+    assert float(gap_lo.max()) <= 1e-12
+    assert float(gap_hi.max()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
