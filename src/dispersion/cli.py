@@ -61,11 +61,10 @@ def _json_dump(record) -> str:
 
 def _analyze_record(spec_text: str) -> dict:
     d = make_distribution(parse_family_spec(spec_text))
-    disp = dispersion_report(d)
     verdict = classify(d)
     return {
         "dist": d.label,
-        "dispersion": disp.to_record(),
+        "dispersion": verdict.report.to_record(),
         "hazard": verdict.evidence.hazard.to_record(),
         "verdict": verdict.to_record(),
     }
@@ -94,9 +93,8 @@ def cmd_sweep(args) -> str:
     for value in _parse_range(args.range):
         params = dict(spec.params)
         params[name] = float(value)
-        d = make_distribution(FamilySpec(spec.family, params))
-        disp = dispersion_report(d)
-        v = classify(d)
+        v = classify(make_distribution(FamilySpec(spec.family, params)))
+        disp = v.report
         rows.append(",".join(
             [_fmt(value), _fmt(disp.sd), _fmt(disp.gmd), _fmt(disp.diff),
              v.verdict, v.basis]

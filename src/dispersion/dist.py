@@ -5,9 +5,11 @@ A Distribution carries vectorized density/pmf, CDF and survival callables
 plus support metadata and whatever closed-form moments are known. The
 survival convention is P(X > x) in both kinds, so cdf + sf = 1 pointwise.
 Instances are immutable after construction and safe to evaluate from
-concurrent workers; the only mutable state is an internal cache, built
-lazily on first use, of the lattice table and of the inverse table that
-continuous quantiles without a closed form start from.
+concurrent workers; the only mutable state is a per-law cache, owned by
+this module and built lazily on first use, of read-only tables: the
+enumerated lattice table at each mass cut, the scan grid of each size and
+clip, and the inverse table that continuous quantiles without a closed
+form start from.
 """
 
 from __future__ import annotations
@@ -31,6 +33,24 @@ INV_NODES = 513
 INV_LOGIT = math.log((1.0 - 1e-12) / 1e-12)
 INV_NEWTON_CAP = 8
 INV_XTOL = 1e-13
+
+# lattice mass cuts: enumeration stops once the omitted tail mass is below
+# the cut. SUM_CUT serves SD, GMD and Lambda sums (polynomial tails add
+# analytic tail_sums) and lattice scan grids; QUANTILE_CUT the CDF table of
+# lattice quantiles and sampling; EXCESS_CUT the mean excess of X and of
+# |X - X'|, whose survival sums have no tail correction. One cut does not
+# serve all three: at 1e-12 the two mean-excess routes of poisson(2) split
+# by 2.3e-6 at t = 13 and the zipf(4) curve moves by 1.2e-6, while at 1e-15
+# the zipf(2.5) support exceeds the enumeration limit.
+SUM_CUT = 1e-12
+QUANTILE_CUT = 1e-14
+EXCESS_CUT = 1e-15
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -79,8 +99,10 @@ class Distribution:
     pdf is a density for continuous supports and a pmf (evaluated at
     integers, zero elsewhere) for lattice supports. cdf(x) = P(X <= x) and
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
-    `_cache` holds the tables built on first use: the lattice CDF table and,
-    for continuous laws without a ppf, the inverse table of quantile().
+    `_cache` holds the read-only tables built on first use: lattice_table()
+    per mass cut, probe_grid() per size and clip, and, for continuous laws
+    without a ppf, the inverse table of quantile(). No other module reads
+    or writes it.
     """
 
     support: Support
@@ -128,10 +150,10 @@ class Distribution:
         if self.ppf is not None:
             out = np.asarray(self.ppf(p1), dtype=float)
         elif self.is_lattice:
-            pts, _, cum = self._lattice_table()
+            pts, _, cum, _ = self.lattice_table(QUANTILE_CUT)
             idx = np.searchsorted(cum, p1 * (1 - 1e-15), side="left")
             idx = np.minimum(idx, len(pts) - 1)
-            out = pts[idx].astype(float)
+            out = pts[idx]
         else:
             out = self._invert(p1)
         return float(out[0]) if scalar else out
@@ -152,7 +174,7 @@ class Distribution:
                 bisect_increasing(lambda t: -self.sf(t), -(1.0 - u[~low]), lo, hi),
             ])
             f = np.asarray(self.pdf(x), dtype=float)
-            self._cache["inverse"] = (u, x, f)
+            self._cache["inverse"] = _read_only(u, x, f)
         return self._cache["inverse"]
 
     def _invert(self, p: np.ndarray) -> np.ndarray:
@@ -222,7 +244,7 @@ class Distribution:
 
     # -- lattice enumeration ------------------------------------------------
 
-    def lattice_points(self, mass_cut: float = 1e-12, limit: int = 10**6) -> np.ndarray:
+    def lattice_points(self, mass_cut: float = SUM_CUT, limit: int = 10**6) -> np.ndarray:
         """Integer support points, truncated once the omitted tail mass < mass_cut.
 
         Enumerates upward from a finite lower endpoint or downward from a
@@ -277,14 +299,17 @@ class Distribution:
                     hi = mid - 1
         return lo
 
-    def _lattice_table(self, mass_cut: float = 1e-14):
-        """(points, pmf, cdf-values) cached for sampling and quantiles."""
-        key = ("table", mass_cut)
+    def lattice_table(self, mass_cut: float) -> tuple[np.ndarray, ...]:
+        """(points, pmf, cdf, sf) at the support enumerated to mass_cut.
+
+        Built once per law and cut; points are floats and every array is
+        read-only. The cuts in use are SUM_CUT, QUANTILE_CUT and EXCESS_CUT.
+        """
+        key = ("lattice", mass_cut)
         if key not in self._cache:
-            pts = self.lattice_points(mass_cut)
-            f = np.asarray(self.pdf(pts), dtype=float)
-            cum = np.asarray(self.cdf(pts), dtype=float)
-            self._cache[key] = (pts, f, cum)
+            pts = self.lattice_points(mass_cut).astype(float)
+            cols = [np.asarray(fn(pts), dtype=float) for fn in (self.pdf, self.cdf, self.sf)]
+            self._cache[key] = _read_only(pts, *cols)
         return self._cache[key]
 
     # -- probe grids ---------------------------------------------------------
@@ -293,18 +318,20 @@ class Distribution:
         """Quantile-spaced grid of n points over [q(clip), q(1-clip)].
 
         For lattice laws this instead returns every support point carrying
-        mass >= 1e-12.
+        mass >= SUM_CUT. The grid is built once per (n, clip) and read-only.
         """
-        if self.is_lattice:
-            pts = self.lattice_points(mass_cut=1e-12)
-            mass = np.asarray(self.pdf(pts), dtype=float)
-            pts = pts[mass >= 1e-12]
-            if len(pts) == 0:
-                raise UnsupportedKind("no lattice point carries mass >= 1e-12")
-            return pts.astype(float)
-        ps = np.linspace(clip, 1.0 - clip, n)
-        xs = np.asarray(self.quantile(ps), dtype=float)
-        return np.maximum.accumulate(xs)
+        key = ("grid", n, clip)
+        if key not in self._cache:
+            if self.is_lattice:
+                pts, mass, _, _ = self.lattice_table(SUM_CUT)
+                xs = pts[mass >= SUM_CUT]
+                if len(xs) == 0:
+                    raise UnsupportedKind(f"no lattice point carries mass >= {SUM_CUT:g}")
+            else:
+                ps = np.linspace(clip, 1.0 - clip, n)
+                xs = np.maximum.accumulate(np.asarray(self.quantile(ps), dtype=float))
+            self._cache[key] = _read_only(xs)[0]
+        return self._cache[key]
 
     def iqr(self) -> float:
         q1, q3 = self.quantile(np.array([0.25, 0.75]))

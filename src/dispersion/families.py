@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
-from . import specfun as sf_
 from .dist import CONTINUOUS, LATTICE, ClosedForms, Distribution, Support
 from .errors import ParamOutOfDomain, ParseError, UnknownFamily
 
-SQRT_PI = sf_.SQRT_PI
+SQRT_PI = math.sqrt(math.pi)
 REQUIRED = object()
 
 
@@ -135,17 +135,17 @@ def _gamma(alpha: float) -> Distribution:
     def pdf(x):
         x = np.asarray(x, float)
         with np.errstate(all="ignore"):
-            v = np.exp((a - 1) * np.log(x) - x - sf_.gammaln(a))
+            v = np.exp((a - 1) * np.log(x) - x - special.gammaln(a))
         return np.where(x > 0, v, np.where((x == 0) & (a < 1), np.inf, 0.0))
 
     def logpdf(x):
         x = np.asarray(x, float)
         with np.errstate(all="ignore"):
-            return np.where(x > 0, (a - 1) * np.log(x) - x - sf_.gammaln(a), -np.inf)
+            return np.where(x > 0, (a - 1) * np.log(x) - x - special.gammaln(a), -np.inf)
 
-    cdf = lambda x: sf_.gammainc_lower(a, np.maximum(np.asarray(x, float), 0.0))
-    sfn = lambda x: sf_.gammainc_upper(a, np.maximum(np.asarray(x, float), 0.0))
-    ppf = lambda p: sf_.gammainc_inv(a, p)
+    cdf = lambda x: special.gammainc(a, np.maximum(np.asarray(x, float), 0.0))
+    sfn = lambda x: special.gammaincc(a, np.maximum(np.asarray(x, float), 0.0))
+    ppf = lambda p: special.gammaincinv(a, p)
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
         pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
@@ -178,8 +178,8 @@ def _weibull(alpha: float) -> Distribution:
         return np.exp(-(x**a))
 
     ppf = lambda p: (-np.log1p(-np.asarray(p, float))) ** (1.0 / a)
-    g1 = sf_.gamma_fn(1 + 1 / a)
-    g2 = sf_.gamma_fn(1 + 2 / a)
+    g1 = special.gamma(1 + 1 / a)
+    g2 = special.gamma(1 + 2 / a)
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
         pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
@@ -194,6 +194,11 @@ def _weibull(alpha: float) -> Distribution:
 
 def _gpd(alpha: float) -> Distribution:
     a = _check("gpd", "alpha", alpha, 0 <= alpha < 0.5, "0 <= alpha < 1/2 (finite SD)")
+    # below 1e-20 the shape term a*x/2 of the log-survival is under half an
+    # ulp wherever the tail has not underflowed, while 1/a overflows for
+    # subnormal a: evaluate such a law as the exponential it equals
+    if a < 1e-20:
+        a = 0.0
 
     def sfn(x):
         x = np.maximum(np.asarray(x, float), 0.0)
@@ -233,7 +238,7 @@ def _gpd(alpha: float) -> Distribution:
             sd=1 / ((1 - a) * math.sqrt(1 - 2 * a)),
             gmd=2 / ((1 - a) * (2 - a)),
         ),
-        label=f"gpd(alpha={a:g})",
+        label=f"gpd(alpha={alpha:g})",
     )
 
 
@@ -243,9 +248,9 @@ def _normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     z = lambda x: (np.asarray(x, float) - m) / s
     pdf = lambda x: np.exp(-0.5 * z(x) ** 2) / (s * math.sqrt(2 * math.pi))
     logpdf = lambda x: -0.5 * z(x) ** 2 - math.log(s * math.sqrt(2 * math.pi))
-    cdf = lambda x: sf_.ndtr(z(x))
-    sfn = lambda x: sf_.ndtr(-z(x))
-    ppf = lambda p: m + s * sf_.ndtri(p)
+    cdf = lambda x: special.ndtr(z(x))
+    sfn = lambda x: special.ndtr(-z(x))
+    ppf = lambda p: m + s * special.ndtri(p)
     return Distribution(
         support=Support(-np.inf, np.inf, CONTINUOUS),
         pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
@@ -257,7 +262,7 @@ def _normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
 def _beta(alpha: float, beta: float = 1.0) -> Distribution:
     a = _check("beta", "alpha", alpha, alpha > 0, "alpha > 0")
     b = _check("beta", "beta", beta, beta > 0, "beta > 0")
-    lnB = sf_.gammaln(a) + sf_.gammaln(b) - sf_.gammaln(a + b)
+    lnB = special.gammaln(a) + special.gammaln(b) - special.gammaln(a + b)
 
     def pdf(x):
         x = np.asarray(x, float)
@@ -277,9 +282,9 @@ def _beta(alpha: float, beta: float = 1.0) -> Distribution:
             )
 
     xc = lambda x: np.clip(np.asarray(x, float), 0.0, 1.0)
-    cdf = lambda x: sf_.betainc_reg(a, b, xc(x))
-    sfn = lambda x: sf_.betainc_reg_c(a, b, xc(x))
-    ppf = lambda p: sf_.betainc_inv(a, b, p)
+    cdf = lambda x: special.betainc(a, b, xc(x))
+    sfn = lambda x: special.betaincc(a, b, xc(x))
+    ppf = lambda p: special.betaincinv(a, b, p)
     closed = ClosedForms()
     if b == 1.0:
         closed = ClosedForms(
@@ -295,10 +300,10 @@ def _beta(alpha: float, beta: float = 1.0) -> Distribution:
 
 
 def _logistic() -> Distribution:
-    pdf = lambda x: sf_.expit(np.asarray(x, float)) * sf_.expit(-np.asarray(x, float))
+    pdf = lambda x: special.expit(np.asarray(x, float)) * special.expit(-np.asarray(x, float))
     logpdf = lambda x: -np.abs(np.asarray(x, float)) - 2 * np.log1p(np.exp(-np.abs(np.asarray(x, float))))
-    cdf = lambda x: sf_.expit(np.asarray(x, float))
-    sfn = lambda x: sf_.expit(-np.asarray(x, float))
+    cdf = lambda x: special.expit(np.asarray(x, float))
+    sfn = lambda x: special.expit(-np.asarray(x, float))
     ppf = lambda p: np.log(np.asarray(p, float)) - np.log1p(-np.asarray(p, float))
     return Distribution(
         support=Support(-np.inf, np.inf, CONTINUOUS),
@@ -312,7 +317,7 @@ def _erf_hazard() -> Distribution:
     # survival exp(-sqrt(pi)/2 * erf(x) - x) on [0, inf); hazard exp(-x^2) + 1
     def sfn(x):
         x = np.maximum(np.asarray(x, float), 0.0)
-        return np.exp(-0.5 * SQRT_PI * sf_.erf(x) - x)
+        return np.exp(-0.5 * SQRT_PI * special.erf(x) - x)
 
     def pdf(x):
         x = np.asarray(x, float)
@@ -323,7 +328,7 @@ def _erf_hazard() -> Distribution:
         with np.errstate(all="ignore"):
             return np.where(
                 x >= 0,
-                np.log1p(np.exp(-(x**2))) - 0.5 * SQRT_PI * sf_.erf(x) - x,
+                np.log1p(np.exp(-(x**2))) - 0.5 * SQRT_PI * special.erf(x) - x,
                 -np.inf,
             )
 
@@ -337,11 +342,11 @@ def _erf_hazard() -> Distribution:
 
 def _erfi_interval() -> Distribution:
     # CDF erfi(1+x)/erfi(2) on [-1, 1]
-    c = float(sf_.erfi(2.0))
+    c = float(special.erfi(2.0))
 
     def cdf(x):
         x = np.clip(np.asarray(x, float), -1.0, 1.0)
-        return np.clip(sf_.erfi(1.0 + x) / c, 0.0, 1.0)
+        return np.clip(special.erfi(1.0 + x) / c, 0.0, 1.0)
 
     sfn = lambda x: 1.0 - cdf(x)
 
@@ -364,11 +369,11 @@ def _erfi_interval() -> Distribution:
 
 def _erfi_unit() -> Distribution:
     # CDF erfi(x/2)/erfi(1/2) on [0, 1]; log-density x^2/4 + const (convex)
-    c = float(sf_.erfi(0.5))
+    c = float(special.erfi(0.5))
 
     def cdf(x):
         x = np.clip(np.asarray(x, float), 0.0, 1.0)
-        return np.clip(sf_.erfi(0.5 * x) / c, 0.0, 1.0)
+        return np.clip(special.erfi(0.5 * x) / c, 0.0, 1.0)
 
     sfn = lambda x: 1.0 - cdf(x)
 
@@ -395,7 +400,8 @@ def _damped_hazard(theta: float) -> Distribution:
     t = _check("damped-hazard", "theta", theta, theta > 0, "theta > 0")
 
     def cumhaz(x):
-        return x + (1.0 - (t * x + 1.0) * np.exp(-t * x)) / (t * t)
+        # 1 - (y + 1) e^-y is P(2, y), which gammainc keeps accurate for small y
+        return x + special.gammainc(2.0, t * x) / (t * t)
 
     def sfn(x):
         x = np.maximum(np.asarray(x, float), 0.0)
@@ -436,8 +442,8 @@ def _normal_mix(sigma1: float = 0.5, sigma2: float = 2.0, q: float = 0.75) -> Di
         x = np.asarray(x, float)
         return np.logaddexp(c1 - 0.5 * (x / s1) ** 2, c2 - 0.5 * (x / s2) ** 2)
 
-    cdf = lambda x: w * sf_.ndtr(np.asarray(x, float) / s1) + (1 - w) * sf_.ndtr(np.asarray(x, float) / s2)
-    sfn = lambda x: w * sf_.ndtr(-np.asarray(x, float) / s1) + (1 - w) * sf_.ndtr(-np.asarray(x, float) / s2)
+    cdf = lambda x: w * special.ndtr(np.asarray(x, float) / s1) + (1 - w) * special.ndtr(np.asarray(x, float) / s2)
+    sfn = lambda x: w * special.ndtr(-np.asarray(x, float) / s1) + (1 - w) * special.ndtr(-np.asarray(x, float) / s2)
     return Distribution(
         support=Support(-np.inf, np.inf, CONTINUOUS),
         pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf,
@@ -495,23 +501,23 @@ def _geometric(p: float) -> Distribution:
 def _zipf(alpha: float) -> Distribution:
     a = _check("zipf", "alpha", alpha, alpha > 2, "alpha > 2 (finite SD)")
     s = a + 1.0
-    z = float(sf_.zeta(s))
+    z = float(special.zeta(s))
 
     pmf_int = lambda k: np.where(k >= 1, k ** (-s) / z, 0.0)
 
     def sfn(x):
         k = np.floor(np.asarray(x, float))
-        return np.where(k < 1, 1.0, sf_.zeta(s, np.maximum(k, 1) + 1) / z)
+        return np.where(k < 1, 1.0, special.zeta(s, np.maximum(k, 1) + 1) / z)
 
     cdf = lambda x: 1.0 - sfn(x)
 
     def tail_sums(m: int) -> tuple[float, float, float]:
         # analytic remainders past M: the polynomial tail would otherwise
         # cost ~1/(M zeta) of the second moment at any feasible cut
-        t1 = float(sf_.zeta(a, m + 1)) / z
-        t2 = float(sf_.zeta(a - 1, m + 1)) / z
+        t1 = float(special.zeta(a, m + 1)) / z
+        t2 = float(special.zeta(a - 1, m + 1)) / z
         # sum_{x>M} S(x); the omitted sum of S^2 is below S(M+1) * t_sf
-        t_sf = (float(sf_.zeta(s - 1, m + 2)) - (m + 1) * float(sf_.zeta(s, m + 2))) / z
+        t_sf = (float(special.zeta(s - 1, m + 2)) - (m + 1) * float(special.zeta(s, m + 2))) / z
         return t1, t2, t_sf
 
     return Distribution(
@@ -526,15 +532,15 @@ def _poisson(theta: float) -> Distribution:
     t = _check("poisson", "theta", theta, theta > 0, "theta > 0")
     lt = math.log(t)
 
-    pmf_int = lambda k: np.exp(k * lt - t - sf_.gammaln(k + 1))
+    pmf_int = lambda k: np.exp(k * lt - t - special.gammaln(k + 1))
 
     def cdf(x):
         k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 0.0, sf_.gammainc_upper(np.maximum(k, 0) + 1, t))
+        return np.where(k < 0, 0.0, special.gammaincc(np.maximum(k, 0) + 1, t))
 
     def sfn(x):
         k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 1.0, sf_.gammainc_lower(np.maximum(k, 0) + 1, t))
+        return np.where(k < 0, 1.0, special.gammainc(np.maximum(k, 0) + 1, t))
 
     return Distribution(
         support=Support(0, np.inf, LATTICE),
@@ -550,16 +556,16 @@ def _negbinomial(r: float, p: float) -> Distribution:
 
     def pmf_int(k):
         return np.exp(
-            sf_.gammaln(k + rr) - sf_.gammaln(rr) - sf_.gammaln(k + 1) + rr * lp + k * lq
+            special.gammaln(k + rr) - special.gammaln(rr) - special.gammaln(k + 1) + rr * lp + k * lq
         )
 
     def cdf(x):
         k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 0.0, sf_.betainc_reg(rr, np.maximum(k, 0) + 1, pp))
+        return np.where(k < 0, 0.0, special.betainc(rr, np.maximum(k, 0) + 1, pp))
 
     def sfn(x):
         k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 1.0, sf_.betainc_reg_c(rr, np.maximum(k, 0) + 1, pp))
+        return np.where(k < 0, 1.0, special.betaincc(rr, np.maximum(k, 0) + 1, pp))
 
     gmd = None
     if rr == 2.0:

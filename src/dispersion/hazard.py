@@ -5,8 +5,11 @@ Monotone directions are non-strict throughout: a constant function counts
 as both nondecreasing and nonincreasing and is reported as "constant".
 Scans run on a quantile-spaced grid over [q(1e-6), q(1 - 1e-6)] (default
 2048 points, override with env var DISPERSION_GRID) for continuous laws
-and on every lattice point carrying mass >= 1e-12 for discrete ones; the
-1e-6 clip is recorded in each verdict's grid description.
+and on every lattice point carrying mass >= `dist.SUM_CUT` (1e-12) for
+discrete ones; the 1e-6 clip is recorded in each verdict's grid
+description. `Distribution.probe_grid` builds each grid once per law. The
+lattice mean excess sums over the support enumerated to `dist.EXCESS_CUT`;
+the constants in `dist` give each cut's reason.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution
+from .dist import EXCESS_CUT, SUM_CUT, Distribution
 from .errors import (
     GridEmpty,
     HeadExhausted,
@@ -151,7 +154,7 @@ def mean_excess(d: Distribution, t: float) -> float:
         raise TailExhausted(f"S({t}) = 0 for {d.label}")
     if d.is_lattice:
         k = math.floor(t)
-        pts = d.lattice_points(mass_cut=1e-15)
+        pts = d.lattice_table(EXCESS_CUT)[0]
         start = max(k + 1, int(pts[0]))
         head = float(max(int(pts[0]) - (k + 1), 0))  # S(w-1) = 1 below the support
         ws = np.arange(start, int(pts[-1]) + 2, dtype=float)
@@ -191,7 +194,7 @@ def scan_grid(d: Distribution) -> np.ndarray:
 
 def _grid_label(d: Distribution) -> str:
     if d.is_lattice:
-        return "lattice[mass>=1e-12]"
+        return f"lattice[mass>={SUM_CUT:g}]"
     return f"quantile[{QUANTILE_CLIP:g},{1 - QUANTILE_CLIP}]n{grid_size()}"
 
 

@@ -5,8 +5,9 @@ concentration value of a lattice law.
 GMD uses the single-integral reduction 2 * int F(x) S(x) dx (2 * sum F S on
 the lattice) of the pairwise-difference definition; its correctness is
 gated on agreement with the Monte Carlo and brute-force oracles in the
-test suite. Discrete sums run over the enumerated support with cumulative
-omitted mass below 1e-12.
+test suite. Discrete sums run over `Distribution.lattice_table`: SD, GMD
+and Lambda at `dist.SUM_CUT`, the mean excess of |X - X'| at
+`dist.EXCESS_CUT` (the constants in `dist` give each cut's reason).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinators import truncate
-from .dist import Distribution
+from .dist import EXCESS_CUT, SUM_CUT, Distribution
 from .errors import (
     ContinuousInput,
     DegenerateY,
@@ -28,8 +29,6 @@ from .numerics import integrate
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
 SUMMATION = "summation"
-
-LATTICE_MASS_CUT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,14 @@ class ConcentrationValue:
 def _moments_numeric(d: Distribution) -> tuple[float, float, float]:
     """(mean, second moment, error estimate)."""
     if d.is_lattice:
-        pts = d.lattice_points(LATTICE_MASS_CUT).astype(float)
-        f = np.asarray(d.pdf(pts), float)
+        pts, f, _, _ = d.lattice_table(SUM_CUT)
         m1 = float(np.dot(pts, f))
         m2 = float(np.dot(pts * pts, f))
         if d.tail_sums is not None:
             t1, t2, _ = d.tail_sums(int(pts[-1]))
             m1 += t1
             m2 += t2
-        return m1, m2, LATTICE_MASS_CUT
+        return m1, m2, SUM_CUT
     lo, hi = d.support.lower, d.support.upper
     m1, e1 = integrate(lambda x: x * float(d.pdf(x)), lo, hi)
     m2, e2 = integrate(lambda x: x * x * float(d.pdf(x)), lo, hi)
@@ -108,13 +106,11 @@ def sd_numeric(d: Distribution) -> tuple[float, float]:
 def gmd_numeric(d: Distribution) -> tuple[float, float]:
     """(gmd, error estimate) via 2 * int F S dx or 2 * sum F S."""
     if d.is_lattice:
-        pts = d.lattice_points(LATTICE_MASS_CUT).astype(float)
-        big_f = np.asarray(d.cdf(pts), float)
-        big_s = np.asarray(d.sf(pts), float)
+        pts, _, big_f, big_s = d.lattice_table(SUM_CUT)
         total = 2.0 * float(np.dot(big_f, big_s))
         if d.tail_sums is not None:
             total += 2.0 * d.tail_sums(int(pts[-1]))[2]
-        return total, LATTICE_MASS_CUT
+        return total, SUM_CUT
     lo, hi = d.support.lower, d.support.upper
     val, err = integrate(lambda x: float(d.cdf(x)) * float(d.sf(x)), lo, hi)
     if not np.isfinite(val):
@@ -174,8 +170,7 @@ def concentration(d: Distribution) -> ConcentrationValue:
             f"{d.label} is continuous; ties have probability zero and the "
             "concentration value is undefined"
         )
-    pts = d.lattice_points(LATTICE_MASS_CUT).astype(float)
-    f = np.asarray(d.pdf(pts), float)
+    f = d.lattice_table(SUM_CUT)[1]
     lam = float(np.dot(f, f))
     return ConcentrationValue(lambda_=lam, odds_bound=(1.0 - lam) / (2.0 * lam))
 
@@ -190,7 +185,7 @@ _MIN_SY = 1e-300
 def abs_diff_survival(d: Distribution, y: float) -> float:
     """S_Y(y) = P(|X - X'| > y) = 2 E[S_X(X + y)] for y >= 0."""
     if d.is_lattice:
-        pts, f, _ = _lattice_arrays(d)
+        pts, f, _, _ = d.lattice_table(EXCESS_CUT)
         return 2.0 * float(np.dot(f, np.asarray(d.sf(pts + math.floor(y)), float)))
     val, _ = integrate(
         lambda x: float(d.sf(x + y)) * float(d.pdf(x)),
@@ -215,8 +210,9 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
     if d.is_lattice:
         if np.any(ts != np.floor(ts)):
             raise ValueError("lattice mean-excess grids must use integer t")
-        direct = np.array([_m_direct_lattice(d, int(t)) for t in ts])
-        repr_ = np.array([_m_repr_lattice(d, int(t)) for t in ts])
+        sy = _lattice_sy(d)
+        direct = np.array([_m_direct_lattice(d, sy, int(t)) for t in ts])
+        repr_ = _m_repr_curve_lattice(d, [int(t) for t in ts])
         baseline = gmd(d) + 0.5
     else:
         direct = _m_direct_curve_continuous(d, ts)
@@ -281,48 +277,35 @@ def _m_repr_continuous(d: Distribution, t: float) -> float:
     return num / den
 
 
-def _lattice_arrays(d: Distribution, mass_cut: float = 1e-15):
-    key = ("measures", mass_cut)
-    if key not in d._cache:
-        pts = d.lattice_points(mass_cut).astype(float)
-        f = np.asarray(d.pdf(pts), float)
-        d._cache[key] = (pts, f, np.asarray(d.cdf(pts), float))
-    return d._cache[key]
-
-
 def _lattice_sy(d: Distribution) -> np.ndarray:
     """S_Y(y) for y = 0 .. span+1 over the enumerated support."""
-    key = "sy"
-    if key not in d._cache:
-        pts, f, _ = _lattice_arrays(d)
-        span = int(pts[-1] - pts[0])
-        ys = np.arange(0, span + 2, dtype=float)
-        sy = np.array(
-            [2.0 * float(np.dot(f, np.asarray(d.sf(pts + y), float))) for y in ys]
-        )
-        d._cache[key] = sy
-    return d._cache[key]
+    pts = d.lattice_table(EXCESS_CUT)[0]
+    span = int(pts[-1] - pts[0])
+    return np.array([abs_diff_survival(d, y) for y in range(span + 2)])
 
 
-def _m_direct_lattice(d: Distribution, t: int) -> float:
-    sy = _lattice_sy(d)
+def _m_direct_lattice(d: Distribution, sy: np.ndarray, t: int) -> float:
     if t >= len(sy) or sy[t] < _MIN_SY:
         raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
     # m(t) S_Y(t) = sum_{w > t} S_Y(w - 1)
     return float(np.sum(sy[t:])) / float(sy[t])
 
 
-def _m_repr_lattice(d: Distribution, t: int) -> float:
-    pts, f, _ = _lattice_arrays(d)
+def _m_repr_curve_lattice(d: Distribution, ts: list[int]) -> np.ndarray:
+    pts, f, _, _ = d.lattice_table(EXCESS_CUT)
     f_m1 = np.asarray(d.cdf(pts - 1.0), float)
     s_m1 = np.asarray(d.sf(pts - 1.0), float)
     w = f_m1 * f
     live = w > 0
     with np.errstate(all="ignore"):
-        c = np.where(live, np.asarray(d.cdf(pts - 1.0 - t), float) / np.where(live, f_m1, 1.0), 0.0)
         h_inv = np.where(f > 0, s_m1 / np.where(f > 0, f, 1.0), 0.0)
-    num = float(np.sum(c * h_inv * w))
-    den = float(np.sum(c * w))
-    if den < _MIN_SY:
-        raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
-    return num / den
+    out = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        with np.errstate(all="ignore"):
+            c = np.where(live, np.asarray(d.cdf(pts - 1.0 - t), float) / np.where(live, f_m1, 1.0), 0.0)
+        num = float(np.sum(c * h_inv * w))
+        den = float(np.sum(c * w))
+        if den < _MIN_SY:
+            raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
+        out[i] = num / den
+    return out

@@ -9,7 +9,7 @@ cannot.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -20,26 +20,11 @@ EPSABS = 1e-11
 EPSREL = 1e-9
 
 
-def integrate(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    points: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    """Integrate fn over [lo, hi] adaptively; returns (value, error estimate).
-
-    `points` marks known interior breakpoints (kinks); they are ignored when
-    either limit is infinite, where QUADPACK does not accept them.
-    """
-    finite = np.isfinite(lo) and np.isfinite(hi)
-    pts = None
-    if points is not None and finite:
-        pts = [p for p in points if lo < p < hi]
-        pts = pts or None
+def integrate(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Integrate fn over [lo, hi] adaptively; returns (value, error estimate)."""
     with np.errstate(all="ignore"):
         val, err, *rest = quad(
-            fn, lo, hi, epsabs=EPSABS, epsrel=EPSREL, limit=400,
-            points=pts, full_output=1,
+            fn, lo, hi, epsabs=EPSABS, epsrel=EPSREL, limit=400, full_output=1
         )
     if not np.isfinite(val):
         raise DivergentTail(f"integral over [{lo}, {hi}] did not converge")

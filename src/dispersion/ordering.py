@@ -19,9 +19,6 @@ from .combinators import LOWER, UPPER, affine, convolve, mix, truncate
 from .dist import Distribution
 from .errors import ConsistencyViolation, CriterionNeverHolds
 from .hazard import (
-    CONSTANT,
-    DECREASING,
-    INCREASING,
     LOG_CONCAVE,
     HazardReport,
     equivalence_audit,
@@ -29,7 +26,7 @@ from .hazard import (
     log_concavity_scan,
     reverse_hazard_scan,
 )
-from .measures import ConcentrationValue, concentration, dispersion_report
+from .measures import ConcentrationValue, DispersionReport, concentration, dispersion_report
 
 SD_DOMINATES = "sd-dominates"
 GMD_DOMINATES = "gmd-dominates"
@@ -66,10 +63,16 @@ class OrderingEvidence:
 
 @dataclass(frozen=True)
 class OrderingVerdict:
+    """The verdict, its basis and evidence, and the SD/GMD report behind it."""
+
     verdict: str
     basis: str
     evidence: OrderingEvidence
-    numeric_diff: float
+    report: DispersionReport
+
+    @property
+    def numeric_diff(self) -> float:
+        return self.report.diff
 
     def to_record(self) -> dict:
         return {
@@ -88,14 +91,6 @@ class ThresholdScan:
     verified_range: list[tuple[float, bool]]
 
 
-def _nonincreasing(direction: str) -> bool:
-    return direction in (DECREASING, CONSTANT)
-
-
-def _nondecreasing(direction: str) -> bool:
-    return direction in (INCREASING, CONSTANT)
-
-
 def classify(d: Distribution) -> OrderingVerdict:
     """Certified SD/GMD ordering verdict with independent numeric evidence.
 
@@ -107,10 +102,8 @@ def classify(d: Distribution) -> OrderingVerdict:
     non-strict hypothesis and certify SD dominance first.
     """
     report = equivalence_audit(d)
-    h_dir = report.h_verdict.direction
-    r_dir = report.r_verdict.direction
+    h_v, r_v = report.h_verdict, report.r_verdict
     disp = dispersion_report(d)
-    numeric_diff = float(disp.diff)
 
     conc = None
     bound_ok = None
@@ -118,8 +111,8 @@ def classify(d: Distribution) -> OrderingVerdict:
     if d.is_lattice:
         conc = concentration(d)
 
-    h_route = _nonincreasing(h_dir)
-    r_route = _nondecreasing(r_dir)
+    h_route = h_v.is_nonincreasing
+    r_route = r_v.is_nondecreasing
     if d.is_lattice:
         # a decreasing h forces support unbounded above, an increasing r
         # forces it unbounded below; on a finite lattice the scan verdict is
@@ -141,34 +134,34 @@ def classify(d: Distribution) -> OrderingVerdict:
     if h_route or r_route:
         basis = THM_SD_DISC if d.is_lattice else THM_SD_CONT
         evidence = OrderingEvidence(report, conc, None, note)
-        verdict = OrderingVerdict(SD_DOMINATES, basis, evidence, numeric_diff)
+        verdict = OrderingVerdict(SD_DOMINATES, basis, evidence, disp)
         _check_consistency(verdict, d)
         return verdict
 
     pdf_logconcave = report.logconcavity["pdf"] == LOG_CONCAVE
-    both_rates = _nondecreasing(h_dir) and _nonincreasing(r_dir)
+    both_rates = h_v.is_nondecreasing and r_v.is_nonincreasing
     if d.is_lattice:
         if pdf_logconcave or both_rates:
             bound_ok = bool(disp.gmd <= conc.odds_bound + 1e-12)
             if bound_ok:
                 evidence = OrderingEvidence(report, conc, True, note)
-                verdict = OrderingVerdict(GMD_DOMINATES, THM_GMD_DISC, evidence, numeric_diff)
+                verdict = OrderingVerdict(GMD_DOMINATES, THM_GMD_DISC, evidence, disp)
                 _check_consistency(verdict, d)
                 return verdict
         evidence = OrderingEvidence(report, conc, bound_ok, note)
-        return OrderingVerdict(INCONCLUSIVE, NO_BASIS, evidence, numeric_diff)
+        return OrderingVerdict(INCONCLUSIVE, NO_BASIS, evidence, disp)
 
     if pdf_logconcave:
         evidence = OrderingEvidence(report, None, None, note)
-        verdict = OrderingVerdict(GMD_DOMINATES, PROP_LOGCONCAVE, evidence, numeric_diff)
+        verdict = OrderingVerdict(GMD_DOMINATES, PROP_LOGCONCAVE, evidence, disp)
         _check_consistency(verdict, d)
         return verdict
     if both_rates:
         evidence = OrderingEvidence(report, None, None, note)
-        verdict = OrderingVerdict(GMD_DOMINATES, THM_GMD_CONT, evidence, numeric_diff)
+        verdict = OrderingVerdict(GMD_DOMINATES, THM_GMD_CONT, evidence, disp)
         _check_consistency(verdict, d)
         return verdict
-    return OrderingVerdict(INCONCLUSIVE, NO_BASIS, OrderingEvidence(report, conc, bound_ok, note), numeric_diff)
+    return OrderingVerdict(INCONCLUSIVE, NO_BASIS, OrderingEvidence(report, conc, bound_ok, note), disp)
 
 
 def _check_consistency(v: OrderingVerdict, d: Distribution) -> None:

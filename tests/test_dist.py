@@ -1,5 +1,6 @@
 """Distribution construction, registry consistency, and combinators."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,26 @@ from hypothesis import strategies as st
 from dispersion import (
     Support,
     affine,
+    classify,
     convolve,
     errors,
     make_distribution,
+    mean_excess,
+    mean_excess_abs_diff,
     mix,
     parse_family_spec,
     truncate,
 )
 from dispersion.combinators import _convolve_numeric
-from dispersion.dist import CONTINUOUS, LATTICE
+from dispersion.dist import (
+    CONTINUOUS,
+    EXCESS_CUT,
+    LATTICE,
+    QUANTILE_CUT,
+    SUM_CUT,
+    Distribution,
+)
+from dispersion.hazard import grid_size, scan_grid
 from dispersion.numerics import bisect_increasing, integrate
 
 from conftest import STANDARD_INSTANCES
@@ -193,6 +205,16 @@ def test_gpd_survival_closed_form():
     assert np.allclose(d.sf(xs), (1 + 0.25 * xs) ** -4.0, rtol=1e-14)
 
 
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-310", "1e-25"])
+def test_gpd_negligible_shape_is_exponential(alpha):
+    # 1/alpha overflows for subnormal alpha; the law is the exponential
+    d = make_distribution(f"gpd:alpha={alpha}")
+    xs = np.array([0.0, 0.5, 2.0, 30.0])
+    assert np.allclose(d.sf(xs), np.exp(-xs), rtol=1e-14)
+    assert np.allclose(d.pdf(xs), np.exp(-xs), rtol=1e-14)
+    assert float(d.quantile(0.5)) == pytest.approx(np.log(2), rel=1e-13)
+
+
 def test_weibull_alpha_one_is_exponential():
     d = make_distribution("weibull:alpha=1")
     assert float(d.sf(1.0)) == pytest.approx(np.exp(-1), rel=1e-14)
@@ -210,6 +232,88 @@ def test_lattice_pmf_off_lattice_is_zero():
     d = make_distribution("poisson:theta=2")
     assert float(d.pdf(1.5)) == 0.0
     assert float(d.pdf(-1.0)) == 0.0
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.1, 0.5])
+def test_damped_hazard_matches_mpmath(theta):
+    # small theta * x is where 1 - (theta x + 1) exp(-theta x) cancels
+    d = make_distribution(f"damped-hazard:theta={theta}")
+    for x in (1e-12, 1e-8, 1e-4, 0.5, 5.0):
+        with mp.workdps(50):
+            t, xm = mp.mpf(theta), mp.mpf(x)
+            cumhaz = xm + (1 - (t * xm + 1) * mp.exp(-t * xm)) / t**2
+            cdf, sf = float(-mp.expm1(-cumhaz)), float(mp.exp(-cumhaz))
+        assert float(d.cdf(x)) == pytest.approx(cdf, rel=1e-13)
+        assert float(d.sf(x)) == pytest.approx(sf, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# per-law tables: one lattice enumeration per cut, one scan grid per size
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["erfi-interval", "gamma:alpha=2", "normal-mix"])
+def test_classify_inverts_one_scan_grid(spec, monkeypatch):
+    points = []
+    quantile = Distribution.quantile
+
+    def counted(self, p):
+        points.append(np.size(p))
+        return quantile(self, p)
+
+    monkeypatch.setattr(Distribution, "quantile", counted)
+    classify(make_distribution(spec))
+    # the grid once for all eleven scans, plus the two quartiles of the IQR
+    assert sum(points) == grid_size() + 2
+
+
+def _count_cuts(monkeypatch) -> list[float]:
+    cuts = []
+    lattice_points = Distribution.lattice_points
+
+    def counted(self, mass_cut=SUM_CUT, limit=10**6):
+        cuts.append(mass_cut)
+        return lattice_points(self, mass_cut, limit)
+
+    monkeypatch.setattr(Distribution, "lattice_points", counted)
+    return cuts
+
+
+@pytest.mark.parametrize("spec", ["zipf:alpha=3", "poisson:theta=2", "negbinomial:r=0.5,p=0.5"])
+def test_classify_enumerates_each_cut_once(spec, monkeypatch):
+    cuts = _count_cuts(monkeypatch)
+    d = make_distribution(spec)
+    classify(d)
+    d.quantile(np.array([0.1, 0.5, 0.9]))
+    assert sorted(cuts) == sorted([SUM_CUT, QUANTILE_CUT])
+
+
+def test_mean_excess_enumerates_its_cut_once(monkeypatch):
+    cuts = _count_cuts(monkeypatch)
+    d = make_distribution("geometric:p=0.3")
+    mean_excess_abs_diff(d, np.arange(4.0))
+    mean_excess(d, 2.0)
+    assert cuts == [EXCESS_CUT]
+
+
+def test_cached_tables_are_read_only():
+    cont = make_distribution("erfi-interval")
+    lat = make_distribution("poisson:theta=2")
+    arrays = [cont.probe_grid(64), *cont._inverse_table(), lat.probe_grid(64)]
+    for cut in (SUM_CUT, QUANTILE_CUT, EXCESS_CUT):
+        arrays += lat.lattice_table(cut)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_scan_grid_follows_dispersion_grid(monkeypatch):
+    d = make_distribution("erfi-interval")
+    for n in (256, 512, 256):
+        monkeypatch.setenv("DISPERSION_GRID", str(n))
+        grid = scan_grid(d)
+        assert len(grid) == n
+        assert scan_grid(d) is grid
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from dispersion import (
     affine,
@@ -15,7 +16,6 @@ from dispersion import (
     residual_functions,
     reverse_hazard_rate,
 )
-from dispersion import specfun as sf
 from dispersion.hazard import (
     CONSTANT,
     DECREASING,
@@ -79,7 +79,7 @@ def test_reverse_hazard_exponential_far_tail():
 
 def test_reverse_hazard_erfi_interval():
     d = make_distribution("erfi-interval")
-    expected = 2 / np.sqrt(np.pi) * np.exp(2.25) / float(sf.erfi(1.5))
+    expected = 2 / np.sqrt(np.pi) * np.exp(2.25) / float(special.erfi(1.5))
     assert reverse_hazard_rate(d, 0.5) == pytest.approx(expected, rel=1e-12)
 
 

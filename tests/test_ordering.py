@@ -7,6 +7,7 @@ from dispersion import (
     affine,
     classify,
     closure_check,
+    dispersion_report,
     errors,
     make_distribution,
     threshold_scan,
@@ -40,6 +41,17 @@ def test_classify_gpd():
     expected = 1 / (0.75 * np.sqrt(0.5)) - 2 / (0.75 * 1.75)
     assert v.numeric_diff == pytest.approx(expected, rel=1e-12)
     assert v.numeric_diff == pytest.approx(0.362, abs=5e-4)
+
+
+@pytest.mark.parametrize("spec", ["gpd:alpha=0.25", "poisson:theta=2"])
+def test_verdict_carries_its_report(spec):
+    d = make_distribution(spec)
+    v = classify(d)
+    assert v.report == dispersion_report(d)
+    assert v.numeric_diff == v.report.diff
+    assert v.to_record()["numeric_diff"] == v.report.diff
+    with pytest.raises(AttributeError):
+        v.numeric_diff = 0.0
 
 
 def test_classify_logistic():
