@@ -199,7 +199,7 @@ def _truncate_lower(d: Distribution, u: float) -> Distribution:
 
 
 def _truncate_upper(d: Distribution, u: float) -> Distribution:
-    mass = d.mass_below_eq(u)
+    mass = float(d.cdf(u))
     if not mass > 1e-300:
         raise EmptyTail(f"P(X <= {u}) = {mass} is numerically zero for {d.label}")
     if d.is_lattice:

@@ -7,9 +7,9 @@ survival convention is P(X > x) in both kinds, so cdf + sf = 1 pointwise.
 Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache, owned by
 this module and built lazily on first use, of read-only tables: the
-enumerated lattice table at each mass cut, the scan grid of each size and
-clip, and the inverse table that continuous quantiles without a closed
-form start from.
+enumerated lattice table at each of the two mass cuts, the scan grid of
+each size and clip, and the inverse table that continuous quantiles
+without a closed form start from.
 """
 
 from __future__ import annotations
@@ -36,15 +36,16 @@ INV_XTOL = 1e-13
 
 # lattice mass cuts: enumeration stops once the omitted tail mass is below
 # the cut. SUM_CUT serves SD, GMD and Lambda sums (polynomial tails add
-# analytic tail_sums) and lattice scan grids; QUANTILE_CUT the CDF table of
-# lattice quantiles and sampling; EXCESS_CUT the mean excess of X and of
-# |X - X'|, whose survival sums have no tail correction. One cut does not
-# serve all three: at 1e-12 the two mean-excess routes of poisson(2) split
-# by 2.3e-6 at t = 13 and the zipf(4) curve moves by 1.2e-6, while at 1e-15
-# the zipf(2.5) support exceeds the enumeration limit.
+# analytic tail_sums), lattice scan grids and the table of lattice
+# quantiles; EXCESS_CUT the mean excess of X and of |X - X'|, whose
+# survival sums have no tail correction. One cut does not serve both: at
+# 1e-12 the two mean-excess routes of poisson(2) split by 2.3e-6 at t = 13
+# and the zipf(4) curve moves by 1.2e-6, while at 1e-15 the zipf(2.5)
+# support (661,050 points) exceeds the enumeration limit.
 SUM_CUT = 1e-12
-QUANTILE_CUT = 1e-14
 EXCESS_CUT = 1e-15
+# most points one lattice enumeration may hold
+LATTICE_LIMIT = 2**19
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -100,9 +101,9 @@ class Distribution:
     integers, zero elsewhere) for lattice supports. cdf(x) = P(X <= x) and
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
     `_cache` holds the read-only tables built on first use: lattice_table()
-    per mass cut, probe_grid() per size and clip, and, for continuous laws
-    without a ppf, the inverse table of quantile(). No other module reads
-    or writes it.
+    at each of the two mass cuts (SUM_CUT also serves quantile()),
+    probe_grid() per size and clip, and, for continuous laws without a ppf,
+    the inverse table of quantile(). No other module reads or writes it.
     """
 
     support: Support
@@ -133,16 +134,17 @@ class Distribution:
     def quantile(self, p):
         """Smallest x with cdf(x) >= p, to 1e-12 in probability.
 
-        A closed-form ppf is used when the law has one; lattice quantiles
-        come from the enumerated CDF table and are exact. Other continuous
-        laws invert through a table of 513 nodes spaced evenly in logit(p)
-        over [1e-12, 1 - 1e-12], built once per law by bisection: each
-        target starts from a cubic Hermite guess between its two bracketing
-        nodes and takes Newton steps on cdf(x) - p (p <= 1/2) or
-        (1 - p) - sf(x) (p > 1/2), with any step that leaves the shrinking
-        bracket replaced by a bisection step. Targets still open after a
-        few steps are bisected inside their bracket, and targets beyond the
-        table's range are bisected on cdf over the whole support.
+        A closed-form ppf is used when the law has one. Otherwise both
+        kinds solve on cdf for p <= 1/2 and on sf against 1 - p above, from
+        a table where one covers p and by bisection between the support end
+        and the table's end node beyond it, so lattice quantiles are exact
+        and the output is monotone in p. Lattice laws search the SUM_CUT
+        lattice table. Continuous laws invert through 513 nodes spaced
+        evenly in logit(p) over [1e-12, 1 - 1e-12], built once per law:
+        each target starts from a cubic Hermite guess between its two
+        bracketing nodes and takes Newton steps, any step that leaves the
+        shrinking bracket replaced by a bisection step, and targets still
+        open after a few steps are bisected inside their bracket.
         """
         p = np.asarray(p, dtype=float)
         scalar = p.ndim == 0
@@ -150,29 +152,66 @@ class Distribution:
         if self.ppf is not None:
             out = np.asarray(self.ppf(p1), dtype=float)
         elif self.is_lattice:
-            pts, _, cum, _ = self.lattice_table(QUANTILE_CUT)
-            idx = np.searchsorted(cum, p1 * (1 - 1e-15), side="left")
-            idx = np.minimum(idx, len(pts) - 1)
-            out = pts[idx]
+            out = self._lattice_quantile(p1)
         else:
             out = self._invert(p1)
         return float(out[0]) if scalar else out
+
+    def _lattice_quantile(self, p: np.ndarray) -> np.ndarray:
+        pts, _, cum, sf = self.lattice_table(SUM_CUT)
+        # the nudges keep rounding in either column from skipping a point
+        idx = np.where(
+            p > 0.5,
+            np.searchsorted(-sf, -(1.0 - p) * (1 + 1e-15)),
+            np.searchsorted(cum, p * (1 - 1e-15)),
+        )
+        # downward enumerations omit mass below the table
+        inside = (p > float(self.cdf(pts[0] - 1.0))) & (idx < len(pts))
+        out = pts[np.where(inside, idx, 0)]
+        out[~inside] = self._beyond(p[~inside], pts[0], pts[-1])
+        return out
+
+    def _beyond(self, p: np.ndarray, first: float, last: float) -> np.ndarray:
+        """Quantiles of targets beyond a table whose end nodes are first and last.
+
+        Brackets end at the end node, so the output joins the table's
+        monotonically; lattice results round to the integer bisected onto.
+        """
+        lo, hi = self.support.lower, self.support.upper
+        out = np.empty_like(p)
+        low = p <= 0.5
+        if low.any():
+            out[low] = bisect_increasing(self.cdf, p[low], lo, first)
+        if not low.all():
+            out[~low] = bisect_increasing(lambda x: -self.sf(x), -(1.0 - p[~low]), last, hi)
+        return np.round(out) if self.is_lattice else out
 
     def _inverse_table(self):
         """(node probabilities, x, pdf at x) cached for continuous quantiles.
 
         The upper half is solved on sf against the exact 1 - u, so laws
-        whose cdf saturates short of 1 still get accurate upper nodes.
+        whose cdf saturates short of 1 still get accurate upper nodes. A
+        half with a finite support end bisects in y = log|x - end|: nodes
+        beside a density pole there need far finer steps than the 2^-72 of
+        the bracket that a bisection in x reaches.
         """
         if "inverse" not in self._cache:
             z = np.linspace(-INV_LOGIT, INV_LOGIT, INV_NODES)
             u = 1.0 / (1.0 + np.exp(-z))
             low = u <= 0.5
             lo, hi = self.support.lower, self.support.upper
-            x = np.concatenate([
-                bisect_increasing(self.cdf, u[low], lo, hi),
-                bisect_increasing(lambda t: -self.sf(t), -(1.0 - u[~low]), lo, hi),
-            ])
+            span = np.log(hi - lo)
+            if np.isfinite(lo):
+                y = bisect_increasing(lambda y: self.cdf(lo + np.exp(y)), u[low], -np.inf, span)
+                x_low = lo + np.exp(y)
+            else:
+                x_low = bisect_increasing(self.cdf, u[low], lo, hi)
+            if np.isfinite(hi):
+                y = bisect_increasing(lambda y: self.sf(hi - np.exp(y)), 1.0 - u[~low], -np.inf, span)
+                x_up = hi - np.exp(y)
+            else:
+                x_up = bisect_increasing(lambda t: -self.sf(t), -(1.0 - u[~low]), lo, hi)
+            x = np.concatenate([x_low, x_up])
             f = np.asarray(self.pdf(x), dtype=float)
             self._cache["inverse"] = _read_only(u, x, f)
         return self._cache["inverse"]
@@ -181,14 +220,7 @@ class Distribution:
         u, x_nodes, f_nodes = self._inverse_table()
         out = np.empty_like(p)
         inside = (p >= u[0]) & (p <= u[-1])
-        if not inside.all():
-            # a bracket grown for far targets resolves x more coarsely than
-            # the end nodes; clamping keeps the output monotone in p
-            out[~inside] = bisect_increasing(
-                self.cdf, p[~inside], self.support.lower, self.support.upper
-            )
-            out[p < u[0]] = np.minimum(out[p < u[0]], x_nodes[0])
-            out[p > u[-1]] = np.maximum(out[p > u[-1]], x_nodes[-1])
+        out[~inside] = self._beyond(p[~inside], x_nodes[0], x_nodes[-1])
         if not inside.any():
             return out
         pt = p[inside]
@@ -244,66 +276,36 @@ class Distribution:
 
     # -- lattice enumeration ------------------------------------------------
 
-    def lattice_points(self, mass_cut: float = SUM_CUT, limit: int = 10**6) -> np.ndarray:
+    def lattice_points(self, mass_cut: float = SUM_CUT) -> np.ndarray:
         """Integer support points, truncated once the omitted tail mass < mass_cut.
 
-        Enumerates upward from a finite lower endpoint or downward from a
-        finite upper endpoint; doubly infinite lattice supports are not used
-        by any registry family.
+        Enumerates upward from a finite lower endpoint to the first k with
+        sf(k) <= mass_cut, or downward from a finite upper endpoint to the
+        last k with cdf(k - 1) < mass_cut, bisecting for that end within
+        LATTICE_LIMIT points; raises SupportTooLarge past LATTICE_LIMIT
+        points. No registry family has a doubly infinite lattice support.
         """
         if not self.is_lattice:
             raise UnsupportedKind("lattice_points requires an integer-lattice law")
         lo, hi = self.support.lower, self.support.upper
-        if np.isfinite(lo) and np.isfinite(hi):
-            pts = np.arange(int(lo), int(hi) + 1)
-            if len(pts) > limit:
-                raise SupportTooLarge(f"{len(pts)} lattice points exceeds limit {limit}")
-            return pts
-        if np.isfinite(lo):
-            last = self._grow_tail(int(lo), +1, mass_cut, limit)
-            return np.arange(int(lo), last + 1)
-        if np.isfinite(hi):
-            first = self._grow_tail(int(hi), -1, mass_cut, limit)
-            return np.arange(first, int(hi) + 1)
-        raise UnsupportedKind("doubly infinite lattice support is not enumerable")
-
-    def _grow_tail(self, start: int, direction: int, mass_cut: float, limit: int) -> int:
-        # find the nearest point beyond which the omitted mass is < mass_cut
-        def omitted(k: int) -> float:
-            if direction > 0:
-                return float(self.sf(k))
-            return float(self.cdf(k - 1))
-
-        step = 1
-        k = start
-        while omitted(k) >= mass_cut:
-            step = min(step * 2, limit)
-            k += direction * step
-            if abs(k - start) > limit:
-                raise SupportTooLarge(
-                    f"lattice support exceeds {limit} points at mass cut {mass_cut}"
-                )
-        # binary search back to the smallest such k
-        lo, hi = (start, k) if direction > 0 else (k, start)
-        while lo < hi:
-            mid = (lo + hi) // 2 if direction > 0 else (lo + hi + 1) // 2
-            if direction > 0:
-                if omitted(mid) < mass_cut:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            else:
-                if omitted(mid) < mass_cut:
-                    lo = mid
-                else:
-                    hi = mid - 1
-        return lo
+        if np.isinf(lo) and np.isinf(hi):
+            raise UnsupportedKind("doubly infinite lattice support is not enumerable")
+        n = LATTICE_LIMIT.bit_length()  # halvings to bring the end within 1/4 point
+        if np.isinf(hi):
+            hi = bisect_increasing(lambda x: -self.sf(x), [-mass_cut], lo, lo + LATTICE_LIMIT, n)[0]
+        elif np.isinf(lo):
+            lo = bisect_increasing(self.cdf, [mass_cut], hi - LATTICE_LIMIT, hi, n)[0]
+        first, last = round(lo), round(hi)
+        if last - first + 1 > LATTICE_LIMIT:
+            msg = f"lattice support exceeds {LATTICE_LIMIT} points at mass cut {mass_cut}"
+            raise SupportTooLarge(msg)
+        return np.arange(first, last + 1)
 
     def lattice_table(self, mass_cut: float) -> tuple[np.ndarray, ...]:
         """(points, pmf, cdf, sf) at the support enumerated to mass_cut.
 
         Built once per law and cut; points are floats and every array is
-        read-only. The cuts in use are SUM_CUT, QUANTILE_CUT and EXCESS_CUT.
+        read-only. The cuts in use are SUM_CUT and EXCESS_CUT.
         """
         key = ("lattice", mass_cut)
         if key not in self._cache:
@@ -336,8 +338,3 @@ class Distribution:
     def iqr(self) -> float:
         q1, q3 = self.quantile(np.array([0.25, 0.75]))
         return float(q3 - q1)
-
-    def mass_below_eq(self, u: float) -> float:
-        if self.is_lattice:
-            return float(self.cdf(math.floor(u)))
-        return float(self.cdf(u))

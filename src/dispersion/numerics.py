@@ -48,7 +48,8 @@ def bisect_increasing(
 
     Distribution.quantile uses it to build each law's inverse table, as the
     fallback for Newton iterations that stall inside their node bracket, and
-    for targets beyond the table's probability range.
+    for targets beyond a lattice or inverse table; Distribution.lattice_points
+    uses it to find the end of each lattice enumeration.
     """
     targets = np.asarray(targets, dtype=float)
     if np.ndim(lo) == 0 and np.ndim(hi) == 0:

@@ -120,10 +120,10 @@ def brute_force_lattice(d: Distribution, mass_cut: float = 1e-12) -> LatticeExac
 
     Computes SD and GMD from all pairs of retained points, the tie
     probability, and the mean excess of Y = |X - X'| at every integer t
-    from the pair distribution of Y. Raises SupportTooLarge past 1e6
-    points.
+    from the pair distribution of Y. Raises SupportTooLarge past
+    `dist.LATTICE_LIMIT` points.
     """
-    pts = d.lattice_points(mass_cut=mass_cut, limit=10**6).astype(float)
+    pts = d.lattice_points(mass_cut).astype(float)
     f = np.asarray(d.pdf(pts), float)
     n = len(pts)
     span = int(pts[-1] - pts[0])

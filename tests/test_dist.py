@@ -24,7 +24,7 @@ from dispersion.dist import (
     CONTINUOUS,
     EXCESS_CUT,
     LATTICE,
-    QUANTILE_CUT,
+    LATTICE_LIMIT,
     SUM_CUT,
     Distribution,
 )
@@ -170,28 +170,99 @@ _TABLE_LAWS.update({
     "convolve(logistic,normal)":
         lambda: convolve(make_distribution("logistic"), make_distribution("normal")),
 })
-# the numeric convolution's cdf saturates at 1 - 2e-12, so the cdf bisection
-# that serves targets beyond the table cannot bracket 1 - 1e-13
-_CDF_SATURATES = {"convolve(logistic,normal)"}
 
 
 @pytest.mark.parametrize("name", list(_TABLE_LAWS))
 def test_table_quantile_matches_bisection(name):
     d = _TABLE_LAWS[name]()
     nodes = d._inverse_table()[0]
-    top = [] if name in _CDF_SATURATES else [1 - 1e-13]
-    ps = np.unique(np.concatenate([[1e-15, 1e-13], nodes[::32], [0.5], top]))
+    ps = np.unique(np.concatenate([[1e-15, 1e-13], nodes[::32], [0.5, 1 - 1e-13]]))
     xs = np.asarray(d.quantile(ps), float)
     assert np.all(np.isfinite(xs))
     assert np.all(np.diff(xs) >= 0)
     lo, hi = d.support.lower, d.support.upper
     low = ps <= 0.5
-    ref_lo = bisect_increasing(d.cdf, ps[low], lo, hi)
-    ref_hi = bisect_increasing(lambda x: -d.sf(x), -(1 - ps[~low]), lo, hi)
+    # 200 halvings resolve x beside a density pole at a finite end
+    ref_lo = bisect_increasing(d.cdf, ps[low], lo, hi, 200)
+    ref_hi = bisect_increasing(lambda x: -d.sf(x), -(1 - ps[~low]), lo, hi, 200)
     gap_lo = np.abs(np.asarray(d.cdf(xs[low])) - np.asarray(d.cdf(ref_lo)))
     gap_hi = np.abs(np.asarray(d.sf(xs[~low])) - np.asarray(d.sf(ref_hi)))
     assert float(gap_lo.max()) <= 1e-12
     assert float(gap_hi.max()) <= 1e-12
+
+
+# (law, reflection offset or None, p, smallest x with cdf(x) >= p), each
+# past the end of the law's SUM_CUT table: upward, and downward for laws
+# reflected by affine(d, -1, offset)
+_FAR_LATTICE_QUANTILES = [
+    ("zipf:alpha=2.5", None, 1 - 1e-13, 104723),
+    ("zipf:alpha=2.5", None, 1 - 1e-15, 661050),
+    ("zipf:alpha=3", None, 1 - 1e-15, 67550),
+    ("poisson:theta=2", None, 1 - 1e-15, 21),
+    ("zipf:alpha=3", 0.0, 1e-16, -145492),
+    ("geometric:p=0.2", 5.0, 1e-16, -160),
+]
+
+
+@pytest.mark.parametrize("spec,offset,p,want", _FAR_LATTICE_QUANTILES)
+def test_lattice_quantile_beyond_table_is_exact(spec, offset, p, want):
+    d = make_distribution(spec)
+    if offset is not None:
+        d = affine(d, -1.0, offset)
+    x = float(d.quantile(p))
+    assert x == want
+    pts = d.lattice_table(SUM_CUT)[0]
+    assert not pts[0] <= x <= pts[-1]
+    # the column that resolves this tail: sf above the median, cdf below
+    if p > 0.5:
+        assert float(d.sf(x)) <= 1 - p < float(d.sf(x - 1))
+    else:
+        assert float(d.cdf(x - 1)) < p <= float(d.cdf(x))
+
+
+_zipf3 = lambda: make_distribution("zipf:alpha=3")
+_LATTICE_ENDS = {
+    "zipf(3)@1e-12": (_zipf3, 1e-12, (1, 6753)),
+    "zipf(3)@1e-15": (_zipf3, 1e-15, (1, 67532)),
+    "zipf(4)@1e-15": (lambda: make_distribution("zipf:alpha=4"), 1e-15, (1, 3940)),
+    "poisson(2)@1e-15": (lambda: make_distribution("poisson:theta=2"), 1e-15, (0, 21)),
+    "negbinomial(0.5,0.5)@1e-12":
+        (lambda: make_distribution("negbinomial:r=0.5,p=0.5"), 1e-12, (0, 36)),
+    "affine(zipf(3),-1,0)@1e-12": (lambda: affine(_zipf3(), -1.0, 0.0), 1e-12, (-6753, -1)),
+    "affine(geometric(0.4),-1,7)@1e-15":
+        (lambda: affine(make_distribution("geometric:p=0.4"), -1.0, 7.0), 1e-15, (-60, 7)),
+    "affine(geometric(0.4),1,1e6)@1e-12":
+        (lambda: affine(make_distribution("geometric:p=0.4"), 1.0, 1e6), 1e-12,
+         (1000000, 1000054)),
+    "truncate(zipf(3),lower,10)@1e-12":
+        (lambda: truncate(_zipf3(), "lower", 10.0), 1e-12, (11, 105158)),
+    "mix(poisson(2),zipf(3))@1e-12":
+        (lambda: mix([make_distribution("poisson:theta=2"), _zipf3()], [0.5, 0.5]), 1e-12,
+         (0, 5360)),
+}
+
+
+@pytest.mark.parametrize("name", list(_LATTICE_ENDS))
+def test_lattice_points_ends(name):
+    build, cut, ends = _LATTICE_ENDS[name]
+    pts = build().lattice_points(cut)
+    assert (int(pts[0]), int(pts[-1])) == ends
+    assert np.array_equal(pts, np.arange(ends[0], ends[1] + 1))
+
+
+@pytest.mark.parametrize("build,cut", [
+    (lambda: make_distribution("zipf:alpha=2.5"), 1e-15),
+    (lambda: make_distribution("zipf:alpha=2.1"), 1e-14),
+    (lambda: truncate(make_distribution("poisson:theta=2"), "upper", float(LATTICE_LIMIT)), 1e-12),
+])
+def test_lattice_points_limit(build, cut):
+    with pytest.raises(errors.SupportTooLarge):
+        build().lattice_points(cut)
+
+
+def test_lattice_points_at_limit():
+    d = truncate(make_distribution("poisson:theta=2"), "upper", float(LATTICE_LIMIT - 1))
+    assert len(d.lattice_points()) == LATTICE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +342,9 @@ def _count_cuts(monkeypatch) -> list[float]:
     cuts = []
     lattice_points = Distribution.lattice_points
 
-    def counted(self, mass_cut=SUM_CUT, limit=10**6):
+    def counted(self, mass_cut=SUM_CUT):
         cuts.append(mass_cut)
-        return lattice_points(self, mass_cut, limit)
+        return lattice_points(self, mass_cut)
 
     monkeypatch.setattr(Distribution, "lattice_points", counted)
     return cuts
@@ -285,7 +356,7 @@ def test_classify_enumerates_each_cut_once(spec, monkeypatch):
     d = make_distribution(spec)
     classify(d)
     d.quantile(np.array([0.1, 0.5, 0.9]))
-    assert sorted(cuts) == sorted([SUM_CUT, QUANTILE_CUT])
+    assert cuts == [SUM_CUT]
 
 
 def test_mean_excess_enumerates_its_cut_once(monkeypatch):
@@ -300,7 +371,7 @@ def test_cached_tables_are_read_only():
     cont = make_distribution("erfi-interval")
     lat = make_distribution("poisson:theta=2")
     arrays = [cont.probe_grid(64), *cont._inverse_table(), lat.probe_grid(64)]
-    for cut in (SUM_CUT, QUANTILE_CUT, EXCESS_CUT):
+    for cut in (SUM_CUT, EXCESS_CUT):
         arrays += lat.lattice_table(cut)
     for a in arrays:
         with pytest.raises(ValueError):
