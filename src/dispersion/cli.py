@@ -3,6 +3,7 @@
     dispersion analyze        --dist FAMILY:k=v[,k=v...] --output json|csv [--out PATH]
     dispersion sweep          --dist FAMILY:k=_[,...] --range a:b:step --output csv
     dispersion truncate-sweep --dist FAMILY:... --side lower|upper --range a:b:step
+    dispersion mean-excess    --dist FAMILY:... --range a:b:step
     dispersion verify         --dist FAMILY:... [--mc-n N] [--seed S] --output json
     dispersion list-families  [--output json]
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DispersionError, ParseError
 from .families import FamilySpec, list_families, make_distribution, parse_family_spec
-from .measures import dispersion_report, tail_dispersion
+from .measures import dispersion_report, mean_excess_abs_diff, tail_dispersion
 from .oracle import mc_estimate
 from .ordering import classify
 
@@ -111,6 +112,18 @@ def cmd_truncate_sweep(args) -> str:
     return "\n".join(rows) + "\n"
 
 
+def cmd_mean_excess(args) -> str:
+    d = make_distribution(parse_family_spec(args.dist))
+    try:
+        curve = mean_excess_abs_diff(d, _parse_range(args.range))
+    except ValueError as exc:  # a negative t, or a non-integer t on a lattice law
+        raise ParseError(f"--range {args.range!r}: {exc}") from None
+    rows = ["t,m_direct,m_repr,baseline"]
+    for t, direct, repr_ in zip(curve.ts, curve.m_direct, curve.m_repr):
+        rows.append(",".join([_fmt(t), _fmt(direct), _fmt(repr_), _fmt(curve.baseline)]))
+    return "\n".join(rows) + "\n"
+
+
 def cmd_verify(args) -> str:
     d = make_distribution(parse_family_spec(args.dist))
     disp = dispersion_report(d)
@@ -176,6 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, help="start:stop:step")
     p.add_argument("--side", choices=["lower", "upper"], required=True)
     p.set_defaults(fn=cmd_truncate_sweep, output="csv")
+
+    p = sub.add_parser("mean-excess", help="mean excess of |X - X'| by both routes")
+    common(p)
+    p.add_argument("--range", required=True, help="start:stop:step")
+    p.set_defaults(fn=cmd_mean_excess, output="csv")
 
     p = sub.add_parser("verify", help="Monte Carlo cross-check of the analytic values")
     common(p)

@@ -152,12 +152,8 @@ def _truncate_lower(d: Distribution, u: float) -> Distribution:
     mass = float(d.sf(u))
     if not mass > 1e-300:
         raise EmptyTail(f"P(X > {u}) = {mass} is numerically zero for {d.label}")
-    if d.is_lattice:
-        lo = math.floor(u) + 1
-        u_eff = float(math.floor(u))
-    else:
-        lo = u
-        u_eff = u
+    u_eff = float(math.floor(u)) if d.is_lattice else u
+    lo = math.floor(u) + 1 if d.is_lattice else u
     hi = d.support.upper
 
     def pdf(x):
@@ -202,10 +198,7 @@ def _truncate_upper(d: Distribution, u: float) -> Distribution:
     mass = float(d.cdf(u))
     if not mass > 1e-300:
         raise EmptyTail(f"P(X <= {u}) = {mass} is numerically zero for {d.label}")
-    if d.is_lattice:
-        hi = float(math.floor(u))
-    else:
-        hi = u
+    hi = float(math.floor(u)) if d.is_lattice else u
     lo = d.support.lower
 
     def pdf(x):

@@ -8,8 +8,8 @@ Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache, owned by
 this module and built lazily on first use, of read-only tables: the
 enumerated lattice table at each of the two mass cuts, the scan grid of
-each size and clip, and the inverse table that continuous quantiles
-without a closed form start from.
+each size and clip, the inverse table that continuous quantiles without a
+closed form start from, and the stop-loss table behind every mean excess.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SupportTooLarge, UnsupportedKind
-from .numerics import bisect_increasing
+from .numerics import bisect_increasing, integrate, panels
 
 CONTINUOUS = "continuous-interval"
 LATTICE = "integer-lattice"
@@ -37,11 +37,11 @@ INV_XTOL = 1e-13
 # lattice mass cuts: enumeration stops once the omitted tail mass is below
 # the cut. SUM_CUT serves SD, GMD and Lambda sums (polynomial tails add
 # analytic tail_sums), lattice scan grids and the table of lattice
-# quantiles; EXCESS_CUT the mean excess of X and of |X - X'|, whose
-# survival sums have no tail correction. One cut does not serve both: at
-# 1e-12 the two mean-excess routes of poisson(2) split by 2.3e-6 at t = 13
-# and the zipf(4) curve moves by 1.2e-6, while at 1e-15 the zipf(2.5)
-# support (661,050 points) exceeds the enumeration limit.
+# quantiles; EXCESS_CUT the stop-loss table behind the mean excess of X and
+# of |X - X'|, whose sums of S past the table have no tail correction. One
+# cut does not serve both: at 1e-12 the omitted sum of S moves the zipf(4)
+# curve by 1.1e-6, while at 1e-15 the zipf(2.5) support (661,050 points)
+# exceeds the enumeration limit.
 SUM_CUT = 1e-12
 EXCESS_CUT = 1e-15
 # most points one lattice enumeration may hold
@@ -102,8 +102,10 @@ class Distribution:
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
     `_cache` holds the read-only tables built on first use: lattice_table()
     at each of the two mass cuts (SUM_CUT also serves quantile()),
-    probe_grid() per size and clip, and, for continuous laws without a ppf,
-    the inverse table of quantile(). No other module reads or writes it.
+    probe_grid() per size and clip, the continuous inverse table (quantile()
+    reads it when the law has no ppf, stop_loss() takes its nodes), and one
+    stop-loss table: excess_table() on the lattice, the node table of
+    stop_loss() on continuous laws. No other module reads or writes it.
     """
 
     support: Support
@@ -338,3 +340,100 @@ class Distribution:
     def iqr(self) -> float:
         q1, q3 = self.quantile(np.array([0.25, 0.75]))
         return float(q3 - q1)
+
+    # -- stop-loss transform -------------------------------------------------
+
+    def excess_table(self, reach: int) -> tuple[np.ndarray, ...]:
+        """(points, pmf, cdf, sf, Pi) on the EXCESS_CUT support of a lattice
+        law, extended `reach` points past its end by one pdf/cdf/sf call.
+
+        Pi(k) = sum_{j >= k} S(j), short by the sum of S past the table. One
+        read-only table is kept per law, rebuilt when a call reaches further.
+        """
+        pts, f, cdf, sf = self.lattice_table(EXCESS_CUT)
+        table = self._cache.get("stop_loss")
+        if table is None or table[0][-1] < pts[-1] + reach:
+            if len(pts) + reach > LATTICE_LIMIT:
+                raise SupportTooLarge(f"stop-loss table exceeds {LATTICE_LIMIT} points")
+            more = pts[-1] + np.arange(1.0, reach + 1)
+            cols = [np.concatenate([c, fn(more)]) for c, fn in ((f, self.pdf), (cdf, self.cdf), (sf, self.sf))]
+            pi = np.cumsum(cols[2][::-1])[::-1]
+            table = self._cache["stop_loss"] = _read_only(np.concatenate([pts, more]), *cols, pi)
+        return table
+
+    def _stop_loss_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, Pi at the nodes) of a continuous law: the inverse-table
+        nodes and the finite support ends, Pi summed from the top over one
+        Gauss-Legendre panel of sf per node interval."""
+        if "stop_loss" not in self._cache:
+            lo, hi = self.support.lower, self.support.upper
+            ends = [v for v in (lo, hi) if np.isfinite(v)]
+            nodes = np.unique(np.concatenate([np.clip(self._inverse_table()[1], lo, hi), ends]))
+            seg = np.append(panels(self.sf, nodes[:-1], nodes[1:]), self._tail_stop_loss(nodes[-1]))
+            self._cache["stop_loss"] = _read_only(nodes, np.cumsum(seg[::-1])[::-1])
+        return self._cache["stop_loss"]
+
+    def _tail_stop_loss(self, x: float) -> float:
+        """Pi(x) by adaptive quadrature of sf(x + c v) / sf(x) over v >= 0,
+        c = sf(x) / pdf(x) the tail's length scale: unscaled, QUADPACK's
+        absolute tolerance swamps a tail far below it, and its map of
+        [x, inf) misses a polynomial tail that starts at x = 5.6e5."""
+        s, f = float(self.sf(x)), float(self.pdf(x))
+        if s <= 0.0 or x >= self.support.upper:
+            return 0.0
+        c = s / f if 0.0 < f < np.inf else 1.0
+        return s * c * integrate(lambda v: float(self.sf(x + c * v)) / s, 0.0, np.inf)[0]
+
+    def _stop_loss_panel(self, y: np.ndarray) -> np.ndarray:
+        """Pi(y) from the node table plus one panel to the first node >= y,
+        or back from the last node past it, exact there to a few ulp of Pi."""
+        nodes, pi = self._stop_loss_nodes()
+        j = np.minimum(np.searchsorted(nodes, y), len(nodes) - 1)
+        return np.maximum(pi[j] + panels(self.sf, y, nodes[j]), 0.0)
+
+    def stop_loss(self, x):
+        """Stop-loss transform Pi(x) = E[(X - x)+] = int_x^inf S(w) dw.
+
+        Lattice laws read excess_table(): Pi(k) - (x - k) S(k) at k = floor(x),
+        S = 1 below the table. Continuous laws read the node table, and past
+        its last node, where Pi falls below the table's few ulp, integrate.
+        """
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.is_lattice:
+            k = np.floor(xs)
+            last = self.lattice_table(EXCESS_CUT)[0][-1]
+            pts, _, _, sf, pi = self.excess_table(max(int(k.max() - last), 0))
+            i = np.clip(k - pts[0], 0, len(pts) - 1).astype(int)
+            below = np.maximum(pts[0] - k, 0.0)  # S = 1 below the table
+            out = pi[i] + below - (xs - k) * np.where(below > 0, 1.0, sf[i])
+        else:
+            out = self._stop_loss_panel(xs)
+            for j in np.flatnonzero(xs > self._stop_loss_nodes()[0][-1]):
+                out[j] = self._tail_stop_loss(xs[j])
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    def shifted_mean(self, which: str, ts) -> np.ndarray:
+        """E[g(X + t)] for each t >= 0, g = sf ("sf") or stop_loss ("stop_loss").
+
+        Lattice laws (integer t) take one dot product per t over
+        excess_table(). Continuous laws apply one panel per node interval to
+        f(x) g(x + t), clipped at upper - t where S(x + t) has its kink, g
+        read from the node table; one adaptive integral per t adds the head
+        below the first node of an unbounded lower end.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self.is_lattice:
+            steps = ts.astype(int)
+            _, f, _, sf, pi = self.excess_table(int(np.max(steps, initial=0)))
+            g = sf if which == "sf" else pi
+            return np.array([float(np.dot(f[: len(f) - t], g[t:])) for t in steps])
+        g = self.sf if which == "sf" else self._stop_loss_panel
+        nodes = self._stop_loss_nodes()[0]
+        out = np.empty(len(ts))
+        for i, t in enumerate(ts):
+            a, b = nodes[:-1], np.minimum(nodes[1:], self.support.upper - t)
+            out[i] = np.sum(panels(lambda x: self.pdf(x) * g(x + t), a[a < b], b[a < b]))
+            if np.isinf(self.support.lower):
+                head = lambda x: float(self.pdf(x)) * float(g(np.array([x + t]))[0])
+                out[i] += integrate(head, -np.inf, nodes[0])[0]
+        return out

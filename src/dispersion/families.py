@@ -108,20 +108,15 @@ def make_distribution(spec: FamilySpec | str) -> Distribution:
 
 def list_families() -> list[dict]:
     """Metadata for every registry family (name, kind, parameters, domains)."""
-    out = []
-    for name, info in FAMILIES.items():
-        out.append(
-            {
-                "family": name,
-                "kind": info["kind"],
-                "params": {
-                    p: ("required" if d is REQUIRED else d)
-                    for p, d in info["params"].items()
-                },
-                "domain": info["domain"],
-            }
-        )
-    return out
+    return [
+        {
+            "family": name,
+            "kind": info["kind"],
+            "params": {p: ("required" if d is REQUIRED else d) for p, d in info["params"].items()},
+            "domain": info["domain"],
+        }
+        for name, info in FAMILIES.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -8,27 +8,25 @@ Scans run on a quantile-spaced grid over [q(1e-6), q(1 - 1e-6)] (default
 and on every lattice point carrying mass >= `dist.SUM_CUT` (1e-12) for
 discrete ones; the 1e-6 clip is recorded in each verdict's grid
 description. `Distribution.probe_grid` builds each grid once per law. The
-lattice mean excess sums over the support enumerated to `dist.EXCESS_CUT`;
-the constants in `dist` give each cut's reason.
+mean excess of X reads the law's stop-loss table
+(`Distribution.stop_loss`), the one behind the mean excess of |X - X'|.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import EXCESS_CUT, SUM_CUT, Distribution
+from .dist import SUM_CUT, Distribution
 from .errors import (
     GridEmpty,
     HeadExhausted,
     OutsideSupport,
     TailExhausted,
 )
-from .numerics import integrate
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -144,26 +142,11 @@ def residual_functions(d: Distribution, x: float, t: float) -> tuple[float, floa
 
 
 def mean_excess(d: Distribution, t: float) -> float:
-    """E[X - t | X > t].
-
-    Continuous: int_t^inf S(w) dw / S(t). Lattice at integer t:
-    sum_{w > t} S(w-1) / S(t); non-integer t shifts by floor(t) - t.
-    """
+    """E[X - t | X > t] = Pi(t) / S(t) on both kinds (`Distribution.stop_loss`)."""
     s_t = float(d.sf(t))
     if s_t <= 0:
         raise TailExhausted(f"S({t}) = 0 for {d.label}")
-    if d.is_lattice:
-        k = math.floor(t)
-        pts = d.lattice_table(EXCESS_CUT)[0]
-        start = max(k + 1, int(pts[0]))
-        head = float(max(int(pts[0]) - (k + 1), 0))  # S(w-1) = 1 below the support
-        ws = np.arange(start, int(pts[-1]) + 2, dtype=float)
-        total = head + float(np.sum(np.asarray(d.sf(ws - 1.0), float)))
-        return total / s_t + (k - t)
-    lo = max(t, d.support.lower)
-    head = max(lo - t, 0.0)  # region where S = 1 below the support
-    val, _ = integrate(lambda w: float(d.sf(w)), lo, d.support.upper)
-    return (val + head * 1.0) / s_t
+    return d.stop_loss(t) / s_t
 
 
 def _require_in_support(d: Distribution, x: float) -> None:
@@ -297,12 +280,8 @@ def _log_target(d: Distribution, target: str, xs: np.ndarray) -> np.ndarray:
 
 def _log_concavity_lattice(d: Distribution, target: str, slack: float) -> str:
     xs = scan_grid(d)
-    if target == "pdf":
-        g = lambda k: np.asarray(d.pdf(k), float)
-    elif target == "cdf":
-        g = lambda k: np.asarray(d.cdf(k), float)
-    else:
-        g = lambda k: np.asarray(d.sf(k), float)
+    fn = getattr(d, target)
+    g = lambda k: np.asarray(fn(k), float)
     with np.errstate(all="ignore"):
         lg_m = np.log(g(xs - 1.0))
         lg_0 = np.log(g(xs))

@@ -5,20 +5,24 @@ concentration value of a lattice law.
 GMD uses the single-integral reduction 2 * int F(x) S(x) dx (2 * sum F S on
 the lattice) of the pairwise-difference definition; its correctness is
 gated on agreement with the Monte Carlo and brute-force oracles in the
-test suite. Discrete sums run over `Distribution.lattice_table`: SD, GMD
-and Lambda at `dist.SUM_CUT`, the mean excess of |X - X'| at
-`dist.EXCESS_CUT` (the constants in `dist` give each cut's reason).
+test suite. Discrete sums run over `Distribution.lattice_table` at
+`dist.SUM_CUT` (SD, GMD and Lambda).
+
+The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per
+law: S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the
+direct route. The change-of-measure route stays independent: quadrature of
+other integrands on continuous laws, other columns of the table on lattices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .combinators import truncate
-from .dist import EXCESS_CUT, SUM_CUT, Distribution
+from .dist import SUM_CUT, Distribution
 from .errors import (
     ContinuousInput,
     DegenerateY,
@@ -40,13 +44,7 @@ class DispersionReport:
     err_estimate: float
 
     def to_record(self) -> dict:
-        return {
-            "sd": self.sd,
-            "gmd": self.gmd,
-            "diff": self.diff,
-            "method": self.method,
-            "err_estimate": self.err_estimate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -184,128 +182,68 @@ _MIN_SY = 1e-300
 
 def abs_diff_survival(d: Distribution, y: float) -> float:
     """S_Y(y) = P(|X - X'| > y) = 2 E[S_X(X + y)] for y >= 0."""
-    if d.is_lattice:
-        pts, f, _, _ = d.lattice_table(EXCESS_CUT)
-        return 2.0 * float(np.dot(f, np.asarray(d.sf(pts + math.floor(y)), float)))
-    val, _ = integrate(
-        lambda x: float(d.sf(x + y)) * float(d.pdf(x)),
-        d.support.lower,
-        d.support.upper,
-    )
-    return 2.0 * val
+    return 2.0 * float(d.shifted_mean("sf", [y])[0])
 
 
 def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
     """Mean excess of Y = |X - X'| on a t-grid, by two independent routes.
 
-    m_direct integrates the survival function of Y (inner quadrature in x
-    for each y, outer in y; exact sums on the lattice). m_repr evaluates the
-    change-of-measure representation with weights dQ^F proportional to
-    F(x) dF(x) (F(x-1) f(x) on the lattice, where the C argument shifts to
-    x - 1).
+    m_direct is the stop-loss ratio E[Pi(X + t)] / E[S(X + t)] of
+    `Distribution.shifted_mean`. m_repr evaluates the change-of-measure
+    representation with weights dQ^F proportional to F(x) dF(x) by adaptive
+    quadrature (F(x-1) f(x) on the lattice, where the C argument shifts to
+    x - 1, summed over the stop-loss table).
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ValueError("t grid must be nonnegative")
+    if d.is_lattice and np.any(ts != np.floor(ts)):
+        raise ValueError("lattice mean-excess grids must use integer t")
+    den = d.shifted_mean("sf", ts)
+    if np.any(2.0 * den < _MIN_SY):
+        raise DegenerateY(f"S_Y({ts[2.0 * den < _MIN_SY][0]:g}) underflowed for {d.label}")
+    direct = d.shifted_mean("stop_loss", ts) / den
     if d.is_lattice:
-        if np.any(ts != np.floor(ts)):
-            raise ValueError("lattice mean-excess grids must use integer t")
-        sy = _lattice_sy(d)
-        direct = np.array([_m_direct_lattice(d, sy, int(t)) for t in ts])
-        repr_ = _m_repr_curve_lattice(d, [int(t) for t in ts])
-        baseline = gmd(d) + 0.5
+        repr_ = _m_repr_curve_lattice(d, ts.astype(int))
     else:
-        direct = _m_direct_curve_continuous(d, ts)
         repr_ = np.array([_m_repr_continuous(d, float(t)) for t in ts])
-        baseline = gmd(d)
+    baseline = gmd(d) + (0.5 if d.is_lattice else 0.0)
     return MeanExcessCurve(ts=ts, m_direct=direct, m_repr=repr_, baseline=baseline)
 
 
-def _m_direct_curve_continuous(d: Distribution, ts: np.ndarray) -> np.ndarray:
-    """int_t^inf S_Y / S_Y(t) for every t, sharing segment integrals."""
-    order = np.argsort(ts)
-    sorted_ts = ts[order]
-    span = d.support.upper - d.support.lower  # upper bound on Y
-    upper = span if np.isfinite(span) else np.inf
-    s_y = lambda y: abs_diff_survival(d, y)
-    n = len(sorted_ts)
-    integrals = np.empty(n)
-    integrals[-1], _ = integrate(s_y, float(sorted_ts[-1]), upper)
-    for i in range(n - 2, -1, -1):
-        seg, _ = integrate(s_y, float(sorted_ts[i]), float(sorted_ts[i + 1]))
-        integrals[i] = integrals[i + 1] + seg
-    out = np.empty(n)
-    for i, t in enumerate(sorted_ts):
-        s_t = s_y(float(t))
-        if s_t < _MIN_SY:
-            raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
-        out[i] = integrals[i] / s_t
-    result = np.empty(n)
-    result[order] = out
-    return result
-
-
 def _m_repr_continuous(d: Distribution, t: float) -> float:
-    lo, hi = d.support.lower, d.support.upper
-
-    def weighted(fn):
+    def weighted(inv_hazard: bool):  # C(x, t) [/ h(x)] F(x) f(x)
         def g(x):
             f = float(d.pdf(x))
             big_f = float(d.cdf(x))
             w = big_f * f
             if w <= 0 or not np.isfinite(w):
                 return 0.0
-            return fn(x, f, big_f) * w
+            c = float(d.cdf(x - t)) / big_f
+            return (c * (float(d.sf(x)) / f) if inv_hazard else c) * w
 
         return g
 
-    def c_fn(x, f, big_f):
-        return float(d.cdf(x - t)) / big_f
-
-    def ch_fn(x, f, big_f):
-        s = float(d.sf(x))
-        if f == 0.0:
-            return 0.0
-        return (float(d.cdf(x - t)) / big_f) * (s / f)
-
     # both integrands vanish below lo + t, where C(x, t) = F(x-t)/F(x) = 0
+    lo, hi = d.support.lower, d.support.upper
     start = lo + t if np.isfinite(lo) else lo
-    num, _ = integrate(weighted(ch_fn), start, hi)
-    den, _ = integrate(weighted(c_fn), start, hi)
+    num, _ = integrate(weighted(True), start, hi)
+    den, _ = integrate(weighted(False), start, hi)
     if den < _MIN_SY:
         raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
     return num / den
 
 
-def _lattice_sy(d: Distribution) -> np.ndarray:
-    """S_Y(y) for y = 0 .. span+1 over the enumerated support."""
-    pts = d.lattice_table(EXCESS_CUT)[0]
-    span = int(pts[-1] - pts[0])
-    return np.array([abs_diff_survival(d, y) for y in range(span + 2)])
-
-
-def _m_direct_lattice(d: Distribution, sy: np.ndarray, t: int) -> float:
-    if t >= len(sy) or sy[t] < _MIN_SY:
-        raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
-    # m(t) S_Y(t) = sum_{w > t} S_Y(w - 1)
-    return float(np.sum(sy[t:])) / float(sy[t])
-
-
-def _m_repr_curve_lattice(d: Distribution, ts: list[int]) -> np.ndarray:
-    pts, f, _, _ = d.lattice_table(EXCESS_CUT)
-    f_m1 = np.asarray(d.cdf(pts - 1.0), float)
-    s_m1 = np.asarray(d.sf(pts - 1.0), float)
-    w = f_m1 * f
-    live = w > 0
-    with np.errstate(all="ignore"):
-        h_inv = np.where(f > 0, s_m1 / np.where(f > 0, f, 1.0), 0.0)
+def _m_repr_curve_lattice(d: Distribution, ts: np.ndarray) -> np.ndarray:
+    """sum_x F(x-1-t) S(x-1) / sum_x F(x-1-t) f(x) over `excess_table`: the
+    change-of-measure sums, weights F(x-1) f(x), C = F(x-1-t) / F(x-1) and
+    1/h = S(x-1) / f(x) multiplied out, F(x-1-t) a shifted cdf slice."""
+    _, f, big_f, big_s, _ = d.excess_table(int(np.max(ts, initial=0)))
+    n = len(f)
     out = np.empty(len(ts))
     for i, t in enumerate(ts):
-        with np.errstate(all="ignore"):
-            c = np.where(live, np.asarray(d.cdf(pts - 1.0 - t), float) / np.where(live, f_m1, 1.0), 0.0)
-        num = float(np.sum(c * h_inv * w))
-        den = float(np.sum(c * w))
+        den = float(np.dot(big_f[: n - 1 - t], f[t + 1 :]))
         if den < _MIN_SY:
             raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
-        out[i] = num / den
+        out[i] = float(np.dot(big_f[: n - 1 - t], big_s[t : n - 1])) / den
     return out

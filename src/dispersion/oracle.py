@@ -11,18 +11,18 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import stats as _st
+from scipy.special import stdtrit
 
 from .dist import Distribution
 from .errors import SamplingUnavailable
 
 N_BATCHES = 32
 CONF_LEVEL = 0.99
-_T_FACTOR = float(_st.t.ppf(0.5 + CONF_LEVEL / 2, N_BATCHES - 1))
+_T_FACTOR = float(stdtrit(N_BATCHES - 1, 0.5 + CONF_LEVEL / 2))
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,7 @@ class OracleEstimate:
     seed: int
 
     def to_record(self) -> dict:
-        return {
-            "sd_hat": self.sd_hat,
-            "gmd_hat": self.gmd_hat,
-            "lambda_hat": self.lambda_hat,
-            "ci_sd": self.ci_sd,
-            "ci_gmd": self.ci_gmd,
-            "ci_lambda": self.ci_lambda,
-            "n": self.n,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -131,12 +131,19 @@ def classify(d: Distribution) -> OrderingVerdict:
                 "lattice is bounded below, which that hypothesis rules out; "
                 "certificate withheld"
             )
+
+    def certify(verdict: str, basis: str, evidence: OrderingEvidence) -> OrderingVerdict:
+        v = OrderingVerdict(verdict, basis, evidence, disp)
+        wrong = v.numeric_diff < -SIGN_TOL if verdict == SD_DOMINATES else v.numeric_diff > SIGN_TOL
+        if wrong:
+            raise ConsistencyViolation(
+                f"{d.label}: certified {basis} but SD - GMD = {v.numeric_diff}"
+            )
+        return v
+
     if h_route or r_route:
         basis = THM_SD_DISC if d.is_lattice else THM_SD_CONT
-        evidence = OrderingEvidence(report, conc, None, note)
-        verdict = OrderingVerdict(SD_DOMINATES, basis, evidence, disp)
-        _check_consistency(verdict, d)
-        return verdict
+        return certify(SD_DOMINATES, basis, OrderingEvidence(report, conc, None, note))
 
     pdf_logconcave = report.logconcavity["pdf"] == LOG_CONCAVE
     both_rates = h_v.is_nondecreasing and r_v.is_nonincreasing
@@ -144,35 +151,14 @@ def classify(d: Distribution) -> OrderingVerdict:
         if pdf_logconcave or both_rates:
             bound_ok = bool(disp.gmd <= conc.odds_bound + 1e-12)
             if bound_ok:
-                evidence = OrderingEvidence(report, conc, True, note)
-                verdict = OrderingVerdict(GMD_DOMINATES, THM_GMD_DISC, evidence, disp)
-                _check_consistency(verdict, d)
-                return verdict
+                return certify(GMD_DOMINATES, THM_GMD_DISC, OrderingEvidence(report, conc, True, note))
         evidence = OrderingEvidence(report, conc, bound_ok, note)
         return OrderingVerdict(INCONCLUSIVE, NO_BASIS, evidence, disp)
 
-    if pdf_logconcave:
-        evidence = OrderingEvidence(report, None, None, note)
-        verdict = OrderingVerdict(GMD_DOMINATES, PROP_LOGCONCAVE, evidence, disp)
-        _check_consistency(verdict, d)
-        return verdict
-    if both_rates:
-        evidence = OrderingEvidence(report, None, None, note)
-        verdict = OrderingVerdict(GMD_DOMINATES, THM_GMD_CONT, evidence, disp)
-        _check_consistency(verdict, d)
-        return verdict
+    if pdf_logconcave or both_rates:
+        basis = PROP_LOGCONCAVE if pdf_logconcave else THM_GMD_CONT
+        return certify(GMD_DOMINATES, basis, OrderingEvidence(report, None, None, note))
     return OrderingVerdict(INCONCLUSIVE, NO_BASIS, OrderingEvidence(report, conc, bound_ok, note), disp)
-
-
-def _check_consistency(v: OrderingVerdict, d: Distribution) -> None:
-    if v.verdict == SD_DOMINATES and v.numeric_diff < -SIGN_TOL:
-        raise ConsistencyViolation(
-            f"{d.label}: certified {v.basis} but SD - GMD = {v.numeric_diff}"
-        )
-    if v.verdict == GMD_DOMINATES and v.numeric_diff > SIGN_TOL:
-        raise ConsistencyViolation(
-            f"{d.label}: certified {v.basis} but SD - GMD = {v.numeric_diff}"
-        )
 
 
 # ---------------------------------------------------------------------------

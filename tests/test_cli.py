@@ -154,6 +154,33 @@ def test_verify_reproducible_bytes(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_mean_excess_csv_byte_identical(tmp_path, capsys):
+    args = ["mean-excess", "--dist", "gamma:alpha=2", "--range", "0:3:0.5"]
+    p1 = tmp_path / "m1.csv"
+    p2 = tmp_path / "m2.csv"
+    assert main(args + ["--out", str(p1)]) == 0
+    assert main(args + ["--out", str(p2)]) == 0
+    capsys.readouterr()
+    assert p1.read_bytes() == p2.read_bytes()
+    rows = [line.split(",") for line in p1.read_text().splitlines()]
+    assert rows[0] == ["t", "m_direct", "m_repr", "baseline"]
+    # X, X' ~ gamma(2): m_Y(t) = (3 + t) / (2 + t), whose value at 0 is the GMD 1.5
+    for i, row in enumerate(rows[1:]):
+        t = 0.5 * i
+        assert float(row[0]) == t
+        assert float(row[1]) == pytest.approx((3 + t) / (2 + t), rel=1e-10)
+        assert row[3] == "1.5"
+
+
+def test_mean_excess_non_integer_lattice_t_is_parse_error(capsys):
+    code, out, err = run_cli(
+        ["mean-excess", "--dist", "geometric:p=0.5", "--range", "0:1:0.5"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ParseError")
+
+
 def test_negative_range_space_form(capsys):
     code, out, _ = run_cli(
         ["truncate-sweep", "--dist", "normal-mix", "--side", "upper",

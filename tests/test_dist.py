@@ -373,6 +373,7 @@ def test_cached_tables_are_read_only():
     arrays = [cont.probe_grid(64), *cont._inverse_table(), lat.probe_grid(64)]
     for cut in (SUM_CUT, EXCESS_CUT):
         arrays += lat.lattice_table(cut)
+    arrays += [*cont._stop_loss_nodes(), *lat.excess_table(5)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0

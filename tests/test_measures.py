@@ -2,17 +2,21 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from dispersion import (
     affine,
+    brute_force_lattice,
     concentration,
     dispersion_report,
     errors,
     gmd,
     make_distribution,
     mean_excess_abs_diff,
+    mix,
     sd,
     tail_dispersion,
     truncate,
@@ -162,6 +166,68 @@ def test_representation_agreement(spec, ts):
     curve = mean_excess_abs_diff(make_distribution(spec), ts)
     gap = np.abs(curve.m_direct - curve.m_repr) / (1 + np.abs(curve.m_direct))
     assert float(gap.max()) <= 1e-6
+
+
+def test_erfi_interval_curve_matches_closed_form_stop_loss():
+    # CDF erfi(1 + x) / erfi(2) on [-1, 1]: Pi(x) = (1 - x) - (A(2) - A(1 + x)) / erfi(2)
+    # with A(z) = z erfi(z) - exp(z^2) / sqrt(pi), the antiderivative of erfi
+    ts = np.linspace(0, 1.5, 8)
+    curve = mean_excess_abs_diff(make_distribution("erfi-interval"), ts)
+    with mp.workdps(30):
+        c = mp.erfi(2)
+        big_a = lambda z: z * mp.erfi(z) - mp.exp(z * z) / mp.sqrt(mp.pi)
+        f = lambda x: 2 * mp.exp((1 + x) ** 2) / (mp.sqrt(mp.pi) * c)
+        sf = lambda x: 1 - mp.erfi(1 + x) / c
+        pi = lambda x: (1 - x) - (big_a(2) - big_a(1 + x)) / c
+        for t, got in zip(ts, curve.m_direct):
+            t = mp.mpf(float(t))
+            num = mp.quad(lambda x: f(x) * pi(x + t), [-1, 1 - t])
+            den = mp.quad(lambda x: f(x) * sf(x + t), [-1, 1 - t])
+            want = float(num / den)
+            assert abs(got - want) <= 1e-10 * (1 + want)
+
+
+def test_poisson_curve_both_routes_match_exact_sums():
+    # Pi(k) = theta S(k - 1) - k S(k); 40-digit sums over x < 200
+    ts = np.arange(17, dtype=float)
+    curve = mean_excess_abs_diff(make_distribution("poisson:theta=2"), ts)
+    with mp.workdps(40):
+        theta = mp.mpf(2)
+        f = [mp.exp(-theta) * theta**x / mp.factorial(x) for x in range(260)]
+        sf = [mp.fsum(f[k + 1 :]) for k in range(230)]
+        pi = [theta * (sf[k - 1] if k else 1) - k * sf[k] for k in range(230)]
+        for t, direct, repr_ in zip(ts.astype(int), curve.m_direct, curve.m_repr):
+            num = mp.fsum(f[x] * pi[x + t] for x in range(200))
+            den = mp.fsum(f[x] * sf[x + t] for x in range(200))
+            want = float(num / den)
+            assert abs(direct - want) <= 1e-12 * (1 + want)
+            assert abs(repr_ - want) <= 1e-12 * (1 + want)
+
+
+def test_zipf3_curve_matches_hurwitz_stop_loss():
+    # S(k) = zeta(4, k + 1) / zeta(4), Pi(k) = (zeta(3, k + 1) - k zeta(4, k + 1)) / zeta(4)
+    ts = np.arange(8, dtype=float)
+    curve = mean_excess_abs_diff(make_distribution("zipf:alpha=3"), ts)
+    xs = np.arange(1, 20001, dtype=float)
+    f = xs**-4.0
+    for t, direct, repr_ in zip(ts, curve.m_direct, curve.m_repr):
+        k = xs + t
+        num = np.dot(f, special.zeta(3, k + 1) - k * special.zeta(4, k + 1))
+        want = float(num / np.dot(f, special.zeta(4, k + 1)))
+        assert abs(direct - want) <= 1e-7 * (1 + want)
+        assert abs(repr_ - want) <= 1e-7 * (1 + want)
+
+
+def test_gapped_lattice_curve_matches_brute_force():
+    # support {0, 1, 2} and {9, 10, ...}: f = 0 inside the hull, where the
+    # change-of-measure sums still carry the terms F(x-1-t) S(x-1)
+    g = make_distribution("poisson:theta=2")
+    d = mix([truncate(g, "upper", 2.0), truncate(g, "lower", 8.0)], [0.5, 0.5])
+    exact = brute_force_lattice(d, mass_cut=1e-14)
+    curve = mean_excess_abs_diff(d, np.arange(6.0))
+    assert list(exact.m_ts[:6]) == list(curve.ts)
+    assert np.allclose(curve.m_direct, exact.m_values[:6], rtol=1e-9)
+    assert np.allclose(curve.m_repr, exact.m_values[:6], rtol=1e-9)
 
 
 def test_curve_against_monte_carlo_excess():

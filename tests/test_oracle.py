@@ -1,5 +1,8 @@
 """Monte Carlo and brute-force oracle behavior."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,14 @@ from dispersion import (
 )
 from dispersion.dist import LATTICE
 from dispersion.measures import gmd_numeric, sd_numeric
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about 0.4 s of import time; the t quantile comes from scipy.special
+    code = "import sys, dispersion; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_mc_requires_minimum_n():
