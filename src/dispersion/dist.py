@@ -8,8 +8,9 @@ Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache, owned by
 this module and built lazily on first use, of read-only tables: the
 enumerated lattice table at each of the two mass cuts, the scan grid of
-each size and clip, the inverse table that continuous quantiles without a
-closed form start from, and the stop-loss table behind every mean excess.
+each size and clip, the inverse table and its certified cubic refinement
+behind continuous quantiles without a closed form, and the stop-loss table
+behind every mean excess.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from .numerics import bisect_increasing, integrate, panels
 CONTINUOUS = "continuous-interval"
 LATTICE = "integer-lattice"
 
-# inverse table of continuous laws without a ppf: nodes evenly spaced in
-# logit(u) over [1e-12, 1 - 1e-12]; Newton steps per target before the
-# bisection fallback; relative step (or bracket) size that ends iteration
+# inverse table of continuous laws without a ppf: nodes evenly spaced in logit(u)
+# over [1e-12, 1 - 1e-12], each interval halved up to INV_LEVELS times until its
+# cubic Hermite inverse is within INV_TOL in probability
 INV_NODES = 513
 INV_LOGIT = math.log((1.0 - 1e-12) / 1e-12)
-INV_NEWTON_CAP = 8
-INV_XTOL = 1e-13
+INV_LEVELS = 6
+INV_TOL = 1e-12
 
 # lattice mass cuts: enumeration stops once the omitted tail mass is below
 # the cut. SUM_CUT serves SD, GMD and Lambda sums (polynomial tails add
@@ -46,6 +47,20 @@ SUM_CUT = 1e-12
 EXCESS_CUT = 1e-15
 # most points one lattice enumeration may hold
 LATTICE_LIMIT = 2**19
+
+
+def _cubic(x0, x1, d0, d1) -> np.ndarray:
+    """Coefficients in t of the cubic Hermite from x0 (t = 0) to x1 (t = 1), end
+    slopes d0 and d1 per unit t, on a last axis of 4; the line where a slope fails
+    the Fritsch-Carlson bound 0 <= d <= 3 (x1 - x0) that keeps it nondecreasing."""
+    w = x1 - x0
+    ok = (d0 >= 0) & (d1 >= 0) & (d0 <= 3 * w) & (d1 <= 3 * w)
+    d0, d1 = np.where(ok, d0, w), np.where(ok, d1, w)
+    return np.stack([x0, d0, 3 * w - 2 * d0 - d1, d0 + d1 - 2 * w], axis=-1)
+
+
+def _horner(c: np.ndarray, t) -> np.ndarray:
+    return c[..., 0] + t * (c[..., 1] + t * (c[..., 2] + t * c[..., 3]))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -102,10 +117,10 @@ class Distribution:
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
     `_cache` holds the read-only tables built on first use: lattice_table()
     at each of the two mass cuts (SUM_CUT also serves quantile()),
-    probe_grid() per size and clip, the continuous inverse table (quantile()
-    reads it when the law has no ppf, stop_loss() takes its nodes), and one
-    stop-loss table: excess_table() on the lattice, the node table of
-    stop_loss() on continuous laws. No other module reads or writes it.
+    probe_grid() per size and clip, the continuous inverse table (stop_loss()
+    takes its nodes) and its refinement that quantile() reads when the law
+    has no ppf, and one stop-loss table: excess_table() on the lattice, the
+    node table of stop_loss() on continuous laws. No other module touches it.
     """
 
     support: Support
@@ -136,17 +151,12 @@ class Distribution:
     def quantile(self, p):
         """Smallest x with cdf(x) >= p, to 1e-12 in probability.
 
-        A closed-form ppf is used when the law has one. Otherwise both
-        kinds solve on cdf for p <= 1/2 and on sf against 1 - p above, from
-        a table where one covers p and by bisection between the support end
-        and the table's end node beyond it, so lattice quantiles are exact
-        and the output is monotone in p. Lattice laws search the SUM_CUT
-        lattice table. Continuous laws invert through 513 nodes spaced
-        evenly in logit(p) over [1e-12, 1 - 1e-12], built once per law:
-        each target starts from a cubic Hermite guess between its two
-        bracketing nodes and takes Newton steps, any step that leaves the
-        shrinking bracket replaced by a bisection step, and targets still
-        open after a few steps are bisected inside their bracket.
+        A closed-form ppf is used when the law has one. Otherwise both kinds
+        solve on cdf for p <= 1/2 and on sf against 1 - p above: lattice laws
+        exactly, by a search of the SUM_CUT lattice table; continuous laws by
+        one cubic of _hermite_table, certified to 1e-12 when it is built.
+        Targets beyond either table are bisected between the support end and
+        the table's end node, so the output joins the table's monotonically.
         """
         p = np.asarray(p, dtype=float)
         scalar = p.ndim == 0
@@ -173,108 +183,98 @@ class Distribution:
         out[~inside] = self._beyond(p[~inside], pts[0], pts[-1])
         return out
 
-    def _beyond(self, p: np.ndarray, first: float, last: float) -> np.ndarray:
-        """Quantiles of targets beyond a table whose end nodes are first and last.
+    def _sides(self, p: np.ndarray):
+        """(mask, nondecreasing fn, target) for p <= 1/2, solved on cdf, and for
+        p > 1/2, solved on -sf against p - 1, which is -(1 - p) exactly there."""
+        return (p <= 0.5, self.cdf, p), (p > 0.5, lambda x: -self.sf(x), p - 1.0)
 
-        Brackets end at the end node, so the output joins the table's
-        monotonically; lattice results round to the integer bisected onto.
-        """
-        lo, hi = self.support.lower, self.support.upper
+    def _beyond(self, p: np.ndarray, first: float, last: float) -> np.ndarray:
+        """Quantiles of targets beyond a table whose end nodes are first and
+        last; lattice results round to the integer bisected onto."""
         out = np.empty_like(p)
-        low = p <= 0.5
-        if low.any():
-            out[low] = bisect_increasing(self.cdf, p[low], lo, first)
-        if not low.all():
-            out[~low] = bisect_increasing(lambda x: -self.sf(x), -(1.0 - p[~low]), last, hi)
+        for (sel, fn, target), lo, hi in zip(self._sides(p), (self.support.lower, last), (first, self.support.upper)):
+            if sel.any():
+                out[sel] = bisect_increasing(fn, target[sel], lo, hi)
         return np.round(out) if self.is_lattice else out
 
     def _inverse_table(self):
-        """(node probabilities, x, pdf at x) cached for continuous quantiles.
+        """(node probabilities, x, pdf at x), level 0 of _hermite_table.
 
-        The upper half is solved on sf against the exact 1 - u, so laws
-        whose cdf saturates short of 1 still get accurate upper nodes. A
-        half with a finite support end bisects in y = log|x - end|: nodes
-        beside a density pole there need far finer steps than the 2^-72 of
-        the bracket that a bisection in x reaches.
+        The upper half is solved on sf against the exact 1 - u, so a cdf
+        that saturates short of 1 does not spoil it. A half with a finite
+        support end bisects in y = log|x - end|: nodes beside a density pole
+        there need far finer steps than a bisection in x reaches.
         """
         if "inverse" not in self._cache:
-            z = np.linspace(-INV_LOGIT, INV_LOGIT, INV_NODES)
-            u = 1.0 / (1.0 + np.exp(-z))
-            low = u <= 0.5
+            u = 1.0 / (1.0 + np.exp(-np.linspace(-INV_LOGIT, INV_LOGIT, INV_NODES)))
             lo, hi = self.support.lower, self.support.upper
-            span = np.log(hi - lo)
-            if np.isfinite(lo):
-                y = bisect_increasing(lambda y: self.cdf(lo + np.exp(y)), u[low], -np.inf, span)
-                x_low = lo + np.exp(y)
-            else:
-                x_low = bisect_increasing(self.cdf, u[low], lo, hi)
-            if np.isfinite(hi):
-                y = bisect_increasing(lambda y: self.sf(hi - np.exp(y)), 1.0 - u[~low], -np.inf, span)
-                x_up = hi - np.exp(y)
-            else:
-                x_up = bisect_increasing(lambda t: -self.sf(t), -(1.0 - u[~low]), lo, hi)
-            x = np.concatenate([x_low, x_up])
-            f = np.asarray(self.pdf(x), dtype=float)
-            self._cache["inverse"] = _read_only(u, x, f)
+            x, span = np.empty_like(u), np.log(hi - lo)
+            for (sel, fn, target), end, sign in zip(self._sides(u), (lo, hi), (1.0, -1.0)):
+                if np.isfinite(end):  # increasing in y: cdf(lo + e^y), sf(hi - e^y)
+                    y = bisect_increasing(lambda y: sign * fn(end + sign * np.exp(y)), sign * target[sel], -np.inf, span)
+                    x[sel] = end + sign * np.exp(y)
+                else:
+                    x[sel] = bisect_increasing(fn, target[sel], lo, hi)
+            self._cache["inverse"] = _read_only(u, x, np.asarray(self.pdf(x), dtype=float))
         return self._cache["inverse"]
 
-    def _invert(self, p: np.ndarray) -> np.ndarray:
-        u, x_nodes, f_nodes = self._inverse_table()
-        out = np.empty_like(p)
-        inside = (p >= u[0]) & (p <= u[-1])
-        out[~inside] = self._beyond(p[~inside], x_nodes[0], x_nodes[-1])
-        if not inside.any():
-            return out
-        pt = p[inside]
-        k = np.clip(np.searchsorted(u, pt, side="right") - 1, 0, len(u) - 2)
-        lo, hi = x_nodes[k], x_nodes[k + 1]
-        du = u[k + 1] - u[k]
-        t = (pt - u[k]) / du
-        with np.errstate(all="ignore"):
-            # cubic Hermite in u with slopes dx/du = 1/f; linear where it
-            # strays outside the bracket or a node density is 0 or infinite
-            h = (1 + 2 * t) * (1 - t) ** 2 * lo + t * t * (3 - 2 * t) * hi + du * (
-                t * (1 - t) ** 2 / f_nodes[k] - t * t * (1 - t) / f_nodes[k + 1]
-            )
-        linear = lo + t * (hi - lo)
-        x = np.where(np.isfinite(h) & (h >= lo) & (h <= hi), h, linear)
-
-        upper = pt > 0.5
-        q = 1.0 - pt  # exact for pt > 1/2
-        tol = 4.0 * np.spacing(np.where(upper, q, pt))
-        open_ = np.arange(len(pt))
-        for _ in range(INV_NEWTON_CAP):
-            xo, up = x[open_], upper[open_]
-            r = np.empty_like(xo)
-            if (~up).any():
-                r[~up] = np.asarray(self.cdf(xo[~up]), dtype=float) - pt[open_][~up]
-            if up.any():
-                r[up] = q[open_][up] - np.asarray(self.sf(xo[up]), dtype=float)
-            below = r < 0
-            lo[open_] = np.where(below, xo, lo[open_])
-            hi[open_] = np.where(below, hi[open_], xo)
-            done = (np.abs(r) <= tol[open_]) | (hi[open_] - lo[open_] <= INV_XTOL * np.abs(xo))
-            open_, xo, r = open_[~done], xo[~done], r[~done]
-            if not open_.size:
-                break
+    def _hermite_table(self):
+        """(sizes, offsets, scale, coefficients): node interval k of the inverse
+        table holds sizes[k] uniform sub-intervals, scale[k] per unit u, whose cubics
+        (_cubic, slopes dx/du = 1/pdf) are the coefficient rows from offsets[k]. An
+        interval is halved while a midpoint, or a node not yet checked, misses by
+        more than INV_TOL in probability (cdf against u up to 1/2, sf against 1 - u
+        above); each such point takes one Newton step from that residual, inside
+        its neighbour nodes (else a bisection step). Intervals still missing after
+        INV_LEVELS halvings hold NaN cubics (Hormann & Leydold, TOMACS 13(4), 2003)."""
+        if "hermite" not in self._cache:
+            u, x, f = self._inverse_table()
             with np.errstate(all="ignore"):
-                step = r / np.asarray(self.pdf(xo), dtype=float)
-            xn = xo - step
-            newton = np.isfinite(xn) & (xn >= lo[open_]) & (xn <= hi[open_])
-            x[open_] = np.where(newton, xn, 0.5 * (lo[open_] + hi[open_]))
-            open_ = open_[~(newton & (np.abs(step) <= INV_XTOL * np.abs(xo)))]
-        for side, fn, target in ((False, self.cdf, pt), (True, lambda t: -self.sf(t), -q)):
-            sel = open_[upper[open_] == side]
-            if sel.size:
-                # halve each bracket down to the Newton step tolerance; a
-                # residual noisier than 4 ulp leaves only a few halvings
-                with np.errstate(all="ignore"):
-                    ratio = np.max((hi[sel] - lo[sel]) / (INV_XTOL * np.abs(x[sel])))
-                    halvings = np.ceil(np.log2(max(ratio, 2.0)))
-                iters = int(min(halvings, 72)) if np.isfinite(halvings) else 72
-                x[sel] = bisect_increasing(fn, target[sel], lo[sel], hi[sel], iters)
-        out[inside] = x
-        return out
+                ks, xs, ds = np.arange(len(u) - 1), np.stack([x[:-1], x[1:]], 1), np.stack([1 / f[:-1], 1 / f[1:]], 1)
+                fresh, rows = np.zeros(xs.shape, dtype=bool), []
+                for level in range(INV_LEVELS + 1):
+                    m = 2**level
+                    du = ((u[ks + 1] - u[ks]) / m)[:, None]
+                    c = _cubic(xs[:, :-1], xs[:, 1:], du * ds[:, :-1], du * ds[:, 1:])
+                    xx, dd, check = (np.repeat(a, 2, axis=1)[:, :-1] for a in (xs, ds, fresh))
+                    xx[:, 1::2], check[:, 1::2] = _horner(c, 0.5), True  # midpoints in odd columns
+                    uu, r = u[ks][:, None] + 0.5 * du * np.arange(2 * m + 1), np.zeros(xx.shape)
+                    for sel, fn, target in self._sides(uu):
+                        r[sel & check] = fn(xx[sel & check]) - target[sel & check]
+                    bad = ~(np.abs(r) <= INV_TOL).all(axis=1)
+                    c[bad] = np.nan  # a row still bad is kept only at the cap
+                    done = ~bad | (level == INV_LEVELS)
+                    rows.append((np.repeat(ks[done], m), c[done].reshape(-1, 4)))
+                    i, j = np.nonzero(check & ~done[:, None])
+                    if not i.size:
+                        break
+                    x0, r0, f0 = xx[i, j], r[i, j], np.asarray(self.pdf(xx[i, j]), dtype=float)
+                    lo, hi = np.where(r0 < 0, x0, xs[i, (j - 1) // 2]), np.where(r0 < 0, xs[i, (j + 2) // 2], x0)
+                    step = np.where(r0 == 0, x0, x0 - r0 / f0)
+                    xx[i, j], dd[i, j] = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi)), 1.0 / f0
+                    fresh = np.zeros(xx.shape, dtype=bool)
+                    fresh[i, j] = (j % 2 == 1) | ~(np.abs(r0) <= INV_TOL)
+                    ks, xs, ds, fresh = ks[~done], xx[~done], dd[~done], fresh[~done]
+            keys, coef = (np.concatenate(a) for a in zip(*rows))
+            sizes, coef = np.bincount(keys), coef[np.argsort(keys, kind="stable")]
+            self._cache["hermite"] = _read_only(sizes, np.cumsum(sizes) - sizes, sizes / np.diff(u), coef)
+        return self._cache["hermite"]
+
+    def _invert(self, p: np.ndarray) -> np.ndarray:
+        u, x_nodes, _ = self._inverse_table()
+        sizes, offsets, scale, coef = self._hermite_table()
+        n, pc = len(u) - 1, np.clip(p, u[0], u[-1])
+        # node interval by logit arithmetic; next to a node, rounding may pick its neighbour
+        k = np.clip(((np.log(pc) - np.log1p(-pc) + INV_LOGIT) * (n / (2 * INV_LOGIT))).astype(int), 0, n - 1)
+        s = (pc - u[k]) * scale[k]
+        j = np.clip(s.astype(int), 0, sizes[k] - 1)
+        x = _horner(coef[offsets[k] + j], s - j)
+        for sel, fn, target in self._sides(p):
+            sel &= np.isnan(x) & (p == pc)  # an uncertified interval: bisect inside it
+            if sel.any():
+                x[sel] = bisect_increasing(fn, target[sel], x_nodes[k[sel]], x_nodes[k[sel] + 1])
+        x[p != pc] = self._beyond(p[p != pc], x_nodes[0], x_nodes[-1])
+        return x
 
     # -- lattice enumeration ------------------------------------------------
 

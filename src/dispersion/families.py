@@ -1,9 +1,11 @@
 """Registry of the distribution families used throughout the package.
 
 Each builder returns a Distribution whose pdf/cdf/sf are mutually
-consistent closed-form evaluations (no quadrature inside the bundle), with
-closed-form moments attached only where a source formula exists. Survival
-convention in both kinds is P(X > x).
+consistent closed-form evaluations (no adaptive quadrature inside the
+bundle: only the erfi survival functions above the median are one fixed
+Gauss-Legendre panel of the density), with closed-form moments attached
+only where a source formula exists. Survival convention in both kinds is
+P(X > x).
 
 Family-spec strings parse as ``family:name=value,name=value``, e.g.
 ``gpd:alpha=0.25`` or ``normal-mix:sigma1=0.5,sigma2=2,q=0.75``.
@@ -19,6 +21,7 @@ from scipy import special
 
 from .dist import CONTINUOUS, LATTICE, ClosedForms, Distribution, Support
 from .errors import ParamOutOfDomain, ParseError, UnknownFamily
+from .numerics import panels
 
 SQRT_PI = math.sqrt(math.pi)
 REQUIRED = object()
@@ -335,6 +338,21 @@ def _erf_hazard() -> Distribution:
     )
 
 
+def _sf_by_panel(cdf, pdf, upper: float):
+    """sf as 1 - cdf where that is at least 1/2, and below, where 1 - cdf
+    cancels, as one 16-point Gauss-Legendre panel of the pdf up to the
+    finite upper end."""
+
+    def sfn(x):
+        x = np.minimum(np.asarray(x, float), upper)
+        out = np.asarray(1.0 - cdf(x))
+        top = out < 0.5
+        out[top] = panels(pdf, x[top], upper)
+        return out[()]
+
+    return sfn
+
+
 def _erfi_interval() -> Distribution:
     # CDF erfi(1+x)/erfi(2) on [-1, 1]
     c = float(special.erfi(2.0))
@@ -343,12 +361,12 @@ def _erfi_interval() -> Distribution:
         x = np.clip(np.asarray(x, float), -1.0, 1.0)
         return np.clip(special.erfi(1.0 + x) / c, 0.0, 1.0)
 
-    sfn = lambda x: 1.0 - cdf(x)
-
     def pdf(x):
         x = np.asarray(x, float)
         inside = (x >= -1) & (x <= 1)
         return np.where(inside, 2.0 / (SQRT_PI * c) * np.exp((1.0 + x) ** 2), 0.0)
+
+    sfn = _sf_by_panel(cdf, pdf, 1.0)
 
     def logpdf(x):
         x = np.asarray(x, float)
@@ -370,12 +388,12 @@ def _erfi_unit() -> Distribution:
         x = np.clip(np.asarray(x, float), 0.0, 1.0)
         return np.clip(special.erfi(0.5 * x) / c, 0.0, 1.0)
 
-    sfn = lambda x: 1.0 - cdf(x)
-
     def pdf(x):
         x = np.asarray(x, float)
         inside = (x >= 0) & (x <= 1)
         return np.where(inside, np.exp(0.25 * x**2) / (SQRT_PI * c), 0.0)
+
+    sfn = _sf_by_panel(cdf, pdf, 1.0)
 
     def logpdf(x):
         x = np.asarray(x, float)

@@ -212,23 +212,23 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
 
 
 def _m_repr_continuous(d: Distribution, t: float) -> float:
-    def weighted(inv_hazard: bool):  # C(x, t) [/ h(x)] F(x) f(x)
-        def g(x):
-            f = float(d.pdf(x))
-            big_f = float(d.cdf(x))
-            w = big_f * f
-            if w <= 0 or not np.isfinite(w):
-                return 0.0
-            c = float(d.cdf(x - t)) / big_f
-            return (c * (float(d.sf(x)) / f) if inv_hazard else c) * w
+    """int F(x - t) S(x) dx / int F(x - t) f(x) dx: the change-of-measure
+    integrands C (1/h) F f and C F f with C = F(x - t) / F(x) and 1/h = S / f
+    multiplied out, so the numerator keeps its mass where f = 0 inside the
+    hull of a gapped support."""
 
-        return g
+    def weighted(g):
+        def fn(x):
+            v = float(d.cdf(x - t)) * float(g(x))
+            return v if np.isfinite(v) else 0.0  # F(x - t) = 0 beside a density pole
 
-    # both integrands vanish below lo + t, where C(x, t) = F(x-t)/F(x) = 0
+        return fn
+
+    # both integrands vanish below lo + t, where F(x - t) = 0
     lo, hi = d.support.lower, d.support.upper
     start = lo + t if np.isfinite(lo) else lo
-    num, _ = integrate(weighted(True), start, hi)
-    den, _ = integrate(weighted(False), start, hi)
+    num, _ = integrate(weighted(d.sf), start, hi)
+    den, _ = integrate(weighted(d.pdf), start, hi)
     if den < _MIN_SY:
         raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
     return num / den

@@ -6,7 +6,7 @@ passed straight through so the transformed Gauss-Kronrod rule plus epsilon
 extrapolation handles heavy polynomial tails, which a fixed quantile clip
 cannot. `panels` is the fixed-rule counterpart for many short intervals at
 once: the stop-loss table of `dist` integrates over its node intervals with
-it.
+it, and the erfi families take their upper survival from it.
 """
 
 from __future__ import annotations
@@ -63,10 +63,11 @@ def bisect_increasing(
     bracket below 1e-21 of its initial width, far past the 1e-12
     in-probability tolerance used for inverse-CDF sampling.
 
-    Distribution.quantile uses it to build each law's inverse table, as the
-    fallback for Newton iterations that stall inside their node bracket, and
-    for targets beyond a lattice or inverse table; Distribution.lattice_points
-    uses it to find the end of each lattice enumeration.
+    Distribution.quantile uses it to build each law's inverse table, for
+    targets in a node interval that the table's cubic refinement leaves
+    uncertified, and for targets beyond a lattice or inverse table;
+    Distribution.lattice_points uses it to find the end of each lattice
+    enumeration.
     """
     targets = np.asarray(targets, dtype=float)
     if np.ndim(lo) == 0 and np.ndim(hi) == 0:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from dispersion import (
     Support,
@@ -191,6 +192,40 @@ def test_table_quantile_matches_bisection(name):
     assert float(gap_hi.max()) <= 1e-12
 
 
+def _max_residual(d, u):
+    # cdf for u <= 1/2, sf against 1 - u above
+    x = np.asarray(d.quantile(u), float)
+    low = u <= 0.5
+    return float(np.max(np.abs(np.concatenate([d.cdf(x[low]) - u[low], (1 - u[~low]) - d.sf(x[~low])]))))
+
+
+@pytest.mark.parametrize("name", [n for n in _TABLE_LAWS if not n.startswith("convolve")])
+def test_inverse_residual_on_random_draws(name):
+    d = _TABLE_LAWS[name]()
+    assert _max_residual(d, Generator(Philox(key=2024)).random(200_000)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [n for n in _TABLE_LAWS if not n.startswith("convolve")])
+def test_inverse_residual_on_every_sub_interval(name):
+    # each node and quarter point of every sub-interval of the refined
+    # inverse: a node left off by its one Newton step shows here first
+    d = _TABLE_LAWS[name]()
+    u = d._inverse_table()[0]
+    sizes, _, scale, _ = d._hermite_table()
+    k = np.repeat(np.arange(len(sizes)), 4 * sizes)
+    steps = np.concatenate([np.arange(4 * m) for m in sizes]) / 4
+    assert _max_residual(d, u[k] + steps / scale[k]) <= 1e-12
+
+
+def test_uncertified_intervals_are_bisected(monkeypatch):
+    # with one halving allowed most intervals stay above 1e-12 and hold NaN
+    # cubics; their targets are bisected and still come out within 1e-12
+    monkeypatch.setattr("dispersion.dist.INV_LEVELS", 1)
+    d = make_distribution("normal-mix")
+    assert np.isnan(d._hermite_table()[3][:, 0]).any()
+    assert _max_residual(d, Generator(Philox(key=2024)).random(20_000)) <= 1e-12
+
+
 # (law, reflection offset or None, p, smallest x with cdf(x) >= p), each
 # past the end of the law's SUM_CUT table: upward, and downward for laws
 # reflected by affine(d, -1, offset)
@@ -318,6 +353,26 @@ def test_damped_hazard_matches_mpmath(theta):
         assert float(d.sf(x)) == pytest.approx(sf, rel=1e-13)
 
 
+# erfi CDFs at 40 digits; lower support end
+_ERFI_CDFS = {
+    "erfi-interval": (lambda x: mp.erfi(1 + x) / mp.erfi(2), -1.0),
+    "erfi-unit": (lambda x: mp.erfi(x / 2) / mp.erfi(mp.mpf(1) / 2), 0.0),
+}
+
+
+@pytest.mark.parametrize("spec", list(_ERFI_CDFS))
+def test_erfi_survival_matches_mpmath(spec):
+    # near the upper end 1 - cdf cancels: 8.9e-11 off at 1 - 1e-6 on erfi-interval
+    d = make_distribution(spec)
+    cdf, lower = _ERFI_CDFS[spec]
+    for x in (1 - 1e-6, 1 - 3e-10):
+        with mp.workdps(40):
+            want = float(1 - cdf(mp.mpf(x)))
+        assert float(d.sf(x)) == pytest.approx(want, rel=1e-14)
+    xs = np.concatenate([np.linspace(lower, 1.0, 201), [1 - 1e-6, 1 - 3e-10]])
+    assert float(np.max(np.abs(d.cdf(xs) + d.sf(xs) - 1.0))) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # per-law tables: one lattice enumeration per cut, one scan grid per size
 # ---------------------------------------------------------------------------
@@ -370,7 +425,7 @@ def test_mean_excess_enumerates_its_cut_once(monkeypatch):
 def test_cached_tables_are_read_only():
     cont = make_distribution("erfi-interval")
     lat = make_distribution("poisson:theta=2")
-    arrays = [cont.probe_grid(64), *cont._inverse_table(), lat.probe_grid(64)]
+    arrays = [cont.probe_grid(64), *cont._inverse_table(), *cont._hermite_table(), lat.probe_grid(64)]
     for cut in (SUM_CUT, EXCESS_CUT):
         arrays += lat.lattice_table(cut)
     arrays += [*cont._stop_loss_nodes(), *lat.excess_table(5)]

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
+from scipy.integrate import quad
 
 from dispersion import (
     affine,
@@ -228,6 +229,30 @@ def test_gapped_lattice_curve_matches_brute_force():
     assert list(exact.m_ts[:6]) == list(curve.ts)
     assert np.allclose(curve.m_direct, exact.m_values[:6], rtol=1e-9)
     assert np.allclose(curve.m_repr, exact.m_values[:6], rtol=1e-9)
+
+
+def test_gapped_continuous_repr_route_matches_exact():
+    # support [0, 1] and [3, 4] with density x and x - 3: S is piecewise
+    # quadratic with kinks at 0, 1, 3 and 4, so S_Y(y) = 2 int f(x) S(x + y) dx
+    # and its tail integral are exact by Gauss-Kronrod between the kinks and
+    # their differences. Inside the gap f = 0 while F(x - t) S(x) is not.
+    b = make_distribution("beta:alpha=2")
+    d = mix([b, affine(b, 1.0, 3.0)], [0.5, 0.5])
+    ts = np.array([0.0, 0.5, 1.0, 2.5])
+    curve = mean_excess_abs_diff(d, ts)
+    ends = [0.0, 1.0, 3.0, 4.0]
+    f = lambda x: x if 0 <= x <= 1 else (x - 3 if 3 <= x <= 4 else 0.0)
+    pieces = [(1, lambda x: 1 - x * x / 2), (3, lambda x: 0.5), (4, lambda x: (1 - (x - 3) ** 2) / 2)]
+    sf = lambda x: 1.0 if x < 0 else next((g(x) for end, g in pieces if x < end), 0.0)
+
+    def piecewise(fn, cuts, lo, hi):
+        cuts = sorted({c for c in cuts if lo < c < hi} | {lo, hi})
+        return sum(quad(fn, a, c)[0] for a, c in zip(cuts, cuts[1:]))
+
+    s_y = lambda y: 2 * piecewise(lambda x: f(x) * sf(x + y), ends + [e - y for e in ends], 0.0, 4.0)
+    for t, repr_ in zip(ts, curve.m_repr):
+        want = piecewise(s_y, [c - a for a in ends for c in ends], t, 4.0) / s_y(t)
+        assert abs(repr_ - want) / (1 + want) <= 1e-6
 
 
 def test_curve_against_monte_carlo_excess():
