@@ -240,7 +240,8 @@ def convolve(d1: Distribution, d2: Distribution) -> Distribution:
     Substitutes a registry closed form when one is known (gamma + gamma with
     unit scale, normal + normal); otherwise evaluates the convolution
     integral over the 1e-12-quantile range of d2 with a fixed 512-node
-    Gauss-Legendre rule, which the tests pin against closed forms.
+    Gauss-Legendre rule, which the tests pin against closed forms. cdf and sf
+    are the rule's two tails divided by their sum, so cdf + sf = 1.
     """
     if d1.is_lattice or d2.is_lattice:
         raise UnsupportedKind("convolve is defined for continuous laws only")
@@ -272,36 +273,46 @@ def _convolve_numeric(d1: Distribution, d2: Distribution) -> Distribution:
     t_hi = float(d2.quantile(1 - eps)) if not np.isfinite(d2.support.upper) else d2.support.upper
     std_x, std_w = np.polynomial.legendre.leggauss(CONVOLVE_NODES)
 
-    def mixed(kind):
-        # integrate g1(s - t) f2(t) dt over the per-s window where g1 is
-        # smooth; outside the window F1/S1 are constant 0 or 1 and fold into
-        # closed head/tail terms, so the rule never straddles a support edge
-        fn = {"pdf": d1.pdf, "cdf": d1.cdf, "sf": d1.sf}[kind]
-
-        def block_eval(seg):
-            l = np.maximum(t_lo, seg - hi1) if np.isfinite(hi1) else np.full_like(seg, t_lo)
-            u = np.minimum(t_hi, seg - lo1) if np.isfinite(lo1) else np.full_like(seg, t_hi)
-            u = np.maximum(u, l)
-            half = 0.5 * (u - l)
-            mid = 0.5 * (u + l)
-            nodes = mid[:, None] + half[:, None] * std_x[None, :]
-            wts = half[:, None] * std_w[None, :]
-            vals = np.asarray(fn(seg[:, None] - nodes), float)
-            f2v = np.asarray(d2.pdf(nodes), float)
-            out = np.sum(wts * f2v * vals, axis=1)
+    def rule(seg, kinds):
+        # integrate g1(s - t) f2(t) dt for each g1 in kinds over the per-s
+        # window where g1 is smooth; outside the window F1/S1 are constant 0
+        # or 1 and fold into closed head/tail terms, so the rule never
+        # straddles a support edge
+        l = np.maximum(t_lo, seg - hi1) if np.isfinite(hi1) else np.full_like(seg, t_lo)
+        u = np.minimum(t_hi, seg - lo1) if np.isfinite(lo1) else np.full_like(seg, t_hi)
+        u = np.maximum(u, l)
+        half = 0.5 * (u - l)
+        mid = 0.5 * (u + l)
+        nodes = mid[:, None] + half[:, None] * std_x[None, :]
+        wts = half[:, None] * std_w[None, :]
+        f2v = np.asarray(d2.pdf(nodes), float)
+        outs = []
+        for kind in kinds:
+            fn = {"pdf": d1.pdf, "cdf": d1.cdf, "sf": d1.sf}[kind]
+            out = np.sum(wts * f2v * np.asarray(fn(seg[:, None] - nodes), float), axis=1)
             if kind == "cdf" and np.isfinite(hi1):
                 out += np.where(l > t_lo, np.asarray(d2.cdf(l), float), 0.0)
             if kind == "sf" and np.isfinite(lo1):
                 out += np.where(u < t_hi, np.asarray(d2.sf(u), float), 0.0)
-            return out
+            outs.append(out)
+        return outs
 
+    def tails(seg):
+        # the rule omits 1e-12 of d2 on either side, so its two tails sum to
+        # 1 - 2e-12: each divided by their sum keeps its relative accuracy
+        # and makes cdf + sf = 1 without the jump that taking one tail as
+        # the complement of the other leaves where the two swap roles
+        c, q = rule(seg, ("cdf", "sf"))
+        return c / (c + q), q / (c + q)
+
+    def blocked(fn):
         def g(s):
             s = np.asarray(s, float)
             flat = np.atleast_1d(s).astype(float)
             out = np.empty_like(flat)
             block = max(1, int(2e6 / CONVOLVE_NODES))
             for i in range(0, flat.size, block):
-                out[i : i + block] = block_eval(flat[i : i + block])
+                out[i : i + block] = fn(flat[i : i + block])
             return out[0] if s.ndim == 0 else out.reshape(s.shape)
 
         return g
@@ -316,7 +327,9 @@ def _convolve_numeric(d1: Distribution, d2: Distribution) -> Distribution:
         closed = ClosedForms(mean=d1.closed.mean + d2.closed.mean, sd=sd)
     return Distribution(
         support=Support(lo, hi, CONTINUOUS),
-        pdf=mixed("pdf"), cdf=mixed("cdf"), sf=mixed("sf"),
+        pdf=blocked(lambda seg: rule(seg, ("pdf",))[0]),
+        cdf=blocked(lambda seg: tails(seg)[0]),
+        sf=blocked(lambda seg: tails(seg)[1]),
         closed=closed,
         label=f"convolve({d1.label},{d2.label})",
         meta={"construct": "convolve", "parents": [d1.meta, d2.meta]},

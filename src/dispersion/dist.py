@@ -8,9 +8,9 @@ Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache, owned by
 this module and built lazily on first use, of read-only tables: the
 enumerated lattice table at each of the two mass cuts, the scan grid of
-each size and clip, the inverse table and its certified cubic refinement
-behind continuous quantiles without a closed form, and the stop-loss table
-behind every mean excess.
+each size and clip with pdf, cdf and sf on it, the inverse table and its
+certified cubic refinement behind continuous quantiles without a closed
+form, and the stop-loss table behind every mean excess.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class Distribution:
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
     `_cache` holds the read-only tables built on first use: lattice_table()
     at each of the two mass cuts (SUM_CUT also serves quantile()),
-    probe_grid() per size and clip, the continuous inverse table (stop_loss()
+    probe_grid() per size and clip with the pdf, cdf and sf columns of
+    probe_values() beside it, the continuous inverse table (stop_loss()
     takes its nodes) and its refinement that quantile() reads when the law
     has no ppf, and one stop-loss table: excess_table() on the lattice, the
     node table of stop_loss() on continuous laws. No other module touches it.
@@ -337,6 +338,19 @@ class Distribution:
             self._cache[key] = _read_only(xs)[0]
         return self._cache[key]
 
+    def probe_values(self, n: int, clip: float, *which: str) -> tuple[np.ndarray, ...]:
+        """(probe_grid(n, clip), then pdf, cdf or sf on it for each name in
+        `which`). Each column is evaluated once per law and kept read-only
+        beside its grid, so the scans of one law share it."""
+        xs = self.probe_grid(n, clip)
+        cols = []
+        for name in which:
+            key = ("grid", n, clip, name)
+            if key not in self._cache:
+                self._cache[key] = _read_only(np.asarray(getattr(self, name)(xs), dtype=float))[0]
+            cols.append(self._cache[key])
+        return (xs, *cols)
+
     def iqr(self) -> float:
         q1, q3 = self.quantile(np.array([0.25, 0.75]))
         return float(q3 - q1)
@@ -382,7 +396,7 @@ class Distribution:
         if s <= 0.0 or x >= self.support.upper:
             return 0.0
         c = s / f if 0.0 < f < np.inf else 1.0
-        return s * c * integrate(lambda v: float(self.sf(x + c * v)) / s, 0.0, np.inf)[0]
+        return s * c * integrate(lambda v: self.sf(x + c * v) / s, 0.0, np.inf)[0]
 
     def _stop_loss_panel(self, y: np.ndarray) -> np.ndarray:
         """Pi(y) from the node table plus one panel to the first node >= y,
@@ -434,6 +448,5 @@ class Distribution:
             a, b = nodes[:-1], np.minimum(nodes[1:], self.support.upper - t)
             out[i] = np.sum(panels(lambda x: self.pdf(x) * g(x + t), a[a < b], b[a < b]))
             if np.isinf(self.support.lower):
-                head = lambda x: float(self.pdf(x)) * float(g(np.array([x + t]))[0])
-                out[i] += integrate(head, -np.inf, nodes[0])[0]
+                out[i] += integrate(lambda x: self.pdf(x) * g(x + t), -np.inf, nodes[0])[0]
         return out

@@ -7,8 +7,9 @@ Scans run on a quantile-spaced grid over [q(1e-6), q(1 - 1e-6)] (default
 2048 points, override with env var DISPERSION_GRID) for continuous laws
 and on every lattice point carrying mass >= `dist.SUM_CUT` (1e-12) for
 discrete ones; the 1e-6 clip is recorded in each verdict's grid
-description. `Distribution.probe_grid` builds each grid once per law. The
-mean excess of X reads the law's stop-loss table
+description. `Distribution.probe_grid` builds each grid once per law and
+`Distribution.probe_values` evaluates pdf, cdf and sf on it once for every
+scan. The mean excess of X reads the law's stop-loss table
 (`Distribution.stop_loss`), the one behind the mean excess of |X - X'|.
 """
 
@@ -110,7 +111,8 @@ def _witness_list(v: MonotoneVerdict):
 def hazard_rate(d: Distribution, x: float) -> float:
     """f(x)/S(x) for continuous laws, f(x)/S(x-1) for lattice ones."""
     _require_in_support(d, x)
-    val = float(_hazard_vals(d, np.asarray([x], float))[0])
+    xs = np.asarray([x], float)
+    val = float(_hazard_vals(d, xs, d.pdf(xs), d.sf(xs))[0])
     if not np.isfinite(val):
         raise TailExhausted(f"survival underflowed at x={x} for {d.label}")
     return val
@@ -119,7 +121,8 @@ def hazard_rate(d: Distribution, x: float) -> float:
 def reverse_hazard_rate(d: Distribution, x: float) -> float:
     """f(x)/F(x)."""
     _require_in_support(d, x)
-    val = float(_reverse_hazard_vals(d, np.asarray([x], float))[0])
+    xs = np.asarray([x], float)
+    val = float(_ratio(d.pdf(xs), d.cdf(xs))[0])
     if not np.isfinite(val):
         raise HeadExhausted(f"CDF underflowed at x={x} for {d.label}")
     return val
@@ -154,16 +157,14 @@ def _require_in_support(d: Distribution, x: float) -> None:
         raise OutsideSupport(f"x={x} outside support of {d.label}")
 
 
-def _hazard_vals(d: Distribution, xs: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        if d.is_lattice:
-            return np.asarray(d.pdf(xs), float) / np.asarray(d.sf(xs - 1.0), float)
-        return np.asarray(d.pdf(xs), float) / np.asarray(d.sf(xs), float)
+def _hazard_vals(d: Distribution, xs: np.ndarray, f, s) -> np.ndarray:
+    """f / S at xs (f / S(x - 1) on the lattice), f and s the pdf and sf there."""
+    return _ratio(f, d.sf(xs - 1.0) if d.is_lattice else s)
 
 
-def _reverse_hazard_vals(d: Distribution, xs: np.ndarray) -> np.ndarray:
+def _ratio(num, den) -> np.ndarray:
     with np.errstate(all="ignore"):
-        return np.asarray(d.pdf(xs), float) / np.asarray(d.cdf(xs), float)
+        return np.asarray(num, float) / np.asarray(den, float)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +174,12 @@ def _reverse_hazard_vals(d: Distribution, xs: np.ndarray) -> np.ndarray:
 
 def scan_grid(d: Distribution) -> np.ndarray:
     return d.probe_grid(grid_size(), clip=QUANTILE_CLIP)
+
+
+def _scan_columns(d: Distribution, *which: str) -> tuple[np.ndarray, ...]:
+    """The scan grid and the law's cached pdf, cdf or sf on it, one grid per scan."""
+    with np.errstate(all="ignore"):
+        return d.probe_values(grid_size(), QUANTILE_CLIP, *which)
 
 
 def _grid_label(d: Distribution) -> str:
@@ -230,13 +237,13 @@ def monotonicity_scan(
 
 
 def hazard_scan(d: Distribution, slack: float = DEFAULT_SLACK) -> MonotoneVerdict:
-    xs = scan_grid(d)
-    return classify_sequence(xs, _hazard_vals(d, xs), slack, _grid_label(d))
+    xs, f, s = _scan_columns(d, "pdf", "sf")
+    return classify_sequence(xs, _hazard_vals(d, xs, f, s), slack, _grid_label(d))
 
 
 def reverse_hazard_scan(d: Distribution, slack: float = DEFAULT_SLACK) -> MonotoneVerdict:
-    xs = scan_grid(d)
-    return classify_sequence(xs, _reverse_hazard_vals(d, xs), slack, _grid_label(d))
+    xs, f, c = _scan_columns(d, "pdf", "cdf")
+    return classify_sequence(xs, _ratio(f, c), slack, _grid_label(d))
 
 
 def log_concavity_scan(
@@ -254,8 +261,7 @@ def log_concavity_scan(
         raise ValueError(f"target must be pdf/cdf/sf, got {target!r}")
     if d.is_lattice:
         return _log_concavity_lattice(d, target, slack)
-    xs = scan_grid(d)
-    vals = _log_target(d, target, xs)
+    xs, vals = _log_target(d, target)
     ok = np.isfinite(vals)
     xs, vals = xs[ok], vals[ok]
     if len(xs) < 3:
@@ -270,21 +276,23 @@ def log_concavity_scan(
     return NEITHER
 
 
-def _log_target(d: Distribution, target: str, xs: np.ndarray) -> np.ndarray:
+def _log_target(d: Distribution, target: str) -> tuple[np.ndarray, np.ndarray]:
+    """(scan grid, log pdf, cdf or sf on it)."""
     with np.errstate(all="ignore"):
         if target == "pdf":
-            return np.asarray(d.log_pdf(xs), float)
-        vals = np.asarray(getattr(d, "cdf" if target == "cdf" else "sf")(xs), float)
-        return np.log(np.maximum(vals, 1e-320))
+            xs = scan_grid(d)
+            return xs, np.asarray(d.log_pdf(xs), float)
+        xs, vals = _scan_columns(d, target)
+        return xs, np.log(np.maximum(vals, 1e-320))
 
 
 def _log_concavity_lattice(d: Distribution, target: str, slack: float) -> str:
-    xs = scan_grid(d)
+    xs, g0 = _scan_columns(d, target)
     fn = getattr(d, target)
     g = lambda k: np.asarray(fn(k), float)
     with np.errstate(all="ignore"):
         lg_m = np.log(g(xs - 1.0))
-        lg_0 = np.log(g(xs))
+        lg_0 = np.log(g0)
         lg_p = np.log(g(xs + 1.0))
     ok = np.isfinite(lg_m) & np.isfinite(lg_0) & np.isfinite(lg_p)
     if not np.any(ok):
@@ -316,15 +324,12 @@ def _residual_spot_ts(d: Distribution) -> list[float]:
 
 
 def _residual_scan(d: Distribution, t: float, which: str, slack: float) -> MonotoneVerdict:
-    xs = scan_grid(d)
-    with np.errstate(all="ignore"):
-        if which == "D":
-            denom = np.asarray(d.sf(xs), float)
-            num = np.asarray(d.sf(xs + t), float)
-        else:
-            denom = np.asarray(d.cdf(xs), float)
-            num = np.asarray(d.cdf(xs - t), float)
-        vals = num / denom
+    if which == "D":
+        xs, denom = _scan_columns(d, "sf")
+        vals = _ratio(d.sf(xs + t), denom)
+    else:
+        xs, denom = _scan_columns(d, "cdf")
+        vals = _ratio(d.cdf(xs - t), denom)
     ok = np.isfinite(vals)
     return classify_sequence(xs[ok], vals[ok], slack, _grid_label(d))
 

@@ -5,13 +5,17 @@ concentration value of a lattice law.
 GMD uses the single-integral reduction 2 * int F(x) S(x) dx (2 * sum F S on
 the lattice) of the pairwise-difference definition; its correctness is
 gated on agreement with the Monte Carlo and brute-force oracles in the
-test suite. Discrete sums run over `Distribution.lattice_table` at
+test suite. On continuous laws SD and GMD integrate x f, x^2 f and F S
+with `numerics.integrate`, the vectorized port of QUADPACK: each step
+evaluates the law's callables once on the Gauss-Kronrod nodes of both new
+halves. Discrete sums run over `Distribution.lattice_table` at
 `dist.SUM_CUT` (SD, GMD and Lambda).
 
 The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per
 law: S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the
-direct route. The change-of-measure route stays independent: quadrature of
-other integrands on continuous laws, other columns of the table on lattices.
+direct route. The change-of-measure route stays independent: the same
+adaptive quadrature of other integrands on continuous laws, other columns
+of the table on lattices.
 """
 
 from __future__ import annotations
@@ -86,13 +90,14 @@ def _moments_numeric(d: Distribution) -> tuple[float, float, float]:
             m2 += t2
         return m1, m2, SUM_CUT
     lo, hi = d.support.lower, d.support.upper
-    m1, e1 = integrate(lambda x: x * float(d.pdf(x)), lo, hi)
-    m2, e2 = integrate(lambda x: x * x * float(d.pdf(x)), lo, hi)
+    m1, e1 = integrate(lambda x: x * d.pdf(x), lo, hi)
+    m2, e2 = integrate(lambda x: x * x * d.pdf(x), lo, hi)
     return m1, m2, e2 + 2 * abs(m1) * e1
 
 
 def sd_numeric(d: Distribution) -> tuple[float, float]:
-    """(sd, error estimate) by quadrature/summation of the first two moments."""
+    """(sd, error estimate) by quadrature/summation of the first two moments;
+    the error estimate is QUADPACK's, or SUM_CUT on the lattice."""
     m1, m2, err = _moments_numeric(d)
     var = m2 - m1 * m1
     if not np.isfinite(var) or var <= 0:
@@ -102,7 +107,8 @@ def sd_numeric(d: Distribution) -> tuple[float, float]:
 
 
 def gmd_numeric(d: Distribution) -> tuple[float, float]:
-    """(gmd, error estimate) via 2 * int F S dx or 2 * sum F S."""
+    """(gmd, error estimate) via 2 * int F S dx (adaptive quadrature with
+    QUADPACK's error estimate) or 2 * sum F S."""
     if d.is_lattice:
         pts, _, big_f, big_s = d.lattice_table(SUM_CUT)
         total = 2.0 * float(np.dot(big_f, big_s))
@@ -110,7 +116,7 @@ def gmd_numeric(d: Distribution) -> tuple[float, float]:
             total += 2.0 * d.tail_sums(int(pts[-1]))[2]
         return total, SUM_CUT
     lo, hi = d.support.lower, d.support.upper
-    val, err = integrate(lambda x: float(d.cdf(x)) * float(d.sf(x)), lo, hi)
+    val, err = integrate(lambda x: d.cdf(x) * d.sf(x), lo, hi)
     if not np.isfinite(val):
         raise DivergentMoment(f"GMD integral for {d.label} diverged")
     return 2.0 * val, 2.0 * err
@@ -219,8 +225,8 @@ def _m_repr_continuous(d: Distribution, t: float) -> float:
 
     def weighted(g):
         def fn(x):
-            v = float(d.cdf(x - t)) * float(g(x))
-            return v if np.isfinite(v) else 0.0  # F(x - t) = 0 beside a density pole
+            v = np.asarray(d.cdf(x - t), dtype=float) * g(x)
+            return np.where(np.isfinite(v), v, 0.0)  # F(x - t) = 0 beside a density pole
 
         return fn
 

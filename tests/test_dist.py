@@ -131,9 +131,7 @@ def test_total_mass_is_one(spec, instances):
         pts = d.lattice_points(1e-12).astype(float)
         total = float(np.sum(np.asarray(d.pdf(pts), float)))
     else:
-        total, _ = integrate(
-            lambda x: float(d.pdf(x)), d.support.lower, d.support.upper
-        )
+        total, _ = integrate(d.pdf, d.support.lower, d.support.upper)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -425,7 +423,8 @@ def test_mean_excess_enumerates_its_cut_once(monkeypatch):
 def test_cached_tables_are_read_only():
     cont = make_distribution("erfi-interval")
     lat = make_distribution("poisson:theta=2")
-    arrays = [cont.probe_grid(64), *cont._inverse_table(), *cont._hermite_table(), lat.probe_grid(64)]
+    arrays = [*cont.probe_values(64, 1e-6, "pdf", "cdf", "sf"), *cont._inverse_table(), *cont._hermite_table()]
+    arrays += lat.probe_values(64, 1e-6, "pdf", "cdf", "sf")
     for cut in (SUM_CUT, EXCESS_CUT):
         arrays += lat.lattice_table(cut)
     arrays += [*cont._stop_loss_nodes(), *lat.excess_table(5)]
@@ -616,6 +615,14 @@ def test_convolve_numeric_matches_normal():
     xs = np.linspace(-4, 4, 9)
     target = np.exp(-(xs**2) / 4) / np.sqrt(4 * np.pi)
     assert np.allclose(num.pdf(xs), target, rtol=1e-10)
+
+
+def test_convolve_numeric_tails_sum_to_one():
+    # the rule omits 1e-12 of the second law on each side; the larger tail
+    # is the complement of the smaller one
+    c = convolve(make_distribution("logistic"), make_distribution("normal"))
+    xs = np.linspace(-100, 100, 201)
+    assert float(np.max(np.abs(c.cdf(xs) + c.sf(xs) - 1.0))) <= 1e-15
 
 
 def test_convolve_rejects_lattice():

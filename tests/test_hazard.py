@@ -125,7 +125,7 @@ def test_mean_excess_geometric():
 )
 def test_mean_excess_at_zero_is_quadrature_mean(spec):
     d = make_distribution(spec)
-    mean, _ = integrate(lambda x: x * float(d.pdf(x)), 0.0, np.inf)
+    mean, _ = integrate(lambda x: x * d.pdf(x), 0.0, np.inf)
     assert mean_excess(d, 0.0) == pytest.approx(mean, abs=1e-8 * (1 + mean))
 
 
