@@ -58,6 +58,7 @@ def affine(d: Distribution, a: float, b: float) -> Distribution:
         ppf = (lambda p: a * d.ppf(1.0 - np.asarray(p, float)) + b) if d.ppf is not None else None
     return Distribution(
         support=support, pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
+        breaks=tuple(sorted(a * v + b for v in d.breaks)),
         closed=_affine_closed(d.closed, a, b),
         label=f"affine({d.label},a={a:g},b={b:g})",
         meta={"construct": "affine", "a": a, "b": b, "parent": d.meta},
@@ -92,7 +93,9 @@ def _affine_lattice(d: Distribution, a: int, b: int) -> Distribution:
 
 
 def mix(components: list[Distribution], weights: list[float]) -> Distribution:
-    """Finite mixture with the stated weights; support is the union hull."""
+    """Finite mixture with the stated weights; support is the union hull. A
+    continuous mixture breaks at its components' finite support ends and
+    breaks inside that hull."""
     if len(components) != len(weights) or not components:
         raise WeightSumError("components and weights must be equal-length and nonempty")
     w = np.asarray(weights, dtype=float)
@@ -129,10 +132,14 @@ def mix(components: list[Distribution], weights: list[float]) -> Distribution:
             sd = math.sqrt(max(second - mean * mean, 0.0))
         closed = ClosedForms(mean=mean, sd=sd)
     label = "mix(" + ",".join(f"{wi:g}*{c.label}" for wi, c in zip(w, components)) + ")"
+    breaks = ()
+    if kind == CONTINUOUS:
+        ends = {v for c in components for v in (c.support.lower, c.support.upper, *c.breaks)}
+        breaks = tuple(sorted(v for v in ends if lo < v < hi))
     return Distribution(
         support=Support(lo, hi, kind),
         pdf=combine("pdf"), cdf=combine("cdf"), sf=combine("sf"),
-        closed=closed, label=label,
+        closed=closed, label=label, breaks=breaks,
         meta={"construct": "mix", "weights": list(map(float, w)),
               "parents": [c.meta for c in components]},
     )
@@ -189,6 +196,7 @@ def _truncate_lower(d: Distribution, u: float) -> Distribution:
     return Distribution(
         support=Support(lo, hi, d.support.kind),
         pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf, tail_sums=tails,
+        breaks=tuple(v for v in d.breaks if lo < v < hi),
         label=f"truncate({d.label},lower,u={u:g})",
         meta={"construct": "truncate", "side": LOWER, "u": u, "parent": d.meta},
     )
@@ -226,6 +234,7 @@ def _truncate_upper(d: Distribution, u: float) -> Distribution:
     return Distribution(
         support=Support(lo, hi, d.support.kind),
         pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
+        breaks=tuple(v for v in d.breaks if lo < v < hi),
         label=f"truncate({d.label},upper,u={u:g})",
         meta={"construct": "truncate", "side": UPPER, "u": u, "parent": d.meta},
     )

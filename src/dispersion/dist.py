@@ -10,7 +10,11 @@ this module and built lazily on first use, of read-only tables: the
 enumerated lattice table at each of the two mass cuts, the scan grid of
 each size and clip with pdf, cdf and sf on it, the inverse table and its
 certified cubic refinement behind continuous quantiles without a closed
-form, and the stop-loss table behind every mean excess.
+form, and the stop-loss table behind every mean excess: on continuous laws
+Pi at its nodes beside the Legendre antiderivative of S on each node
+interval, so a read between nodes evaluates no law, the same table
+extended past its last node as far as a read reaches, and the
+density-weighted panel nodes of the outer expectation E[g(X + t)].
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import legint, legval, legvander
 
-from .errors import SupportTooLarge, UnsupportedKind
-from .numerics import bisect_increasing, integrate, panels
+from .errors import DivergentTail, SupportTooLarge, UnsupportedKind
+from .numerics import GL_W, GL_X, bisect_increasing, integrate, panel_nodes, panels
 
 CONTINUOUS = "continuous-interval"
 LATTICE = "integer-lattice"
@@ -47,6 +52,13 @@ SUM_CUT = 1e-12
 EXCESS_CUT = 1e-15
 # most points one lattice enumeration may hold
 LATTICE_LIMIT = 2**19
+
+# continuous stop-loss table: G = _ANTIDERIV @ (S at the 16 Gauss-Legendre
+# nodes of [-1, 1]) are the Legendre coefficients of int_s^1 p, p the degree-15
+# interpolant of those values (the rule is exact on the degree-30 products
+# that give p's coefficients); REACH_STEPS caps the steps past the last node
+_ANTIDERIV = -legint(legvander(GL_X, 15).T * GL_W * (np.arange(16) + 0.5)[:, None], lbnd=1)
+REACH_STEPS = 2**14
 
 
 def _cubic(x0, x1, d0, d1) -> np.ndarray:
@@ -120,8 +132,11 @@ class Distribution:
     probe_grid() per size and clip with the pdf, cdf and sf columns of
     probe_values() beside it, the continuous inverse table (stop_loss()
     takes its nodes) and its refinement that quantile() reads when the law
-    has no ppf, and one stop-loss table: excess_table() on the lattice, the
-    node table of stop_loss() on continuous laws. No other module touches it.
+    has no ppf, and one stop-loss table: excess_table() on the lattice; on
+    continuous laws the node table of stop_loss() with its Legendre
+    coefficients (_stop_loss_nodes()), its extension past the last node
+    (_stop_loss_table()) and the outer nodes and weights of shifted_mean()
+    (_outer_panels()). No other module touches it.
     """
 
     support: Support
@@ -136,6 +151,10 @@ class Distribution:
     # lattice laws with polynomial tails supply analytic corrections for
     # sums truncated at M: (sum_{x>M} x f, sum_{x>M} x^2 f, sum_{x>M} F S)
     tail_sums: Callable[[int], tuple[float, float, float]] | None = None
+    # interior kinks of a continuous support, where a mixture component's
+    # support starts or ends: nodes of the stop-loss table, and edges at
+    # break - t of the outer panels of shifted_mean
+    breaks: tuple[float, ...] = ()
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -375,17 +394,57 @@ class Distribution:
             table = self._cache["stop_loss"] = _read_only(np.concatenate([pts, more]), *cols, pi)
         return table
 
-    def _stop_loss_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nodes, Pi at the nodes) of a continuous law: the inverse-table
-        nodes and the finite support ends, Pi summed from the top over one
-        Gauss-Legendre panel of sf per node interval."""
+    def _stop_loss_nodes(self) -> tuple[np.ndarray, ...]:
+        """(nodes, Pi at the nodes, coefficients) of a continuous law: the
+        inverse-table nodes, the finite support ends and the breaks, with Pi
+        summed from the top by _stop_loss_rows."""
         if "stop_loss" not in self._cache:
             lo, hi = self.support.lower, self.support.upper
-            ends = [v for v in (lo, hi) if np.isfinite(v)]
+            ends = [v for v in (lo, hi, *self.breaks) if np.isfinite(v)]
             nodes = np.unique(np.concatenate([np.clip(self._inverse_table()[1], lo, hi), ends]))
-            seg = np.append(panels(self.sf, nodes[:-1], nodes[1:]), self._tail_stop_loss(nodes[-1]))
-            self._cache["stop_loss"] = _read_only(nodes, np.cumsum(seg[::-1])[::-1])
+            self._cache["stop_loss"] = self._stop_loss_rows(nodes, self._tail_stop_loss(nodes[-1]))
         return self._cache["stop_loss"]
+
+    def _stop_loss_rows(self, nodes: np.ndarray, top: float) -> tuple[np.ndarray, ...]:
+        """(nodes, Pi, coefficients): Pi summed from `top`, its value at the last
+        node, over one Gauss-Legendre panel of sf per node interval; column k of
+        the coefficients holds G_k, int_s^1 of the interpolant of those sf values
+        on interval k in Legendre series, so that Pi(y) = Pi(b_k) + h_k G_k(s) for
+        y = b_k - h_k (1 - s) with b_k its right node and h_k its half-width."""
+        x, half = panel_nodes(nodes[:-1], nodes[1:])
+        vals = np.asarray(self.sf(x.ravel()), dtype=float).reshape(x.shape)
+        seg = np.append((vals @ GL_W) * half, top)
+        return _read_only(nodes, np.cumsum(seg[::-1])[::-1], _ANTIDERIV @ vals.T)
+
+    def _stop_loss_table(self, reach: float) -> tuple[np.ndarray, ...]:
+        """The rows of _stop_loss_nodes, extended past the last node to at least
+        `reach` while Pi there is positive: nodes a step of the tail length
+        scale S/f apart, up to the first at or past `reach` or where S
+        underflows, with Pi summed from that top, so it keeps its relative
+        accuracy however far below Pi(last) it falls. One read-only table is
+        kept per law, rebuilt when a call reaches past its top."""
+        table = self._cache.get("stop_loss_reach") or self._stop_loss_nodes()
+        if reach <= table[0][-1] or table[1][-1] <= 0.0:
+            return table
+        base = self._stop_loss_nodes()
+        more = [base[0][-1]]
+        for _ in range(REACH_STEPS):
+            if more[-1] >= reach:
+                break
+            s, f = float(self.sf(more[-1])), float(self.pdf(more[-1]))
+            if not s > 0.0:
+                break
+            more.append(more[-1] + (s / f if 0.0 < f < np.inf else 1.0))
+        else:
+            raise DivergentTail(f"stop-loss table of {self.label} did not reach {reach:g} in {REACH_STEPS} steps")
+        ext = self._stop_loss_rows(np.array(more), self._tail_stop_loss(more[-1]))
+        table = _read_only(
+            np.concatenate([base[0][:-1], ext[0]]),
+            np.concatenate([base[1][:-1], ext[1]]),  # Pi(last) too is summed from the new top
+            np.concatenate([base[2], ext[2]], axis=1),
+        )
+        self._cache["stop_loss_reach"] = table
+        return table
 
     def _tail_stop_loss(self, x: float) -> float:
         """Pi(x) by adaptive quadrature of sf(x + c v) / sf(x) over v >= 0,
@@ -398,19 +457,26 @@ class Distribution:
         c = s / f if 0.0 < f < np.inf else 1.0
         return s * c * integrate(lambda v: self.sf(x + c * v) / s, 0.0, np.inf)[0]
 
-    def _stop_loss_panel(self, y: np.ndarray) -> np.ndarray:
-        """Pi(y) from the node table plus one panel to the first node >= y,
-        or back from the last node past it, exact there to a few ulp of Pi."""
-        nodes, pi = self._stop_loss_nodes()
-        j = np.minimum(np.searchsorted(nodes, y), len(nodes) - 1)
-        return np.maximum(pi[j] + panels(self.sf, y, nodes[j]), 0.0)
+    def _stop_loss_read(self, y: np.ndarray) -> np.ndarray:
+        """Pi(y) of a continuous law from _stop_loss_table(max y): Pi(b) + h G(s)
+        in y's node interval, with no call to the law; below the first node
+        one panel of sf up to it; 0 past a table whose Pi has reached 0."""
+        y = np.asarray(y, dtype=float)
+        nodes, pi, coef = self._stop_loss_table(float(np.max(y, initial=-np.inf)))
+        j = np.clip(np.searchsorted(nodes, y), 1, len(nodes) - 1)
+        half = 0.5 * (nodes[j] - nodes[j - 1])
+        out = pi[j] + half * legval((y - nodes[j - 1]) / half - 1.0, coef[:, j - 1], tensor=False)
+        below = y < nodes[0]
+        out[below] = pi[0] + panels(self.sf, y[below], nodes[0])
+        out[y > nodes[-1]] = 0.0
+        return np.maximum(out, 0.0)
 
     def stop_loss(self, x):
         """Stop-loss transform Pi(x) = E[(X - x)+] = int_x^inf S(w) dw.
 
         Lattice laws read excess_table(): Pi(k) - (x - k) S(k) at k = floor(x),
-        S = 1 below the table. Continuous laws read the node table, and past
-        its last node, where Pi falls below the table's few ulp, integrate.
+        S = 1 below the table. Continuous laws read the node table, extended
+        past its last node as far as x reaches (_stop_loss_read).
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if self.is_lattice:
@@ -421,19 +487,30 @@ class Distribution:
             below = np.maximum(pts[0] - k, 0.0)  # S = 1 below the table
             out = pi[i] + below - (xs - k) * np.where(below > 0, 1.0, sf[i])
         else:
-            out = self._stop_loss_panel(xs)
-            for j in np.flatnonzero(xs > self._stop_loss_nodes()[0][-1]):
-                out[j] = self._tail_stop_loss(xs[j])
+            out = self._stop_loss_read(xs)
         return float(out[0]) if np.ndim(x) == 0 else out
+
+    def _outer_panels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, w): the panel nodes of each stop-loss node interval, one row per
+        interval, and pdf(x) times the rule's weight and half-width there."""
+        if "outer" not in self._cache:
+            nodes = self._stop_loss_nodes()[0]
+            x, half = panel_nodes(nodes[:-1], nodes[1:])
+            w = np.asarray(self.pdf(x), dtype=float) * (half[:, None] * GL_W)
+            self._cache["outer"] = _read_only(x, w)
+        return self._cache["outer"]
 
     def shifted_mean(self, which: str, ts) -> np.ndarray:
         """E[g(X + t)] for each t >= 0, g = sf ("sf") or stop_loss ("stop_loss").
 
         Lattice laws (integer t) take one dot product per t over
-        excess_table(). Continuous laws apply one panel per node interval to
-        f(x) g(x + t), clipped at upper - t where S(x + t) has its kink, g
-        read from the node table; one adaptive integral per t adds the head
-        below the first node of an unbounded lower end.
+        excess_table(). Continuous laws take one dot product per t of the
+        pdf-weighted panel nodes of _outer_panels() with g(x + t), g = Pi read
+        from the stop-loss table, extended once to the last node plus the
+        largest t. A node interval inside which S(x + t) kinks, at upper - t
+        or at break - t, is integrated afresh by one panel per piece; one
+        adaptive integral per t adds the head below the first node of an
+        unbounded lower end.
         """
         ts = np.asarray(ts, dtype=float)
         if self.is_lattice:
@@ -441,12 +518,29 @@ class Distribution:
             _, f, _, sf, pi = self.excess_table(int(np.max(steps, initial=0)))
             g = sf if which == "sf" else pi
             return np.array([float(np.dot(f[: len(f) - t], g[t:])) for t in steps])
-        g = self.sf if which == "sf" else self._stop_loss_panel
         nodes = self._stop_loss_nodes()[0]
+        if which == "sf":
+            g = self.sf
+        else:
+            self._stop_loss_table(nodes[-1] + np.max(ts, initial=0.0))
+            g = self._stop_loss_read
+        x, w = self._outer_panels()
+        a, b = nodes[:-1], nodes[1:]
         out = np.empty(len(ts))
         for i, t in enumerate(ts):
-            a, b = nodes[:-1], np.minimum(nodes[1:], self.support.upper - t)
-            out[i] = np.sum(panels(lambda x: self.pdf(x) * g(x + t), a[a < b], b[a < b]))
+            # node intervals that S(x + t) kinks inside, at break - t or
+            # upper - t, are integrated afresh between those edges
+            hi = self.support.upper - t
+            cuts = np.append(np.asarray(self.breaks) - t, hi)
+            split = (b > hi) | ((a[:, None] < cuts) & (cuts < b[:, None])).any(axis=1)
+            out[i] = np.dot(w[~split].ravel(), g(x[~split].ravel() + t))
+            if split.any():
+                edges = np.unique(np.concatenate([nodes, cuts]))
+                lo, up = edges[:-1], np.minimum(edges[1:], hi)
+                k = np.searchsorted(nodes, lo, side="right") - 1
+                fresh = (k >= 0) & (k < len(a)) & (lo < up)
+                fresh[fresh] = split[k[fresh]]
+                out[i] += np.sum(panels(lambda x: self.pdf(x) * g(x + t), lo[fresh], up[fresh]))
             if np.isinf(self.support.lower):
                 out[i] += integrate(lambda x: self.pdf(x) * g(x + t), -np.inf, nodes[0])[0]
         return out

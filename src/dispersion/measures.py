@@ -13,9 +13,12 @@ halves. Discrete sums run over `Distribution.lattice_table` at
 
 The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per
 law: S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the
-direct route. The change-of-measure route stays independent: the same
-adaptive quadrature of other integrands on continuous laws, other columns
-of the table on lattices.
+direct route. On continuous laws each t costs one pass of sf and one read
+of the table over the law's cached, pdf-weighted outer nodes; a read of Pi
+between table nodes integrates the Legendre interpolant of S stored with
+the table and calls no law. The change-of-measure route stays independent:
+the same adaptive quadrature of other integrands on continuous laws, other
+columns of the table on lattices.
 """
 
 from __future__ import annotations

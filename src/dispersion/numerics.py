@@ -12,9 +12,11 @@ polynomial tail where plain bisection does not. Tolerances are absolute
 each step evaluates the integrand once, vectorized, on the nodes of both new
 halves; integrands take and return numpy arrays.
 
-`panels` is the fixed-rule counterpart for many short intervals at once:
-the stop-loss table of `dist` integrates over its node intervals with it,
-and the erfi families take their upper survival from it.
+`panels` is the fixed-rule counterpart for many short intervals at once, on
+the nodes that `panel_nodes` places: the erfi families take their upper
+survival from it. The stop-loss table of `dist` sums the same rule over its
+node intervals and keeps the values of S at those nodes, whose Legendre
+interpolant it integrates to read the transform between nodes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 _OFLOW = sys.float_info.max
 # 16-point Gauss-Legendre abscissae and weights on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+GL_X, GL_W = np.polynomial.legendre.leggauss(16)
 
 
 def _kronrod(xgk, wgk, wg, order):
@@ -397,11 +399,17 @@ def panels(fn: Callable[[np.ndarray], np.ndarray], a, b) -> np.ndarray:
     fn is vectorized; a and b broadcast together. A panel with b < a returns
     minus the integral over [b, a].
     """
+    x, half = panel_nodes(a, b)
+    vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+    return (vals @ GL_W) * half
+
+
+def panel_nodes(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(x, half): the 16 Gauss-Legendre nodes of each [a_i, b_i] on a last
+    axis, and the half-widths, as `panels` places them."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     half = 0.5 * (b - a)
-    x = (a + half)[..., None] + half[..., None] * _GL_X
-    vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-    return (vals @ _GL_W) * half
+    return (a + half)[..., None] + half[..., None] * GL_X, half
 
 
 def bisect_increasing(

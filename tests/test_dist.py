@@ -427,10 +427,31 @@ def test_cached_tables_are_read_only():
     arrays += lat.probe_values(64, 1e-6, "pdf", "cdf", "sf")
     for cut in (SUM_CUT, EXCESS_CUT):
         arrays += lat.lattice_table(cut)
-    arrays += [*cont._stop_loss_nodes(), *lat.excess_table(5)]
+    tail = make_distribution("weibull:alpha=1")
+    arrays += [*cont._stop_loss_nodes(), *cont._outer_panels(), *lat.excess_table(5)]
+    arrays += [*tail._stop_loss_table(60.0), *tail._outer_panels()]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
+
+
+def test_curve_evaluation_counts():
+    # counts are deterministic where timings are not: the stop-loss ratio reads
+    # Pi between table nodes from its Legendre rows, and weighs the outer
+    # nodes by pdf once per law
+    d = make_distribution("gpd:alpha=0.25")
+    points = {"sf": 0, "pdf": 0}
+    for name in points:
+        fn = getattr(d, name)
+
+        def counted(x, fn=fn, name=name):
+            points[name] += np.size(x)
+            return fn(x)
+
+        setattr(d, name, counted)
+    mean_excess_abs_diff(d, np.linspace(0, 8, 32))
+    assert points["sf"] < 400_000
+    assert points["pdf"] < 50_000
 
 
 def test_scan_grid_follows_dispersion_grid(monkeypatch):

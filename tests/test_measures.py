@@ -231,14 +231,13 @@ def test_gapped_lattice_curve_matches_brute_force():
     assert np.allclose(curve.m_repr, exact.m_values[:6], rtol=1e-9)
 
 
-def test_gapped_continuous_repr_route_matches_exact():
-    # support [0, 1] and [3, 4] with density x and x - 3: S is piecewise
-    # quadratic with kinks at 0, 1, 3 and 4, so S_Y(y) = 2 int f(x) S(x + y) dx
-    # and its tail integral are exact by Gauss-Kronrod between the kinks and
-    # their differences. Inside the gap f = 0 while F(x - t) S(x) is not.
+def _gapped_continuous_curve(ts):
+    """(curve, exact m_Y) of the mixture with support [0, 1] and [3, 4] and
+    density x and x - 3: S is piecewise quadratic with kinks at 0, 1, 3 and
+    4, so S_Y(y) = 2 int f(x) S(x + y) dx and its tail integral are exact by
+    Gauss-Kronrod between the kinks and their differences."""
     b = make_distribution("beta:alpha=2")
     d = mix([b, affine(b, 1.0, 3.0)], [0.5, 0.5])
-    ts = np.array([0.0, 0.5, 1.0, 2.5])
     curve = mean_excess_abs_diff(d, ts)
     ends = [0.0, 1.0, 3.0, 4.0]
     f = lambda x: x if 0 <= x <= 1 else (x - 3 if 3 <= x <= 4 else 0.0)
@@ -250,9 +249,76 @@ def test_gapped_continuous_repr_route_matches_exact():
         return sum(quad(fn, a, c)[0] for a, c in zip(cuts, cuts[1:]))
 
     s_y = lambda y: 2 * piecewise(lambda x: f(x) * sf(x + y), ends + [e - y for e in ends], 0.0, 4.0)
-    for t, repr_ in zip(ts, curve.m_repr):
-        want = piecewise(s_y, [c - a for a in ends for c in ends], t, 4.0) / s_y(t)
+    want = [piecewise(s_y, [c - a for a in ends for c in ends], t, 4.0) / s_y(t) for t in ts]
+    return curve, want
+
+
+def test_gapped_continuous_repr_route_matches_exact():
+    # inside the gap f = 0 while F(x - t) S(x) is not
+    curve, exact = _gapped_continuous_curve(np.array([0.0, 0.5, 1.0, 2.5]))
+    for repr_, want in zip(curve.m_repr, exact):
         assert abs(repr_ - want) / (1 + want) <= 1e-6
+
+
+def test_gapped_continuous_direct_route_matches_exact():
+    # the mixture breaks at 1 and 3: stop-loss nodes there, and outer
+    # panels split where S(x + t) kinks, at 1 - t and 3 - t
+    curve, exact = _gapped_continuous_curve(np.array([0.0, 0.5, 1.0, 2.5]))
+    for direct, want in zip(curve.m_direct, exact):
+        assert abs(direct - want) / (1 + want) <= 1e-9
+
+
+_FAR_TAIL_GRIDS = [
+    ("damped-hazard:theta=0.1", np.linspace(0, 20, 8)),
+    ("weibull:alpha=1.5", np.linspace(0, 20, 9)),
+]
+
+
+@pytest.mark.parametrize("spec,ts", _FAR_TAIL_GRIDS, ids=[s for s, _ in _FAR_TAIL_GRIDS])
+def test_far_tail_routes_agree(spec, ts):
+    # x + t passes the last stop-loss node, q(1 - 1e-12), from t of about 8
+    curve = mean_excess_abs_diff(make_distribution(spec), ts)
+    gap = np.abs(curve.m_direct - curve.m_repr) / (1 + np.abs(curve.m_direct))
+    assert float(gap.max()) <= 1e-6
+
+
+def test_exponential_curve_is_one_far_past_the_table():
+    # |X - X'| of two unit exponentials is unit exponential; the last
+    # stop-loss node is at 27.6, so Pi(X + 60) is read up to 88
+    curve = mean_excess_abs_diff(make_distribution("weibull:alpha=1"), np.linspace(0, 60, 7))
+    assert float(np.max(np.abs(curve.m_direct - 1.0))) <= 1e-12
+
+
+def _erfi_interval_stop_loss(x):
+    big_a = lambda z: z * mp.erfi(z) - mp.exp(z * z) / mp.sqrt(mp.pi)
+    return (1 - x) - (big_a(2) - big_a(1 + x)) / mp.erfi(2) if x < 1 else mp.mpf(0)
+
+
+# Pi(y) = E[(X - y)+] on and above the lower end of the support
+_STOP_LOSS = {
+    "erfi-interval": _erfi_interval_stop_loss,
+    "beta:alpha=2": lambda y: (1 - y) ** 2 * (2 + y) / 3 if y < 1 else mp.mpf(0),
+    "weibull:alpha=1": lambda y: mp.exp(-y),
+    "gpd:alpha=0.25": lambda y: (1 + y / 4) ** -3 / mp.mpf(0.75),
+    "normal": lambda y: mp.npdf(y) - y * mp.ncdf(-y),
+}
+
+
+@pytest.mark.parametrize("spec", list(_STOP_LOSS))
+def test_stop_loss_read_matches_closed_form(spec):
+    # four random points in every interval of the node table, and three past
+    # its last node, against the closed form at 30 digits
+    d = make_distribution(spec)
+    nodes = d._stop_loss_nodes()[0]
+    rng = np.random.default_rng(11)
+    inside = nodes[:-1, None] + np.diff(nodes)[:, None] * rng.random((len(nodes) - 1, 4))
+    ys = np.concatenate([inside.ravel(), nodes[-1] + (nodes[-1] - nodes[0]) * np.array([1e-3, 0.1, 1.0])])
+    got = d.stop_loss(ys)
+    with mp.workdps(30):
+        exact = np.array([float(_STOP_LOSS[spec](mp.mpf(float(y)))) for y in ys])
+        first = float(_STOP_LOSS[spec](mp.mpf(float(nodes[0]))))
+    err = np.abs(got - exact)
+    assert np.all(err <= 1e-14 * first + 1e-11 * exact), float(np.max(err / (1e-14 * first + 1e-11 * exact)))
 
 
 def test_curve_against_monte_carlo_excess():
