@@ -5,6 +5,11 @@ conditioning mass rather than re-quadratured values, so hazard identities
 above/below the threshold hold to closed-form accuracy. Tail-side CDFs are
 built from survival differences (and head-side survivals from CDF
 differences) to avoid catastrophic cancellation deep in a tail.
+
+Lattice combinators map their parents' `tail_sums`: a shift moves the
+point the tail starts past, a reflection moves the tail to the other side,
+a mixture adds its components' weighted tails, and a truncation keeps the
+tail on the side it leaves open, divided by the conditioning mass.
 """
 
 from __future__ import annotations
@@ -84,8 +89,20 @@ def _affine_lattice(d: Distribution, a: int, b: int) -> Distribution:
         pdf = lambda y: d.pdf(b - np.asarray(y, float))
         cdf = lambda y: d.sf(b - np.floor(np.asarray(y, float)) - 1)
         sfn = lambda y: d.cdf(b - np.floor(np.asarray(y, float)) - 1)
+    tails = None
+    if d.tail_sums is not None:
+        upper = bool(np.isinf(d.support.upper))
+
+        def tails(m: int) -> tuple[float, float, float, float]:
+            # a X + b passes m where X passes a (m - b); reflected, the sum of
+            # S past that point becomes the sum of F before m, which also
+            # counts F at m - 1, the mass past the point
+            mass, t1, t2, t_s = d.tail_sums(a * (m - b))
+            edge = 0.0 if a == 1 else (mass if upper else -mass)
+            return mass, a * t1 + b * mass, t2 + 2 * a * b * t1 + b * b * mass, t_s + edge
+
     return Distribution(
-        support=support, pdf=pdf, cdf=cdf, sf=sfn,
+        support=support, pdf=pdf, cdf=cdf, sf=sfn, tail_sums=tails,
         closed=_affine_closed(d.closed, a, b),
         label=f"affine({d.label},a={a:g},b={b:g})",
         meta={"construct": "affine", "a": a, "b": b, "parent": d.meta},
@@ -132,6 +149,13 @@ def mix(components: list[Distribution], weights: list[float]) -> Distribution:
             sd = math.sqrt(max(second - mean * mean, 0.0))
         closed = ClosedForms(mean=mean, sd=sd)
     label = "mix(" + ",".join(f"{wi:g}*{c.label}" for wi, c in zip(w, components)) + ")"
+    tails = None
+    if kind == LATTICE and any(c.tail_sums is not None for c in components):
+        upper = bool(np.isinf(hi))
+
+        def tails(m: int) -> np.ndarray:
+            return sum(wi * c.lattice_tail(m, upper) for wi, c in zip(w, components) if wi != 0.0)
+
     breaks = ()
     if kind == CONTINUOUS:
         ends = {v for c in components for v in (c.support.lower, c.support.upper, *c.breaks)}
@@ -139,7 +163,7 @@ def mix(components: list[Distribution], weights: list[float]) -> Distribution:
     return Distribution(
         support=Support(lo, hi, kind),
         pdf=combine("pdf"), cdf=combine("cdf"), sf=combine("sf"),
-        closed=closed, label=label, breaks=breaks,
+        closed=closed, label=label, breaks=breaks, tail_sums=tails,
         meta={"construct": "mix", "weights": list(map(float, w)),
               "parents": [c.meta for c in components]},
     )
@@ -186,12 +210,8 @@ def _truncate_lower(d: Distribution, u: float) -> Distribution:
     if d.ppf is not None and not d.is_lattice:
         ppf = lambda p: d.ppf(1.0 - mass * (1.0 - np.asarray(p, float)))
     tails = None
-    if d.tail_sums is not None:
-        # deep-tail remainders scale by the conditioning mass; the omitted
-        # sum of S^2 terms in the F*S remainder is below S(M) * remainder
-        def tails(m: int) -> tuple[float, float, float]:
-            t1, t2, t_sf = d.tail_sums(m)
-            return t1 / mass, t2 / mass, t_sf / mass
+    if d.tail_sums is not None and np.isinf(hi):
+        tails = lambda m: tuple(v / mass for v in d.tail_sums(m))
 
     return Distribution(
         support=Support(lo, hi, d.support.kind),
@@ -231,9 +251,12 @@ def _truncate_upper(d: Distribution, u: float) -> Distribution:
     ppf = None
     if d.ppf is not None and not d.is_lattice:
         ppf = lambda p: d.ppf(mass * np.asarray(p, float))
+    tails = None
+    if d.tail_sums is not None and np.isinf(lo):
+        tails = lambda m: tuple(v / mass for v in d.tail_sums(m))
     return Distribution(
         support=Support(lo, hi, d.support.kind),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
+        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf, tail_sums=tails,
         breaks=tuple(v for v in d.breaks if lo < v < hi),
         label=f"truncate({d.label},upper,u={u:g})",
         meta={"construct": "truncate", "side": UPPER, "u": u, "parent": d.meta},

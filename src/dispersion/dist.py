@@ -7,14 +7,15 @@ survival convention is P(X > x) in both kinds, so cdf + sf = 1 pointwise.
 Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache, owned by
 this module and built lazily on first use, of read-only tables: the
-enumerated lattice table at each of the two mass cuts, the scan grid of
-each size and clip with pdf, cdf and sf on it, the inverse table and its
-certified cubic refinement behind continuous quantiles without a closed
-form, and the stop-loss table behind every mean excess: on continuous laws
-Pi at its nodes beside the Legendre antiderivative of S on each node
-interval, so a read between nodes evaluates no law, the same table
-extended past its last node as far as a read reaches, and the
-density-weighted panel nodes of the outer expectation E[g(X + t)].
+enumerated lattice table and the sums over the tail it leaves out, the
+scan grid of each size and clip with pdf, cdf and sf on it, the inverse
+table and its certified cubic refinement behind continuous quantiles
+without a closed form, and the stop-loss table behind every mean excess:
+on continuous laws Pi at its nodes beside the Legendre antiderivative of
+S on each node interval, so a read between nodes evaluates no law, the
+same table extended past its last node as far as a read reaches, and the
+density-weighted panel nodes of the outer expectation E[g(X + t)]; on the
+lattice Pi beside the enumerated columns.
 """
 
 from __future__ import annotations
@@ -40,18 +41,14 @@ INV_LOGIT = math.log((1.0 - 1e-12) / 1e-12)
 INV_LEVELS = 6
 INV_TOL = 1e-12
 
-# lattice mass cuts: enumeration stops once the omitted tail mass is below
-# the cut. SUM_CUT serves SD, GMD and Lambda sums (polynomial tails add
-# analytic tail_sums), lattice scan grids and the table of lattice
-# quantiles; EXCESS_CUT the stop-loss table behind the mean excess of X and
-# of |X - X'|, whose sums of S past the table have no tail correction. One
-# cut does not serve both: at 1e-12 the omitted sum of S moves the zipf(4)
-# curve by 1.1e-6, while at 1e-15 the zipf(2.5) support (661,050 points)
-# exceeds the enumeration limit.
+# lattice mass cut: a lattice law is enumerated once, until the omitted tail
+# mass is below SUM_CUT; every lattice sum adds the sums over the tail that
+# table leaves out on the open side of the support (lattice_tail)
 SUM_CUT = 1e-12
-EXCESS_CUT = 1e-15
-# most points one lattice enumeration may hold
+# most points one lattice enumeration, or one tail summed in blocks, may hold
 LATTICE_LIMIT = 2**19
+# points in the first block of a tail summed past a table; each next block doubles
+TAIL_BLOCK = 1024
 
 # continuous stop-loss table: G = _ANTIDERIV @ (S at the 16 Gauss-Legendre
 # nodes of [-1, 1]) are the Legendre coefficients of int_s^1 p, p the degree-15
@@ -127,14 +124,14 @@ class Distribution:
     pdf is a density for continuous supports and a pmf (evaluated at
     integers, zero elsewhere) for lattice supports. cdf(x) = P(X <= x) and
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
-    `_cache` holds the read-only tables built on first use: lattice_table()
-    at each of the two mass cuts (SUM_CUT also serves quantile()),
-    probe_grid() per size and clip with the pdf, cdf and sf columns of
-    probe_values() beside it, the continuous inverse table (stop_loss()
-    takes its nodes) and its refinement that quantile() reads when the law
-    has no ppf, and one stop-loss table: excess_table() on the lattice; on
-    continuous laws the node table of stop_loss() with its Legendre
-    coefficients (_stop_loss_nodes()), its extension past the last node
+    `_cache` holds the read-only tables built on first use: lattice_table(),
+    which also serves quantile(), with table_tail() beside it, probe_grid()
+    per size and clip with the pdf, cdf and sf columns of probe_values()
+    beside it, the continuous inverse table (stop_loss() takes its nodes)
+    and its refinement that quantile() reads when the law has no ppf, and
+    one stop-loss table: excess_table() on the lattice; on continuous laws
+    the node table of stop_loss() with its Legendre coefficients
+    (_stop_loss_nodes()), its extension past the last node
     (_stop_loss_table()) and the outer nodes and weights of shifted_mean()
     (_outer_panels()). No other module touches it.
     """
@@ -148,9 +145,12 @@ class Distribution:
     ppf: Callable[[np.ndarray], np.ndarray] | None = None
     closed: ClosedForms = field(default_factory=ClosedForms)
     meta: dict = field(default_factory=dict)
-    # lattice laws with polynomial tails supply analytic corrections for
-    # sums truncated at M: (sum_{x>M} x f, sum_{x>M} x^2 f, sum_{x>M} F S)
-    tail_sums: Callable[[int], tuple[float, float, float]] | None = None
+    # lattice laws with polynomial tails supply the sums over the region past
+    # an integer m on the open side of the support, x > m for an upper tail
+    # and x < m for a lower one: (mass, sum x f, sum x^2 f, then sum S for an
+    # upper tail or sum F for a lower one). GMD reads the last as the sum of
+    # F S there, which it exceeds by at most the mass times itself.
+    tail_sums: Callable[[int], tuple[float, float, float, float]] | None = None
     # interior kinks of a continuous support, where a mixture component's
     # support starts or ends: nodes of the stop-loss table, and edges at
     # break - t of the outer panels of shifted_mean
@@ -173,7 +173,7 @@ class Distribution:
 
         A closed-form ppf is used when the law has one. Otherwise both kinds
         solve on cdf for p <= 1/2 and on sf against 1 - p above: lattice laws
-        exactly, by a search of the SUM_CUT lattice table; continuous laws by
+        exactly, by a search of the lattice table; continuous laws by
         one cubic of _hermite_table, certified to 1e-12 when it is built.
         Targets beyond either table are bisected between the support end and
         the table's end node, so the output joins the table's monotonically.
@@ -190,7 +190,7 @@ class Distribution:
         return float(out[0]) if scalar else out
 
     def _lattice_quantile(self, p: np.ndarray) -> np.ndarray:
-        pts, _, cum, sf = self.lattice_table(SUM_CUT)
+        pts, _, cum, sf = self.lattice_table()
         # the nudges keep rounding in either column from skipping a point
         idx = np.where(
             p > 0.5,
@@ -323,18 +323,53 @@ class Distribution:
             raise SupportTooLarge(msg)
         return np.arange(first, last + 1)
 
-    def lattice_table(self, mass_cut: float) -> tuple[np.ndarray, ...]:
-        """(points, pmf, cdf, sf) at the support enumerated to mass_cut.
+    def lattice_table(self) -> tuple[np.ndarray, ...]:
+        """(points, pmf, cdf, sf) at the support enumerated to SUM_CUT.
 
-        Built once per law and cut; points are floats and every array is
-        read-only. The cuts in use are SUM_CUT and EXCESS_CUT.
+        Built once per law; points are floats and every array is read-only.
         """
-        key = ("lattice", mass_cut)
-        if key not in self._cache:
-            pts = self.lattice_points(mass_cut).astype(float)
+        if "lattice" not in self._cache:
+            pts = self.lattice_points(SUM_CUT).astype(float)
             cols = [np.asarray(fn(pts), dtype=float) for fn in (self.pdf, self.cdf, self.sf)]
-            self._cache[key] = _read_only(pts, *cols)
-        return self._cache[key]
+            self._cache["lattice"] = _read_only(pts, *cols)
+        return self._cache["lattice"]
+
+    def lattice_tail(self, m: int, upper: bool) -> np.ndarray:
+        """(mass, sum x f, sum x^2 f, sum S) over x > m if `upper`, else (mass,
+        sum x f, sum x^2 f, sum F) over x < m: from tail_sums where the law
+        carries them, else mass from sf or cdf and the sums in blocks from m
+        outward, each twice the last, until a block adds nothing. Raises
+        SupportTooLarge past LATTICE_LIMIT points."""
+        if self.tail_sums is not None:
+            return np.array(self.tail_sums(m), dtype=float)
+        step = 1.0 if upper else -1.0
+        out = np.array([float(self.sf(m) if upper else self.cdf(m - 1)), 0.0, 0.0, 0.0])
+        end, n = float(m), TAIL_BLOCK
+        while True:
+            x = end + step * np.arange(1.0, n + 1)
+            f = np.asarray(self.pdf(x), dtype=float)
+            g = np.asarray(self.sf(x) if upper else self.cdf(x), dtype=float)
+            block = np.array([0.0, x @ f, (x * x) @ f, g.sum()])
+            if np.all(out + block == out):
+                return out
+            out += block
+            end, n = x[-1], 2 * n
+            if abs(end - m) > LATTICE_LIMIT:
+                raise SupportTooLarge(f"tail of {self.label} past {m} exceeds {LATTICE_LIMIT} points")
+
+    def table_tail(self) -> tuple[bool, np.ndarray]:
+        """(upper, lattice_tail past the open end of lattice_table()): x above
+        its last point on an upper-open support, else x below its first point
+        (zeros on a finite support). Kept read-only per law."""
+        if "tail" not in self._cache:
+            pts = self.lattice_table()[0]
+            upper = bool(np.isinf(self.support.upper))
+            if upper or np.isinf(self.support.lower):
+                sums = self.lattice_tail(int(pts[-1] if upper else pts[0]), upper)
+            else:
+                sums = np.zeros(4)
+            self._cache["tail"] = (upper, _read_only(sums)[0])
+        return self._cache["tail"]
 
     # -- probe grids ---------------------------------------------------------
 
@@ -347,7 +382,7 @@ class Distribution:
         key = ("grid", n, clip)
         if key not in self._cache:
             if self.is_lattice:
-                pts, mass, _, _ = self.lattice_table(SUM_CUT)
+                pts, mass, _, _ = self.lattice_table()
                 xs = pts[mass >= SUM_CUT]
                 if len(xs) == 0:
                     raise UnsupportedKind(f"no lattice point carries mass >= {SUM_CUT:g}")
@@ -377,20 +412,22 @@ class Distribution:
     # -- stop-loss transform -------------------------------------------------
 
     def excess_table(self, reach: int) -> tuple[np.ndarray, ...]:
-        """(points, pmf, cdf, sf, Pi) on the EXCESS_CUT support of a lattice
-        law, extended `reach` points past its end by one pdf/cdf/sf call.
+        """(points, pmf, cdf, sf, Pi) on lattice_table(), extended `reach`
+        points past its upper end by one pdf/cdf/sf call.
 
-        Pi(k) = sum_{j >= k} S(j), short by the sum of S past the table. One
+        Pi(k) = sum_{j >= k} S(j), summed from the top; on an upper-open
+        support it starts from lattice_tail's sum of S past the top. One
         read-only table is kept per law, rebuilt when a call reaches further.
         """
-        pts, f, cdf, sf = self.lattice_table(EXCESS_CUT)
+        pts, f, cdf, sf = self.lattice_table()
         table = self._cache.get("stop_loss")
         if table is None or table[0][-1] < pts[-1] + reach:
             if len(pts) + reach > LATTICE_LIMIT:
                 raise SupportTooLarge(f"stop-loss table exceeds {LATTICE_LIMIT} points")
             more = pts[-1] + np.arange(1.0, reach + 1)
             cols = [np.concatenate([c, fn(more)]) for c, fn in ((f, self.pdf), (cdf, self.cdf), (sf, self.sf))]
-            pi = np.cumsum(cols[2][::-1])[::-1]
+            rest = self.lattice_tail(int(pts[-1]) + reach, True)[3] if np.isinf(self.support.upper) else 0.0
+            pi = np.cumsum(np.append(cols[2], rest)[::-1])[:0:-1]
             table = self._cache["stop_loss"] = _read_only(np.concatenate([pts, more]), *cols, pi)
         return table
 
@@ -475,13 +512,14 @@ class Distribution:
         """Stop-loss transform Pi(x) = E[(X - x)+] = int_x^inf S(w) dw.
 
         Lattice laws read excess_table(): Pi(k) - (x - k) S(k) at k = floor(x),
-        S = 1 below the table. Continuous laws read the node table, extended
-        past its last node as far as x reaches (_stop_loss_read).
+        S = 1 below the table, whose omitted F is below SUM_CUT. Continuous
+        laws read the node table, extended past its last node as far as x
+        reaches (_stop_loss_read).
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if self.is_lattice:
             k = np.floor(xs)
-            last = self.lattice_table(EXCESS_CUT)[0][-1]
+            last = self.lattice_table()[0][-1]
             pts, _, _, sf, pi = self.excess_table(max(int(k.max() - last), 0))
             i = np.clip(k - pts[0], 0, len(pts) - 1).astype(int)
             below = np.maximum(pts[0] - k, 0.0)  # S = 1 below the table
@@ -504,20 +542,26 @@ class Distribution:
         """E[g(X + t)] for each t >= 0, g = sf ("sf") or stop_loss ("stop_loss").
 
         Lattice laws (integer t) take one dot product per t over
-        excess_table(). Continuous laws take one dot product per t of the
+        excess_table(); below a lower-open table, where S = 1 and Pi(x + t) =
+        Pi(first) + first - x - t, they add the head from table_tail().
+        Continuous laws take one dot product per t of the
         pdf-weighted panel nodes of _outer_panels() with g(x + t), g = Pi read
         from the stop-loss table, extended once to the last node plus the
         largest t. A node interval inside which S(x + t) kinks, at upper - t
         or at break - t, is integrated afresh by one panel per piece; one
-        adaptive integral per t adds the head below the first node of an
-        unbounded lower end.
+        adaptive integral per t, scaled by its integrand at the first node,
+        adds the head below that node on an unbounded lower end.
         """
         ts = np.asarray(ts, dtype=float)
         if self.is_lattice:
             steps = ts.astype(int)
-            _, f, _, sf, pi = self.excess_table(int(np.max(steps, initial=0)))
+            pts, f, _, sf, pi = self.excess_table(int(np.max(steps, initial=0)))
             g = sf if which == "sf" else pi
-            return np.array([float(np.dot(f[: len(f) - t], g[t:])) for t in steps])
+            out = np.array([float(np.dot(f[: len(f) - t], g[t:])) for t in steps])
+            upper, (mass, t1, _, _) = self.table_tail()
+            if not upper:
+                out += mass if which == "sf" else mass * (pi[0] + pts[0] - ts) - t1
+            return out
         nodes = self._stop_loss_nodes()[0]
         if which == "sf":
             g = self.sf
@@ -542,5 +586,9 @@ class Distribution:
                 fresh[fresh] = split[k[fresh]]
                 out[i] += np.sum(panels(lambda x: self.pdf(x) * g(x + t), lo[fresh], up[fresh]))
             if np.isinf(self.support.lower):
-                out[i] += integrate(lambda x: self.pdf(x) * g(x + t), -np.inf, nodes[0])[0]
+                # in units of the integrand at the first node, so the relative
+                # tolerance, not EPSABS, ends the head however small it is
+                c = float(self.pdf(nodes[0]) * g(nodes[:1] + t)[0])
+                c = c if 0.0 < c < np.inf else 1.0
+                out[i] += c * integrate(lambda x: self.pdf(x) * g(x + t) / c, -np.inf, nodes[0])[0]
         return out

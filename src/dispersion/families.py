@@ -524,14 +524,16 @@ def _zipf(alpha: float) -> Distribution:
 
     cdf = lambda x: 1.0 - sfn(x)
 
-    def tail_sums(m: int) -> tuple[float, float, float]:
-        # analytic remainders past M: the polynomial tail would otherwise
-        # cost ~1/(M zeta) of the second moment at any feasible cut
+    def tail_sums(m: int) -> tuple[float, float, float, float]:
+        # Hurwitz zeta sums over x > m: the polynomial tail would otherwise
+        # cost ~1/(m zeta) of the second moment at any feasible cut, and a
+        # block sum would not end within the enumeration limit
+        mass = float(special.zeta(s, m + 1)) / z
         t1 = float(special.zeta(a, m + 1)) / z
         t2 = float(special.zeta(a - 1, m + 1)) / z
-        # sum_{x>M} S(x); the omitted sum of S^2 is below S(M+1) * t_sf
+        # sum_{x>m} S(x) = sum_{j>m+1} (j - m - 1) f(j)
         t_sf = (float(special.zeta(s - 1, m + 2)) - (m + 1) * float(special.zeta(s, m + 2))) / z
-        return t1, t2, t_sf
+        return mass, t1, t2, t_sf
 
     return Distribution(
         support=Support(1, np.inf, LATTICE),

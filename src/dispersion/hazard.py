@@ -10,7 +10,10 @@ discrete ones; the 1e-6 clip is recorded in each verdict's grid
 description. `Distribution.probe_grid` builds each grid once per law and
 `Distribution.probe_values` evaluates pdf, cdf and sf on it once for every
 scan. The mean excess of X reads the law's stop-loss table
-(`Distribution.stop_loss`), the one behind the mean excess of |X - X'|.
+(`Distribution.stop_loss`), the one behind the mean excess of |X - X'|; on
+the lattice that table sums S from the top of the one enumerated table,
+starting from the sum of S past it (`Distribution.lattice_tail`), so it
+holds past the table's end too.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ gated on agreement with the Monte Carlo and brute-force oracles in the
 test suite. On continuous laws SD and GMD integrate x f, x^2 f and F S
 with `numerics.integrate`, the vectorized port of QUADPACK: each step
 evaluates the law's callables once on the Gauss-Kronrod nodes of both new
-halves. Discrete sums run over `Distribution.lattice_table` at
-`dist.SUM_CUT` (SD, GMD and Lambda).
+halves. Discrete sums run over `Distribution.lattice_table`, enumerated
+to `dist.SUM_CUT`, and SD and GMD add the sums over the tail it leaves out
+(`Distribution.table_tail`).
 
 The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per
 law: S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the
@@ -18,7 +19,9 @@ of the table over the law's cached, pdf-weighted outer nodes; a read of Pi
 between table nodes integrates the Legendre interpolant of S stored with
 the table and calls no law. The change-of-measure route stays independent:
 the same adaptive quadrature of other integrands on continuous laws, other
-columns of the table on lattices.
+columns of the table on lattices. Lattice sums past the table's open end
+add the terms the table leaves out: Pi(top) and S(top) above it, the sum
+of F below a lower-open table.
 """
 
 from __future__ import annotations
@@ -84,14 +87,9 @@ class ConcentrationValue:
 def _moments_numeric(d: Distribution) -> tuple[float, float, float]:
     """(mean, second moment, error estimate)."""
     if d.is_lattice:
-        pts, f, _, _ = d.lattice_table(SUM_CUT)
-        m1 = float(np.dot(pts, f))
-        m2 = float(np.dot(pts * pts, f))
-        if d.tail_sums is not None:
-            t1, t2, _ = d.tail_sums(int(pts[-1]))
-            m1 += t1
-            m2 += t2
-        return m1, m2, SUM_CUT
+        pts, f, _, _ = d.lattice_table()
+        _, t1, t2, _ = d.table_tail()[1]
+        return float(np.dot(pts, f)) + t1, float(np.dot(pts * pts, f)) + t2, SUM_CUT
     lo, hi = d.support.lower, d.support.upper
     m1, e1 = integrate(lambda x: x * d.pdf(x), lo, hi)
     m2, e2 = integrate(lambda x: x * x * d.pdf(x), lo, hi)
@@ -111,13 +109,11 @@ def sd_numeric(d: Distribution) -> tuple[float, float]:
 
 def gmd_numeric(d: Distribution) -> tuple[float, float]:
     """(gmd, error estimate) via 2 * int F S dx (adaptive quadrature with
-    QUADPACK's error estimate) or 2 * sum F S."""
+    QUADPACK's error estimate) or 2 * sum F S, with the sum of S (or of F)
+    over the omitted tail standing for F S there."""
     if d.is_lattice:
-        pts, _, big_f, big_s = d.lattice_table(SUM_CUT)
-        total = 2.0 * float(np.dot(big_f, big_s))
-        if d.tail_sums is not None:
-            total += 2.0 * d.tail_sums(int(pts[-1]))[2]
-        return total, SUM_CUT
+        _, _, big_f, big_s = d.lattice_table()
+        return 2.0 * (float(np.dot(big_f, big_s)) + d.table_tail()[1][3]), SUM_CUT
     lo, hi = d.support.lower, d.support.upper
     val, err = integrate(lambda x: d.cdf(x) * d.sf(x), lo, hi)
     if not np.isfinite(val):
@@ -177,7 +173,7 @@ def concentration(d: Distribution) -> ConcentrationValue:
             f"{d.label} is continuous; ties have probability zero and the "
             "concentration value is undefined"
         )
-    f = d.lattice_table(SUM_CUT)[1]
+    f = d.lattice_table()[1]
     lam = float(np.dot(f, f))
     return ConcentrationValue(lambda_=lam, odds_bound=(1.0 - lam) / (2.0 * lam))
 
@@ -224,21 +220,26 @@ def _m_repr_continuous(d: Distribution, t: float) -> float:
     """int F(x - t) S(x) dx / int F(x - t) f(x) dx: the change-of-measure
     integrands C (1/h) F f and C F f with C = F(x - t) / F(x) and 1/h = S / f
     multiplied out, so the numerator keeps its mass where f = 0 inside the
-    hull of a gapped support."""
+    hull of a gapped support. Both are divided by the numerator's largest
+    value on every 32nd stop-loss node, so QUADPACK's relative tolerance,
+    not EPSABS, ends them far in a tail."""
+    lo, hi = d.support.lower, d.support.upper
+    probe = d._stop_loss_nodes()[0][::32]
+    scale = float(np.max(d.cdf(probe - t) * d.sf(probe)))
+    scale = scale if 0.0 < scale < np.inf else 1.0
 
     def weighted(g):
         def fn(x):
-            v = np.asarray(d.cdf(x - t), dtype=float) * g(x)
+            v = np.asarray(d.cdf(x - t), dtype=float) * g(x) / scale
             return np.where(np.isfinite(v), v, 0.0)  # F(x - t) = 0 beside a density pole
 
         return fn
 
     # both integrands vanish below lo + t, where F(x - t) = 0
-    lo, hi = d.support.lower, d.support.upper
     start = lo + t if np.isfinite(lo) else lo
     num, _ = integrate(weighted(d.sf), start, hi)
     den, _ = integrate(weighted(d.pdf), start, hi)
-    if den < _MIN_SY:
+    if den * scale < _MIN_SY:
         raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
     return num / den
 
@@ -246,13 +247,18 @@ def _m_repr_continuous(d: Distribution, t: float) -> float:
 def _m_repr_curve_lattice(d: Distribution, ts: np.ndarray) -> np.ndarray:
     """sum_x F(x-1-t) S(x-1) / sum_x F(x-1-t) f(x) over `excess_table`: the
     change-of-measure sums, weights F(x-1) f(x), C = F(x-1-t) / F(x-1) and
-    1/h = S(x-1) / f(x) multiplied out, F(x-1-t) a shifted cdf slice."""
-    _, f, big_f, big_s, _ = d.excess_table(int(np.max(ts, initial=0)))
+    1/h = S(x-1) / f(x) multiplied out, F(x-1-t) a shifted cdf slice. Past
+    the table's top, where F(x-1-t) = 1, the terms sum to Pi(top) and
+    S(top); below a lower-open table, where S(x-1) = 1 and f(x) ~ 0, the
+    numerator's terms sum to the omitted sum of F."""
+    _, f, big_f, big_s, pi = d.excess_table(int(np.max(ts, initial=0)))
+    upper, tail = d.table_tail()
+    head = 0.0 if upper else float(tail[3])
     n = len(f)
     out = np.empty(len(ts))
     for i, t in enumerate(ts):
-        den = float(np.dot(big_f[: n - 1 - t], f[t + 1 :]))
+        den = float(np.dot(big_f[: n - 1 - t], f[t + 1 :])) + big_s[-1]
         if den < _MIN_SY:
             raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
-        out[i] = float(np.dot(big_f[: n - 1 - t], big_s[t : n - 1])) / den
+        out[i] = (float(np.dot(big_f[: n - 1 - t], big_s[t : n - 1])) + pi[-1] + head) / den
     return out

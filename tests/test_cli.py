@@ -172,6 +172,14 @@ def test_mean_excess_csv_byte_identical(tmp_path, capsys):
         assert row[3] == "1.5"
 
 
+def test_mean_excess_zipf_heavy_tail(capsys):
+    # zipf(2.5) is enumerated to 1e-12 only; the sums of S past it are analytic
+    code, out, _ = run_cli(["mean-excess", "--dist", "zipf:alpha=2.5", "--range", "0:7:1"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert [float(r[0]) for r in rows[1:]] == list(range(8))
+
+
 def test_mean_excess_non_integer_lattice_t_is_parse_error(capsys):
     code, out, err = run_cli(
         ["mean-excess", "--dist", "geometric:p=0.5", "--range", "0:1:0.5"], capsys

@@ -23,7 +23,6 @@ from dispersion import (
 from dispersion.combinators import _convolve_numeric
 from dispersion.dist import (
     CONTINUOUS,
-    EXCESS_CUT,
     LATTICE,
     LATTICE_LIMIT,
     SUM_CUT,
@@ -244,7 +243,7 @@ def test_lattice_quantile_beyond_table_is_exact(spec, offset, p, want):
         d = affine(d, -1.0, offset)
     x = float(d.quantile(p))
     assert x == want
-    pts = d.lattice_table(SUM_CUT)[0]
+    pts = d.lattice_table()[0]
     assert not pts[0] <= x <= pts[-1]
     # the column that resolves this tail: sf above the median, cdf below
     if p > 0.5:
@@ -413,11 +412,20 @@ def test_classify_enumerates_each_cut_once(spec, monkeypatch):
 
 
 def test_mean_excess_enumerates_its_cut_once(monkeypatch):
+    # the one lattice table serves scans, quantiles and every mean excess,
+    # past its end too
     cuts = _count_cuts(monkeypatch)
-    d = make_distribution("geometric:p=0.3")
-    mean_excess_abs_diff(d, np.arange(4.0))
-    mean_excess(d, 2.0)
-    assert cuts == [EXCESS_CUT]
+    for spec in ("geometric:p=0.3", "zipf:alpha=2.5"):
+        cuts.clear()
+        d = make_distribution(spec)
+        classify(d)
+        d.quantile(np.array([0.1, 0.5, 0.9]))
+        mean_excess_abs_diff(d, np.arange(4.0))
+        last = d.lattice_table()[0][-1]
+        mean_excess(d, 2.0)
+        mean_excess(d, last + 3.0)
+        d.stop_loss(np.array([0.5, last + 9.5]))
+        assert cuts == [SUM_CUT], spec
 
 
 def test_cached_tables_are_read_only():
@@ -425,8 +433,7 @@ def test_cached_tables_are_read_only():
     lat = make_distribution("poisson:theta=2")
     arrays = [*cont.probe_values(64, 1e-6, "pdf", "cdf", "sf"), *cont._inverse_table(), *cont._hermite_table()]
     arrays += lat.probe_values(64, 1e-6, "pdf", "cdf", "sf")
-    for cut in (SUM_CUT, EXCESS_CUT):
-        arrays += lat.lattice_table(cut)
+    arrays += [*lat.lattice_table(), lat.table_tail()[1]]
     tail = make_distribution("weibull:alpha=1")
     arrays += [*cont._stop_loss_nodes(), *cont._outer_panels(), *lat.excess_table(5)]
     arrays += [*tail._stop_loss_table(60.0), *tail._outer_panels()]

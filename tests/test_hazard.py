@@ -1,5 +1,6 @@
 """Hazard-rate structure: op examples, scans, and the equivalence audit."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
@@ -118,6 +119,47 @@ def test_mean_excess_gpd_mean():
 def test_mean_excess_geometric():
     d = make_distribution("geometric:p=0.5")
     assert mean_excess(d, 0.0) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+def test_zipf_mean_excess_matches_hurwitz(alpha):
+    # Pi(t) = (zeta(a, t + 1) - t zeta(a + 1, t + 1)) / zeta(a + 1), S(t) =
+    # zeta(a + 1, t + 1) / zeta(a + 1); the lattice table ends near 701 for
+    # alpha = 4, so t = 701 and 5000 read the stop-loss table past its end
+    d = make_distribution(f"zipf:alpha={alpha}")
+    for t in (1, 22, 125, 701, 5000):
+        s = special.zeta(alpha + 1, t + 1)
+        want = (special.zeta(alpha, t + 1) - t * s) / s
+        assert mean_excess(d, float(t)) == pytest.approx(want, rel=1e-13), t
+
+
+def test_geometric_mean_excess_is_memoryless_past_the_table():
+    # E[X - t | X > t] = 1/p at every integer t; the table ends at q(1 - 1e-12)
+    d = make_distribution("geometric:p=0.3")
+    q = float(d.quantile(1 - 1e-12))
+    assert q == d.lattice_table()[0][-1]
+    for t in q + np.array([0.0, 1.0, 20.0, 100.0, 300.0]):
+        assert mean_excess(d, t) == pytest.approx(1 / 0.3, rel=1e-13), t
+
+
+def _mp_mean_excess(pmf, ts, n=400):
+    """E[X - t | X > t] = sum_{j > t} (j - t) f(j) / sum_{j > t} f(j), 40 digits."""
+    with mp.workdps(40):
+        f = [pmf(mp.mpf(j)) for j in range(n)]
+        return [float(mp.fsum((j - t) * f[j] for j in range(t + 1, n)) / mp.fsum(f[t + 1 :])) for t in ts]
+
+
+@pytest.mark.parametrize("spec,pmf,ts", [
+    ("poisson:theta=2", lambda k: mp.exp(-2) * 2**k / mp.factorial(k), [0, 5, 12, 16, 17, 25, 40]),
+    ("negbinomial:r=0.5,p=0.5",
+     lambda k: mp.gamma(k + 0.5) / (mp.gamma(0.5) * mp.factorial(k)) * mp.mpf(0.5) ** (k + 0.5),
+     [0, 3, 20, 36, 37, 60, 120]),
+])
+def test_lattice_mean_excess_matches_mpmath_sums(spec, pmf, ts):
+    # the lattice table ends at 16 (poisson) and 36 (negbinomial)
+    d = make_distribution(spec)
+    for t, want in zip(ts, _mp_mean_excess(pmf, ts)):
+        assert mean_excess(d, float(t)) == pytest.approx(want, rel=1e-13), t
 
 
 @pytest.mark.parametrize(

@@ -215,8 +215,49 @@ def test_zipf3_curve_matches_hurwitz_stop_loss():
         k = xs + t
         num = np.dot(f, special.zeta(3, k + 1) - k * special.zeta(4, k + 1))
         want = float(num / np.dot(f, special.zeta(4, k + 1)))
-        assert abs(direct - want) <= 1e-7 * (1 + want)
-        assert abs(repr_ - want) <= 1e-7 * (1 + want)
+        assert abs(direct - want) <= 1e-12 * (1 + want)
+        assert abs(repr_ - want) <= 1e-12 * (1 + want)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0])
+def test_zipf_curve_matches_hurwitz_pair_sums(alpha):
+    # as for zipf(3) above; the table of zipf(4) ends near 701 and the sums of
+    # S past it come from its tail, and zipf(2.5) is enumerated to 1e-12 only
+    s = alpha + 1
+    ts = np.arange(8, dtype=float)
+    curve = mean_excess_abs_diff(make_distribution(f"zipf:alpha={alpha}"), ts)
+    xs = np.arange(1, 20001, dtype=float)
+    f = xs**-s
+    for t, direct, repr_ in zip(ts, curve.m_direct, curve.m_repr):
+        k = xs + t
+        num = np.dot(f, special.zeta(alpha, k + 1) - k * special.zeta(s, k + 1))
+        want = float(num / np.dot(f, special.zeta(s, k + 1)))
+        assert abs(direct - want) <= 1e-12 * (1 + want)
+        assert abs(repr_ - want) <= 1e-12 * (1 + want)
+
+
+_INVARIANT_LAWS = ["zipf:alpha=2.5", "zipf:alpha=3", "zipf:alpha=4", "geometric:p=0.3",
+                   "poisson:theta=2", "negbinomial:r=0.5,p=0.5"]
+_INVARIANT_MAPS = {
+    "mix(d,d)": lambda d: mix([d, d], [0.5, 0.5]),
+    "affine(d,1,3)": lambda d: affine(d, 1.0, 3.0),
+    "affine(d,-1,0)": lambda d: affine(d, -1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_INVARIANT_MAPS))
+@pytest.mark.parametrize("spec", _INVARIANT_LAWS)
+def test_lattice_invariance_under_combinators(spec, name):
+    # mixing a law with itself, a shift and a reflection leave SD, GMD and the
+    # mean excess of |X - X'| unchanged; each maps the law's tail past its table
+    d = make_distribution(spec)
+    e = _INVARIANT_MAPS[name](make_distribution(spec))
+    ts = np.arange(8, dtype=float)
+    c, ce = mean_excess_abs_diff(d, ts), mean_excess_abs_diff(e, ts)
+    assert sd_numeric(e)[0] == pytest.approx(sd_numeric(d)[0], rel=1e-9)
+    assert gmd_numeric(e)[0] == pytest.approx(gmd_numeric(d)[0], rel=1e-9)
+    assert np.allclose(ce.m_direct, c.m_direct, rtol=1e-9, atol=0)
+    assert np.allclose(ce.m_repr, c.m_repr, rtol=1e-9, atol=0)
 
 
 def test_gapped_lattice_curve_matches_brute_force():
@@ -280,6 +321,20 @@ def test_far_tail_routes_agree(spec, ts):
     curve = mean_excess_abs_diff(make_distribution(spec), ts)
     gap = np.abs(curve.m_direct - curve.m_repr) / (1 + np.abs(curve.m_direct))
     assert float(gap.max()) <= 1e-6
+
+
+def test_normal_far_tail_routes_match_half_normal():
+    # X - X' ~ N(0, 2), so Y is half-normal and m_Y(t) = 2 ierfc(t/2) / erfc(t/2)
+    # with ierfc(z) = exp(-z^2) / sqrt(pi) - z erfc(z); both integrands of the
+    # change-of-measure route are below 1e-14 here, under EPSABS unscaled
+    ts = np.array([10.5, 12.0])
+    curve = mean_excess_abs_diff(make_distribution("normal"), ts)
+    with mp.workdps(40):
+        for t, direct, repr_ in zip(ts, curve.m_direct, curve.m_repr):
+            z = mp.mpf(float(t)) / 2
+            want = float(2 * (mp.exp(-z * z) / mp.sqrt(mp.pi) - z * mp.erfc(z)) / mp.erfc(z))
+            assert abs(direct - want) / (1 + want) <= 1e-9
+            assert abs(repr_ - want) / (1 + want) <= 1e-9
 
 
 def test_exponential_curve_is_one_far_past_the_table():
