@@ -10,6 +10,13 @@ Lattice combinators map their parents' `tail_sums`: a shift moves the
 point the tail starts past, a reflection moves the tail to the other side,
 a mixture adds its components' weighted tails, and a truncation keeps the
 tail on the side it leaves open, divided by the conditioning mass.
+
+A combinator passes on its parent's ppf only where the composed map is
+exact to rounding: an affine map, and an upper truncation, whose quantile
+is the parent's at mass * p. A lower truncation's would be the parent's at
+1 - mass * (1 - p), which keeps no digit of p once the mass falls below
+1e-16, so its quantiles, scan grids and Monte Carlo draws read the
+certified inverse table, as do mixtures and convolutions.
 """
 
 from __future__ import annotations
@@ -170,96 +177,59 @@ def mix(components: list[Distribution], weights: list[float]) -> Distribution:
 
 
 def truncate(d: Distribution, side: str, u: float) -> Distribution:
-    """Law of (X | X > u) for side='lower' or (X | X <= u) for side='upper'."""
+    """Law of (X | X > u) for side='lower' or (X | X <= u) for side='upper'.
+
+    The kept side's own tail function, sf above u or cdf up to u, is the
+    parent's divided by the mass; the other is (mass - that) / mass, whose
+    two terms are small and accurate deep in that tail. Only the upper side
+    keeps a ppf (module docstring).
+    """
     if side not in (LOWER, UPPER):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     u = float(u)
-    if side == LOWER:
-        return _truncate_lower(d, u)
-    return _truncate_upper(d, u)
-
-
-def _truncate_lower(d: Distribution, u: float) -> Distribution:
-    mass = float(d.sf(u))
+    lower = side == LOWER
+    own = d.sf if lower else d.cdf
+    mass = float(own(u))
     if not mass > 1e-300:
-        raise EmptyTail(f"P(X > {u}) = {mass} is numerically zero for {d.label}")
-    u_eff = float(math.floor(u)) if d.is_lattice else u
-    lo = math.floor(u) + 1 if d.is_lattice else u
-    hi = d.support.upper
+        raise EmptyTail(f"P(X {'>' if lower else '<='} {u}) = {mass} is numerically zero for {d.label}")
+    cut = float(math.floor(u)) if d.is_lattice else u
+    if lower:
+        lo, hi = (math.floor(u) + 1 if d.is_lattice else u), d.support.upper
+    else:
+        lo, hi = d.support.lower, cut
+    # kept: the points the law keeps; past: where scaled is already 1 and rest 0
+    kept = (lambda x: x > cut) if lower else (lambda x: x <= cut)
+    past = (lambda x: x <= cut) if lower else (lambda x: x >= cut)
 
     def pdf(x):
         x = np.asarray(x, float)
-        return np.where(x > u_eff, d.pdf(x) / mass, 0.0)
+        return np.where(kept(x), d.pdf(x) / mass, 0.0)
 
-    def sfn(x):
+    def scaled(x):
         x = np.asarray(x, float)
-        return np.where(x <= u_eff, 1.0, np.clip(d.sf(x) / mass, 0.0, 1.0))
+        return np.where(past(x), 1.0, np.clip(own(x) / mass, 0.0, 1.0))
 
-    def cdf(x):
-        # survival difference keeps relative accuracy deep in the tail
+    def rest(x):
         x = np.asarray(x, float)
-        return np.where(x <= u_eff, 0.0, np.clip((mass - d.sf(x)) / mass, 0.0, 1.0))
+        return np.where(past(x), 0.0, np.clip((mass - own(x)) / mass, 0.0, 1.0))
 
     logpdf = None
     if d.logpdf is not None:
         lm = math.log(mass)
-        logpdf = lambda x: np.where(
-            np.asarray(x, float) > u_eff, d.log_pdf(x) - lm, -np.inf
-        )
+        logpdf = lambda x: np.where(kept(np.asarray(x, float)), d.log_pdf(x) - lm, -np.inf)
     ppf = None
-    if d.ppf is not None and not d.is_lattice:
-        ppf = lambda p: d.ppf(1.0 - mass * (1.0 - np.asarray(p, float)))
-    tails = None
-    if d.tail_sums is not None and np.isinf(hi):
-        tails = lambda m: tuple(v / mass for v in d.tail_sums(m))
-
-    return Distribution(
-        support=Support(lo, hi, d.support.kind),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf, tail_sums=tails,
-        breaks=tuple(v for v in d.breaks if lo < v < hi),
-        label=f"truncate({d.label},lower,u={u:g})",
-        meta={"construct": "truncate", "side": LOWER, "u": u, "parent": d.meta},
-    )
-
-
-def _truncate_upper(d: Distribution, u: float) -> Distribution:
-    mass = float(d.cdf(u))
-    if not mass > 1e-300:
-        raise EmptyTail(f"P(X <= {u}) = {mass} is numerically zero for {d.label}")
-    hi = float(math.floor(u)) if d.is_lattice else u
-    lo = d.support.lower
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        return np.where(x <= hi, d.pdf(x) / mass, 0.0)
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        return np.where(x >= hi, 1.0, np.clip(d.cdf(x) / mass, 0.0, 1.0))
-
-    def sfn(x):
-        # CDF difference: both terms are small and accurate in a deep head
-        x = np.asarray(x, float)
-        return np.where(x >= hi, 0.0, np.clip((mass - d.cdf(x)) / mass, 0.0, 1.0))
-
-    logpdf = None
-    if d.logpdf is not None:
-        lm = math.log(mass)
-        logpdf = lambda x: np.where(
-            np.asarray(x, float) <= hi, d.log_pdf(x) - lm, -np.inf
-        )
-    ppf = None
-    if d.ppf is not None and not d.is_lattice:
+    if not lower and d.ppf is not None and not d.is_lattice:
         ppf = lambda p: d.ppf(mass * np.asarray(p, float))
     tails = None
-    if d.tail_sums is not None and np.isinf(lo):
+    if d.tail_sums is not None and np.isinf(hi if lower else lo):
         tails = lambda m: tuple(v / mass for v in d.tail_sums(m))
     return Distribution(
         support=Support(lo, hi, d.support.kind),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf, tail_sums=tails,
+        pdf=pdf, cdf=rest if lower else scaled, sf=scaled if lower else rest,
+        logpdf=logpdf, ppf=ppf, tail_sums=tails,
         breaks=tuple(v for v in d.breaks if lo < v < hi),
-        label=f"truncate({d.label},upper,u={u:g})",
-        meta={"construct": "truncate", "side": UPPER, "u": u, "parent": d.meta},
+        label=f"truncate({d.label},{side},u={u:g})",
+        meta={"construct": "truncate", "side": side, "u": u, "parent": d.meta},
     )
 
 
@@ -340,7 +310,7 @@ def _convolve_numeric(d1: Distribution, d2: Distribution) -> Distribution:
     def blocked(fn):
         def g(s):
             s = np.asarray(s, float)
-            flat = np.atleast_1d(s).astype(float)
+            flat = s.ravel()
             out = np.empty_like(flat)
             block = max(1, int(2e6 / CONVOLVE_NODES))
             for i in range(0, flat.size, block):

@@ -512,18 +512,21 @@ class Distribution:
         """Stop-loss transform Pi(x) = E[(X - x)+] = int_x^inf S(w) dw.
 
         Lattice laws read excess_table(): Pi(k) - (x - k) S(k) at k = floor(x),
-        S = 1 below the table, whose omitted F is below SUM_CUT. Continuous
-        laws read the node table, extended past its last node as far as x
-        reaches (_stop_loss_read).
+        S = 1 below the table, whose omitted F is below SUM_CUT; past its top
+        Pi(k) = S(k) + lattice_tail(k)'s sum of S past k. Continuous laws read
+        the node table, extended past its last node as far as x reaches
+        (_stop_loss_read).
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if self.is_lattice:
             k = np.floor(xs)
-            last = self.lattice_table()[0][-1]
-            pts, _, _, sf, pi = self.excess_table(max(int(k.max() - last), 0))
+            pts, _, _, sf, pi = self.excess_table(0)
             i = np.clip(k - pts[0], 0, len(pts) - 1).astype(int)
             below = np.maximum(pts[0] - k, 0.0)  # S = 1 below the table
             out = pi[i] + below - (xs - k) * np.where(below > 0, 1.0, sf[i])
+            for j in np.flatnonzero(k > pts[-1]):
+                s = float(self.sf(k[j]))
+                out[j] = s + self.lattice_tail(int(k[j]), True)[3] - (xs[j] - k[j]) * s
         else:
             out = self._stop_loss_read(xs)
         return float(out[0]) if np.ndim(x) == 0 else out

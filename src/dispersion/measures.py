@@ -116,8 +116,9 @@ def gmd_numeric(d: Distribution) -> tuple[float, float]:
         return 2.0 * (float(np.dot(big_f, big_s)) + d.table_tail()[1][3]), SUM_CUT
     lo, hi = d.support.lower, d.support.upper
     val, err = integrate(lambda x: d.cdf(x) * d.sf(x), lo, hi)
-    if not np.isfinite(val):
-        raise DivergentMoment(f"GMD integral for {d.label} diverged")
+    if not np.isfinite(val) or val <= 0:
+        # a nonpositive value is quadrature that missed the mass, not a GMD
+        raise DivergentMoment(f"GMD integral for {d.label} is not a positive finite number")
     return 2.0 * val, 2.0 * err
 
 
@@ -183,11 +184,6 @@ def concentration(d: Distribution) -> ConcentrationValue:
 # ---------------------------------------------------------------------------
 
 _MIN_SY = 1e-300
-
-
-def abs_diff_survival(d: Distribution, y: float) -> float:
-    """S_Y(y) = P(|X - X'| > y) = 2 E[S_X(X + y)] for y >= 0."""
-    return 2.0 * float(d.shifted_mean("sf", [y])[0])
 
 
 def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:

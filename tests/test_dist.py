@@ -160,6 +160,13 @@ _TABLE_LAWS.update({
         lambda: truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0),
     "truncate(normal-mix,lower,2)":
         lambda: truncate(make_distribution("normal-mix"), "lower", 2.0),
+    # lower truncations of laws with a ppf, whose quantiles read the table too
+    "truncate(normal,lower,6)":
+        lambda: truncate(make_distribution("normal"), "lower", 6.0),
+    "truncate(gamma:alpha=2,lower,40)":
+        lambda: truncate(make_distribution("gamma:alpha=2"), "lower", 40.0),
+    "truncate(weibull:alpha=0.5,lower,400)":
+        lambda: truncate(make_distribution("weibull:alpha=0.5"), "lower", 400.0),
     "mix(weibull:alpha=0.6,gamma:alpha=0.5)":
         lambda: mix([make_distribution("weibull:alpha=0.6"),
                      make_distribution("gamma:alpha=0.5")], [0.5, 0.5]),

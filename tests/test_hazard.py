@@ -125,9 +125,9 @@ def test_mean_excess_geometric():
 def test_zipf_mean_excess_matches_hurwitz(alpha):
     # Pi(t) = (zeta(a, t + 1) - t zeta(a + 1, t + 1)) / zeta(a + 1), S(t) =
     # zeta(a + 1, t + 1) / zeta(a + 1); the lattice table ends near 701 for
-    # alpha = 4, so t = 701 and 5000 read the stop-loss table past its end
+    # alpha = 4, so t = 701, 5000 and 6e5 read Pi past the table's end
     d = make_distribution(f"zipf:alpha={alpha}")
-    for t in (1, 22, 125, 701, 5000):
+    for t in (1, 22, 125, 701, 5000, 600_000):
         s = special.zeta(alpha + 1, t + 1)
         want = (special.zeta(alpha, t + 1) - t * s) / s
         assert mean_excess(d, float(t)) == pytest.approx(want, rel=1e-13), t

@@ -203,6 +203,13 @@ def test_closure_truncation_persistence():
     assert closure_check("truncation", (tail, "lower", 15.0), SD_DOMINATES)
 
 
+def test_far_lower_truncation_of_a_ppf_law_classifies():
+    # P(X > 9) = 1.1e-19 is below the rounding of 1, so the scan grid comes
+    # from the inverse table rather than a composed ppf that saturates at inf
+    tail = truncate(make_distribution("normal"), "lower", 9.0)
+    assert classify(tail).verdict == GMD_DOMINATES
+
+
 def test_closure_affine_reflection():
     d = make_distribution("gpd:alpha=0.25")
     assert closure_check("affine", (d, -1.0, 0.0), SD_DOMINATES)
