@@ -25,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import legint, legval, legvander
+from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DivergentTail, SupportTooLarge, UnsupportedKind
 from .numerics import GL_W, GL_X, bisect_increasing, integrate, panel_nodes, panels
@@ -70,6 +70,24 @@ def _cubic(x0, x1, d0, d1) -> np.ndarray:
 
 def _horner(c: np.ndarray, t) -> np.ndarray:
     return c[..., 0] + t * (c[..., 1] + t * (c[..., 2] + t * c[..., 3]))
+
+
+def _legval_rows(x: np.ndarray, coef: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """legval(x, coef[:, cols], tensor=False) with its Clenshaw recurrence and
+    operation order, gathering one coefficient row per step instead of the
+    whole (len(coef), len(x)) block."""
+    nd = len(coef)
+    c0, c1 = coef[-2].take(cols), coef[-1].take(cols)
+    scratch = np.empty_like(x)
+    for i in range(3, len(coef) + 1):
+        nd = nd - 1
+        # c0, c1 = c[-i] - c1 ((nd - 1) / nd), c0 + c1 x ((2 nd - 1) / nd), in place
+        row = coef[-i].take(cols)
+        np.subtract(row, np.multiply(c1, (nd - 1) / nd, out=scratch), out=row)
+        np.multiply(c1, x, out=c1)
+        np.add(c0, np.multiply(c1, (2 * nd - 1) / nd, out=c1), out=c1)
+        c0 = row
+    return c0 + c1 * x
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -502,7 +520,7 @@ class Distribution:
         nodes, pi, coef = self._stop_loss_table(float(np.max(y, initial=-np.inf)))
         j = np.clip(np.searchsorted(nodes, y), 1, len(nodes) - 1)
         half = 0.5 * (nodes[j] - nodes[j - 1])
-        out = pi[j] + half * legval((y - nodes[j - 1]) / half - 1.0, coef[:, j - 1], tensor=False)
+        out = pi[j] + half * _legval_rows((y - nodes[j - 1]) / half - 1.0, coef, j - 1)
         below = y < nodes[0]
         out[below] = pi[0] + panels(self.sf, y[below], nodes[0])
         out[y > nodes[-1]] = 0.0
@@ -580,7 +598,8 @@ class Distribution:
             hi = self.support.upper - t
             cuts = np.append(np.asarray(self.breaks) - t, hi)
             split = (b > hi) | ((a[:, None] < cuts) & (cuts < b[:, None])).any(axis=1)
-            out[i] = np.dot(w[~split].ravel(), g(x[~split].ravel() + t))
+            keep = ~split if split.any() else slice(None)  # a view, not a copy, when none splits
+            out[i] = np.dot(w[keep].ravel(), g(x[keep].ravel() + t))
             if split.any():
                 edges = np.unique(np.concatenate([nodes, cuts]))
                 lo, up = edges[:-1], np.minimum(edges[1:], hi)

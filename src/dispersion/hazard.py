@@ -241,12 +241,28 @@ def monotonicity_scan(
 
 def hazard_scan(d: Distribution, slack: float = DEFAULT_SLACK) -> MonotoneVerdict:
     xs, f, s = _scan_columns(d, "pdf", "sf")
-    return classify_sequence(xs, _hazard_vals(d, xs, f, s), slack, _grid_label(d))
+    return _rate_verdict(d, xs, _hazard_vals(d, xs, f, s), slack)
 
 
 def reverse_hazard_scan(d: Distribution, slack: float = DEFAULT_SLACK) -> MonotoneVerdict:
     xs, f, c = _scan_columns(d, "pdf", "cdf")
-    return classify_sequence(xs, _ratio(f, c), slack, _grid_label(d))
+    return _rate_verdict(d, xs, _ratio(f, c), slack)
+
+
+def _rate_verdict(d: Distribution, xs: np.ndarray, vals: np.ndarray, slack: float) -> MonotoneVerdict:
+    """classify_sequence of a hazard or reverse hazard. A continuous grid whose
+    clipped quantile rounds onto a finite support end, where S or F is 0 and
+    the rate is not finite, is refused with that end named (beta laws of
+    second shape 0.3 or less put q(1 - 1e-6) within 1e-20 of 1). The grid is
+    nondecreasing, so only its first and last points can lie on an end."""
+    if not d.is_lattice and len(xs):
+        for i, end, p in ((0, d.support.lower, QUANTILE_CLIP), (-1, d.support.upper, 1.0 - QUANTILE_CLIP)):
+            if xs[i] == end and not np.isfinite(vals[i]):
+                raise GridEmpty(
+                    f"scan grid of {d.label} reaches its support end {end:g}, where the density is "
+                    f"{float(d.pdf(end)):g}: its quantile at {p:g} rounds onto that end"
+                )
+    return classify_sequence(xs, vals, slack, _grid_label(d))
 
 
 def log_concavity_scan(

@@ -19,7 +19,10 @@ of the table over the law's cached, pdf-weighted outer nodes; a read of Pi
 between table nodes integrates the Legendre interpolant of S stored with
 the table and calls no law. The change-of-measure route stays independent:
 the same adaptive quadrature of other integrands on continuous laws, other
-columns of the table on lattices. Lattice sums past the table's open end
+columns of the table on lattices. On continuous laws its numerators and
+denominators for every t of a curve run as one lockstep batch
+(`numerics.integrate_batch`), whose integrand is called once per step on
+the nodes of every unfinished integral. Lattice sums past the table's open end
 add the terms the table leaves out: Pi(top) and S(top) above it, the sum
 of F below a lower-open table.
 """
@@ -38,7 +41,7 @@ from .errors import (
     DegenerateY,
     DivergentMoment,
 )
-from .numerics import integrate
+from .numerics import integrate, integrate_batch
 
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
@@ -192,8 +195,9 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
     m_direct is the stop-loss ratio E[Pi(X + t)] / E[S(X + t)] of
     `Distribution.shifted_mean`. m_repr evaluates the change-of-measure
     representation with weights dQ^F proportional to F(x) dF(x) by adaptive
-    quadrature (F(x-1) f(x) on the lattice, where the C argument shifts to
-    x - 1, summed over the stop-loss table).
+    quadrature, the whole curve as one lockstep batch (F(x-1) f(x) on the
+    lattice, where the C argument shifts to x - 1, summed over the stop-loss
+    table).
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
@@ -207,36 +211,45 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
     if d.is_lattice:
         repr_ = _m_repr_curve_lattice(d, ts.astype(int))
     else:
-        repr_ = np.array([_m_repr_continuous(d, float(t)) for t in ts])
+        repr_ = _m_repr_curve_continuous(d, ts)
     baseline = gmd(d) + (0.5 if d.is_lattice else 0.0)
     return MeanExcessCurve(ts=ts, m_direct=direct, m_repr=repr_, baseline=baseline)
 
 
-def _m_repr_continuous(d: Distribution, t: float) -> float:
-    """int F(x - t) S(x) dx / int F(x - t) f(x) dx: the change-of-measure
-    integrands C (1/h) F f and C F f with C = F(x - t) / F(x) and 1/h = S / f
-    multiplied out, so the numerator keeps its mass where f = 0 inside the
-    hull of a gapped support. Both are divided by the numerator's largest
-    value on every 32nd stop-loss node, so QUADPACK's relative tolerance,
-    not EPSABS, ends them far in a tail."""
+def _m_repr_curve_continuous(d: Distribution, ts: np.ndarray) -> np.ndarray:
+    """int F(x - t) S(x) dx / int F(x - t) f(x) dx for each t: the
+    change-of-measure integrands C (1/h) F f and C F f with C = F(x - t) / F(x)
+    and 1/h = S / f multiplied out, so the numerator keeps its mass where f = 0
+    inside the hull of a gapped support. Both are divided by the numerator's
+    largest value on every 32nd stop-loss node, so QUADPACK's relative
+    tolerance, not EPSABS, ends them far in a tail. All 2 len(ts) integrals
+    run as one lockstep batch, whose every step calls cdf once on all its
+    nodes, sf on the unfinished numerators' and pdf on the denominators'."""
+    n = len(ts)
     lo, hi = d.support.lower, d.support.upper
     probe = d._stop_loss_nodes()[0][::32]
-    scale = float(np.max(d.cdf(probe - t) * d.sf(probe)))
-    scale = scale if 0.0 < scale < np.inf else 1.0
+    shifted = probe - ts[:, None]
+    scale = np.max(np.asarray(d.cdf(shifted.ravel()), dtype=float).reshape(shifted.shape) * d.sf(probe), axis=1)
+    scale = np.where((0.0 < scale) & (scale < np.inf), scale, 1.0)
+    shift, unit = np.concatenate([ts, ts]), np.concatenate([scale, scale])
 
-    def weighted(g):
-        def fn(x):
-            v = np.asarray(d.cdf(x - t), dtype=float) * g(x) / scale
-            return np.where(np.isfinite(v), v, 0.0)  # F(x - t) = 0 beside a density pole
-
-        return fn
+    def fn(x, k):
+        # integrals 0..n-1 are the numerators, n..2n-1 the denominators
+        num = k < n
+        g = np.empty_like(x)
+        for which, rows in ((d.sf, num), (d.pdf, ~num)):
+            if rows.any():
+                g[rows] = which(x[rows])
+        v = np.asarray(d.cdf(x - shift[k]), dtype=float) * g / unit[k]
+        return np.where(np.isfinite(v), v, 0.0)  # F(x - t) = 0 beside a density pole
 
     # both integrands vanish below lo + t, where F(x - t) = 0
-    start = lo + t if np.isfinite(lo) else lo
-    num, _ = integrate(weighted(d.sf), start, hi)
-    den, _ = integrate(weighted(d.pdf), start, hi)
-    if den * scale < _MIN_SY:
-        raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
+    start = lo + ts if np.isfinite(lo) else np.full(n, lo)
+    vals = integrate_batch(fn, np.concatenate([start, start]), np.full(2 * n, hi))[0]
+    num, den = vals[:n], vals[n:]
+    low = den * scale < _MIN_SY
+    if low.any():
+        raise DegenerateY(f"S_Y({float(ts[low][0])}) underflowed for {d.label}")
     return num / den
 
 

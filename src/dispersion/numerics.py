@@ -12,6 +12,15 @@ polynomial tail where plain bisection does not. Tolerances are absolute
 each step evaluates the integrand once, vectorized, on the nodes of both new
 halves; integrands take and return numpy arrays.
 
+`integrate_batch` runs many such integrals in lockstep. The adaptive loop
+(`_qags`) is a generator that yields the intervals it needs ruled and
+receives their rows, every other statement as the Fortran has it, so one
+driver (`_lockstep`) gathers the intervals every unfinished integral asks
+for, calls the integrand once on all their nodes, with the index of the
+integral each node belongs to, and sends each integral its rows. Each
+integral takes the steps, and returns the numbers, it would alone;
+`integrate` is the batch of one.
+
 `panels` is the fixed-rule counterpart for many short intervals at once, on
 the nodes that `panel_nodes` places: the erfi families take their upper
 survival from it. The stop-loss table of `dist` sums the same rule over its
@@ -92,31 +101,74 @@ _GK15 = _kronrod(
 def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
     """Integrate the vectorized fn over [lo, hi]; returns (value, error estimate).
 
-    Raises DivergentTail when the value is not finite or the 400 intervals
-    run out before the error estimate meets the tolerance.
+    integrate_batch's batch of one, run without owners, and raises as it
+    does: DivergentTail when the value is not finite or the 400 intervals run
+    out before the error estimate meets the tolerance.
     """
     if hi < lo:
         val, err = integrate(fn, hi, lo)
         return -val, err
-    if np.isfinite(lo) and np.isfinite(hi):
-        g, a, b, rule = fn, float(lo), float(hi), _GK21
+    lo, hi = float(lo), float(hi)
+    if math.isfinite(lo) and math.isfinite(hi):
+        g, a, b, rule = fn, lo, hi, _GK21
     else:
         g, a, b, rule = _unit_map(fn, lo, hi), 0.0, 1.0, _GK15
     with np.errstate(all="ignore"):
-        val, err, ier = _qags(g, a, b, rule)
-    if not np.isfinite(val):
+        val, err, ier = _alone(g, a, b, rule)
+    _check(val, ier, lo, hi)
+    return val, err
+
+
+def integrate_batch(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate fn over each [lo_i, hi_i] in lockstep; returns (values, error estimates).
+
+    fn(x, k) is vectorized, k holding for each node the index of the integral
+    it belongs to. Each integral takes the steps it would take alone, and each
+    step calls fn once on the nodes of every unfinished integral. The ranges
+    share one kind: finite, or infinite at the same end(s). Raises as
+    integrate does, for the first integral in order that fails.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    flip = hi < lo
+    lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    kinds = set(zip(np.isfinite(lo).tolist(), np.isfinite(hi).tolist()))
+    if len(kinds) > 1:
+        raise ValueError("the ranges of one batch must share one kind")
+    if kinds == {(True, True)}:
+        step, a, b, rule = lambda k: lambda x: fn(x, k), lo.tolist(), hi.tolist(), _GK21
+    else:
+        whole = kinds == {(False, False)}
+
+        def step(k):
+            kx = np.concatenate([k, k]) if whole else k  # the whole line's map takes x and -x at once
+            return _unit_map(lambda x: fn(x, kx), lo[k], hi[k])
+
+        a, b, rule = [0.0] * len(lo), [1.0] * len(lo), _GK15
+    with np.errstate(all="ignore"):
+        done = _lockstep(step, a, b, rule)
+    for (val, _, ier), x0, x1 in zip(done, lo.tolist(), hi.tolist()):
+        _check(val, ier, x0, x1)
+    vals = np.array([val for val, _, _ in done], dtype=float)
+    return np.where(flip, -vals, vals), np.array([err for _, err, _ in done], dtype=float)
+
+
+def _check(val: float, ier: int, lo: float, hi: float) -> None:
+    """Raise DivergentTail when the value is not finite or the 400 intervals ran out."""
+    if not math.isfinite(val):
         raise DivergentTail(f"integral over [{lo}, {hi}] did not converge")
     if ier == 1:
         raise DivergentTail(f"integral over [{lo}, {hi}] not resolved in {LIMIT} intervals")
-    return float(val), float(err)
 
 
-def _unit_map(fn, lo: float, hi: float):
+def _unit_map(fn, lo, hi):
     """qagie's integrand on t in (0, 1]: f(x(t)) / t^2, x = bound +- (1 - t)/t,
-    both signs summed on the whole line."""
-    if np.isfinite(lo):
+    both signs summed on the whole line; in a batch the bounds are arrays on
+    the nodes."""
+    if np.isfinite(lo).all():
         return lambda t: (fn(lo + (1.0 - t) / t) / t) / t
-    if np.isfinite(hi):
+    if np.isfinite(hi).all():
         return lambda t: (fn(hi - (1.0 - t) / t) / t) / t
 
     def both(t):
@@ -127,16 +179,56 @@ def _unit_map(fn, lo: float, hi: float):
     return both
 
 
+def _lockstep(step, a: list, b: list, rule) -> list:
+    """Run _qags on each [a_i, b_i] at once: each step gathers the intervals
+    every unfinished run asks for, rules them all with one call of step(k),
+    k the run each node belongs to, and sends each run its rows. Returns each
+    run's (result, abserr, ier)."""
+    runs = [_qags(ai, bi, rule) for ai, bi in zip(a, b)]
+    asks = [next(run) for run in runs]
+    done = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        left = [v for i in live for v in asks[i][0]]
+        right = [v for i in live for v in asks[i][1]]
+        owner = np.array([i for i in live for _ in asks[i][0]]).repeat(len(rule[0]))
+        rows = _rule(step(owner), left, right, rule)
+        still, at = [], 0
+        for i in live:
+            n = len(asks[i][0])
+            try:
+                asks[i] = runs[i].send([column[at : at + n] for column in rows])
+                still.append(i)
+            except StopIteration as stop:
+                done[i] = stop.value
+            at += n
+        live = still
+    return done
+
+
+def _alone(g, a: float, b: float, rule) -> tuple[float, float, int]:
+    """_lockstep of a single run, which needs no owners: (result, abserr, ier)."""
+    run = _qags(a, b, rule)
+    ask = next(run)
+    try:
+        while True:
+            ask = run.send(_rule(g, *ask, rule))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _rule(g, a: list, b: list, rule) -> tuple[list, ...]:
     """dqk21 / dqk15i on each [a_i, b_i], one call of g on all their nodes:
     lists of (result, abserr, resabs, resasc), resabs the integral of |g|
     and resasc that of |g - mean|."""
     nodes, (wkc, wgc), pairs, outward = rule
-    a, b = np.asarray(a), np.asarray(b)
-    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-    fv = np.asarray(g((centr[:, None] + hlgth[:, None] * nodes).ravel()), dtype=float)
+    # centres and half-lengths in Python floats: cheaper than numpy for the
+    # one or two intervals of a lone integral, and the same arithmetic
+    centr = [0.5 * (left + right) for left, right in zip(a, b)]
+    hlgth = [0.5 * (right - left) for left, right in zip(a, b)]
+    fv = np.asarray(g((np.array(centr)[:, None] + np.array(hlgth)[:, None] * nodes).ravel()), dtype=float)
     out = [], [], [], []
-    for f, hl in zip(fv.reshape(len(a), len(nodes)).tolist(), hlgth.tolist()):
+    for f, hl in zip(fv.reshape(len(a), len(nodes)).tolist(), hlgth):
         fc = f[len(pairs)]
         resk, resg = wkc * fc, wgc * fc
         resabs = abs(resk)
@@ -160,13 +252,14 @@ def _rule(g, a: list, b: list, rule) -> tuple[list, ...]:
     return out
 
 
-def _qags(g, a: float, b: float, rule) -> tuple[float, float, int]:
+def _qags(a: float, b: float, rule):
     """The adaptive loop of QUADPACK's dqagse (dqagie on [0, 1]), statement for
-    statement: (result, abserr, ier), ier 0 on success and QUADPACK's codes
-    otherwise (1: the interval limit; 2: roundoff; 3: bad integrand; 4:
-    roundoff in the extrapolation; 5: probably divergent). Lists are 1-based,
-    as in the Fortran."""
-    (result,), (abserr,), (defabs,), (resabs,) = _rule(g, [a], [b], rule)
+    statement, as a generator: it yields the intervals it needs ruled and
+    receives their rows of _rule; it returns (result, abserr, ier), ier 0 on
+    success and QUADPACK's codes otherwise (1: the interval limit; 2:
+    roundoff; 3: bad integrand; 4: roundoff in the extrapolation; 5: probably
+    divergent). Lists are 1-based, as in the Fortran."""
+    (result,), (abserr,), (defabs,), (resabs,) = yield [a], [b]
     dres = abs(result)
     errbnd = max(EPSABS, EPSREL * dres)
     ier = 2 if abserr <= 100 * _EPMACH * defabs and abserr > errbnd else 0
@@ -184,7 +277,7 @@ def _qags(g, a: float, b: float, rule) -> tuple[float, float, int]:
         a1, b2 = alist[maxerr], blist[maxerr]
         b1 = a2 = 0.5 * (a1 + b2)
         erlast = errmax
-        (area1, area2), (error1, error2), _, (defab1, defab2) = _rule(g, [a1, a2], [b1, b2], rule)
+        (area1, area2), (error1, error2), _, (defab1, defab2) = yield [a1, a2], [b1, b2]
         area12, erro12 = area1 + area2, error1 + error2
         if not (math.isfinite(area12) and math.isfinite(erro12)):
             return math.nan, math.inf, 0

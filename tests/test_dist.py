@@ -452,20 +452,28 @@ def test_cached_tables_are_read_only():
 def test_curve_evaluation_counts():
     # counts are deterministic where timings are not: the stop-loss ratio reads
     # Pi between table nodes from its Legendre rows, and weighs the outer
-    # nodes by pdf once per law
+    # nodes by pdf once per law; the change-of-measure route integrates the
+    # whole curve as one lockstep batch, one cdf call per step
     d = make_distribution("gpd:alpha=0.25")
-    points = {"sf": 0, "pdf": 0}
+    points = {"sf": 0, "pdf": 0, "cdf": 0}
+    calls = dict.fromkeys(points, 0)
     for name in points:
         fn = getattr(d, name)
 
         def counted(x, fn=fn, name=name):
             points[name] += np.size(x)
+            calls[name] += 1
             return fn(x)
 
         setattr(d, name, counted)
-    mean_excess_abs_diff(d, np.linspace(0, 8, 32))
+    ts = np.linspace(0, 8, 32)
+    mean_excess_abs_diff(d, ts)
     assert points["sf"] < 400_000
     assert points["pdf"] < 50_000
+    # with the law's tables built, cdf serves the change-of-measure route alone
+    calls["cdf"] = 0
+    mean_excess_abs_diff(d, ts)
+    assert calls["cdf"] <= 16
 
 
 def test_scan_grid_follows_dispersion_grid(monkeypatch):

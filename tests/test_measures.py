@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 from scipy import special
 from scipy.integrate import quad
 
@@ -23,8 +24,10 @@ from dispersion import (
     tail_dispersion,
     truncate,
 )
+from dispersion.dist import _legval_rows
 from dispersion.hazard import hazard_scan
 from dispersion.measures import gmd_numeric, sd_numeric
+from dispersion.numerics import integrate
 
 from conftest import STANDARD_INSTANCES
 
@@ -386,6 +389,54 @@ def test_stop_loss_read_matches_closed_form(spec):
         first = float(_STOP_LOSS[spec](mp.mpf(float(nodes[0]))))
     err = np.abs(got - exact)
     assert np.all(err <= 1e-14 * first + 1e-11 * exact), float(np.max(err / (1e-14 * first + 1e-11 * exact)))
+
+
+@pytest.mark.parametrize("spec", list(_STOP_LOSS))
+def test_stop_loss_read_is_legval_bit_for_bit(spec):
+    # the Clenshaw read that gathers one coefficient row per step repeats
+    # legval's arithmetic on the gathered (17, n) block
+    d = make_distribution(spec)
+    nodes, _, coef = d._stop_loss_nodes()
+    rng = np.random.default_rng(12)
+    cols = rng.integers(0, len(nodes) - 1, 4096)
+    s = rng.uniform(-1.0, 1.0, len(cols))
+    want = legval(s, coef[:, cols], tensor=False)
+    assert np.array_equal(_legval_rows(s, coef, cols), want)
+
+
+def _repr_one_t(d, t):
+    """The change-of-measure route at one t by two lone integrals: the
+    reference the batched curve must repeat bit for bit."""
+    probe = d._stop_loss_nodes()[0][::32]
+    scale = float(np.max(d.cdf(probe - t) * d.sf(probe)))
+    scale = scale if 0.0 < scale < np.inf else 1.0
+
+    def weighted(g):
+        def fn(x):
+            v = np.asarray(d.cdf(x - t), dtype=float) * g(x) / scale
+            return np.where(np.isfinite(v), v, 0.0)
+
+        return fn
+
+    lo, hi = d.support.lower, d.support.upper
+    start = lo + t if np.isfinite(lo) else lo
+    return integrate(weighted(d.sf), start, hi)[0] / integrate(weighted(d.pdf), start, hi)[0]
+
+
+@pytest.mark.parametrize(
+    "spec,ts",
+    [
+        ("normal", np.linspace(0, 12, 8)),
+        ("gamma:alpha=2", np.linspace(0, 6, 8)),
+        ("weibull:alpha=0.5", np.linspace(0, 12, 8)),
+        ("beta:alpha=2", np.linspace(0, 0.9, 8)),
+        ("erfi-unit", np.linspace(0, 0.9, 8)),
+    ],
+)
+def test_batched_repr_route_repeats_lone_integrals(spec, ts):
+    d = make_distribution(spec)
+    curve = mean_excess_abs_diff(d, ts)
+    assert curve.m_repr.tolist() == [_repr_one_t(d, float(t)) for t in ts]
 
 
 def test_curve_against_monte_carlo_excess():

@@ -4,12 +4,13 @@ Each value must lie within its own error estimate, or within the requested
 tolerance, of an exact value or a 30-digit mpmath value; on the registry's
 continuous laws the moment and GMD integrals must agree with scipy's quad,
 and fed the same integrand values the port must return quad's value and
-error bit for bit.
+error bit for bit, alone and as a member of a lockstep batch.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.integrate import quad
 
 from dispersion import affine, make_distribution, mix
 from dispersion.errors import DivergentTail
-from dispersion.numerics import EPSABS, EPSREL, LIMIT, integrate
+from dispersion.numerics import EPSABS, EPSREL, LIMIT, integrate, integrate_batch
 
 from conftest import STANDARD_INSTANCES
 
@@ -77,12 +78,31 @@ _QUADPACK_CASES = [
 ]
 
 
+def _batch(cases):
+    """integrate_batch of the scalar integrands `cases` (fn, lo, hi), node by node."""
+    fns = [fn for fn, _, _ in cases]
+    return integrate_batch(
+        lambda x, k: np.array([fns[j](v) for v, j in zip(x.tolist(), k.tolist())]),
+        [lo for _, lo, _ in cases],
+        [hi for _, _, hi in cases],
+    )
+
+
+def _kind(case):
+    return np.isfinite(case[1]), np.isfinite(case[2])
+
+
 @pytest.mark.parametrize("case", range(len(_QUADPACK_CASES)))
 def test_port_matches_quadpack_bit_for_bit(case):
-    # fed the same integrand values, the port repeats QUADPACK's arithmetic
+    # fed the same integrand values, the port repeats QUADPACK's arithmetic,
+    # alone and in a lockstep batch with the other cases of its range kind
     fn, lo, hi = _QUADPACK_CASES[case]
-    val, err = integrate(lambda x: np.array([fn(v) for v in x.tolist()]), lo, hi)
-    assert (val, err) == quad(fn, lo, hi, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT, full_output=1)[:2]
+    want = quad(fn, lo, hi, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT, full_output=1)[:2]
+    assert integrate(lambda x: np.array([fn(v) for v in x.tolist()]), lo, hi) == want
+    batch = [c for c in _QUADPACK_CASES if _kind(c) == _kind(_QUADPACK_CASES[case])]
+    vals, errs = _batch(batch)
+    i = batch.index(_QUADPACK_CASES[case])
+    assert (float(vals[i]), float(errs[i])) == want
 
 
 def test_divergent_integral_is_not_a_silent_number():
@@ -91,6 +111,28 @@ def test_divergent_integral_is_not_a_silent_number():
     except DivergentTail:
         return
     assert err >= 1
+
+
+def test_divergent_member_of_a_batch_acts_as_alone():
+    # 1/x on [1, inf) among convergent integrals: the batch raises as the
+    # lone call does, or gives the lone call's number
+    cases = [(lambda x: x**-2.0, 1.0, np.inf), (lambda x: 1 / x, 1.0, np.inf), (lambda x: math.exp(-x), 1.0, np.inf)]
+    try:
+        alone = integrate(lambda x: 1 / x, 1.0, np.inf)
+    except DivergentTail as exc:
+        with pytest.raises(DivergentTail, match=re.escape(str(exc))):
+            _batch(cases)
+        return
+    vals, errs = _batch(cases)
+    assert (float(vals[1]), float(errs[1])) == alone
+
+
+def test_batch_ranges_share_one_kind_and_may_run_backwards():
+    vals, errs = integrate_batch(lambda x, k: np.exp(-x), [1.0, np.inf], [np.inf, 1.0])
+    assert vals[1] == -vals[0] and errs[1] == errs[0]
+    assert (float(vals[0]), float(errs[0])) == integrate(lambda x: np.exp(-x), 1.0, np.inf)
+    with pytest.raises(ValueError):
+        integrate_batch(lambda x, k: np.exp(-x), [0.0, 1.0], [1.0, np.inf])
 
 
 @pytest.mark.parametrize("spec", CONTINUOUS)

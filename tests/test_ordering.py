@@ -210,6 +210,16 @@ def test_far_lower_truncation_of_a_ppf_law_classifies():
     assert classify(tail).verdict == GMD_DOMINATES
 
 
+@pytest.mark.parametrize("spec", ["beta:alpha=2,beta=0.3", "beta:alpha=0.1,beta=0.1"])
+def test_beta_grid_on_its_pole_names_the_support_end(spec):
+    # q(1 - 1e-6) rounds onto the end 1, where the density's pole is infinite;
+    # the report still works, the scan refuses with the cause named
+    d = make_distribution(spec)
+    assert np.isfinite(dispersion_report(d).diff)
+    with pytest.raises(errors.GridEmpty, match="support end 1, where the density is inf"):
+        classify(d)
+
+
 def test_closure_affine_reflection():
     d = make_distribution("gpd:alpha=0.25")
     assert closure_check("affine", (d, -1.0, 0.0), SD_DOMINATES)
