@@ -14,8 +14,8 @@ without a closed form, and the stop-loss table behind every mean excess:
 on continuous laws Pi at its nodes beside the Legendre antiderivative of
 S on each node interval, so a read between nodes evaluates no law, the
 same table extended past its last node as far as a read reaches, and the
-density-weighted panel nodes of the outer expectation E[g(X + t)]; on the
-lattice Pi beside the enumerated columns.
+density-weighted panel nodes of the outer expectations E[S(X + t)] and
+E[Pi(X + t)]; on the lattice Pi beside the enumerated columns.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DivergentTail, SupportTooLarge, UnsupportedKind
-from .numerics import GL_W, GL_X, bisect_increasing, integrate, panel_nodes, panels
+from .numerics import GL_W, GL_X, bisect_increasing, integrate, integrate_batch, panel_nodes, panels
 
 CONTINUOUS = "continuous-interval"
 LATTICE = "integer-lattice"
@@ -150,7 +150,7 @@ class Distribution:
     one stop-loss table: excess_table() on the lattice; on continuous laws
     the node table of stop_loss() with its Legendre coefficients
     (_stop_loss_nodes()), its extension past the last node
-    (_stop_loss_table()) and the outer nodes and weights of shifted_mean()
+    (_stop_loss_table()) and the outer nodes and weights of shifted_means()
     (_outer_panels()). No other module touches it.
     """
 
@@ -171,7 +171,7 @@ class Distribution:
     tail_sums: Callable[[int], tuple[float, float, float, float]] | None = None
     # interior kinks of a continuous support, where a mixture component's
     # support starts or ends: nodes of the stop-loss table, and edges at
-    # break - t of the outer panels of shifted_mean
+    # break - t of the outer panels of shifted_means
     breaks: tuple[float, ...] = ()
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -559,39 +559,35 @@ class Distribution:
             self._cache["outer"] = _read_only(x, w)
         return self._cache["outer"]
 
-    def shifted_mean(self, which: str, ts) -> np.ndarray:
-        """E[g(X + t)] for each t >= 0, g = sf ("sf") or stop_loss ("stop_loss").
+    def shifted_means(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """(E[S(X + t)], E[Pi(X + t)]) for each t >= 0.
 
-        Lattice laws (integer t) take one dot product per t over
-        excess_table(); below a lower-open table, where S = 1 and Pi(x + t) =
-        Pi(first) + first - x - t, they add the head from table_tail().
-        Continuous laws take one dot product per t of the
-        pdf-weighted panel nodes of _outer_panels() with g(x + t), g = Pi read
-        from the stop-loss table, extended once to the last node plus the
-        largest t. A node interval inside which S(x + t) kinks, at upper - t
-        or at break - t, is integrated afresh by one panel per piece; one
-        adaptive integral per t, scaled by its integrand at the first node,
-        adds the head below that node on an unbounded lower end.
+        Lattice laws (integer t) take one dot product per t and expectation
+        over excess_table(); below a lower-open table, where S = 1 and
+        Pi(x + t) = Pi(first) + first - x - t, they add both heads from
+        table_tail(). Continuous laws take one pass over t, dotting the
+        pdf-weighted panel nodes of _outer_panels(), shifted by t, with sf and
+        with Pi read from the stop-loss table, extended once to the last node
+        plus the largest t. A node interval inside which S(x + t) kinks, at
+        upper - t or at break - t, is integrated afresh by one panel per
+        piece. On an unbounded lower end the heads below the first node run
+        as one adaptive batch per expectation, each scaled by its integrand there.
         """
         ts = np.asarray(ts, dtype=float)
         if self.is_lattice:
             steps = ts.astype(int)
             pts, f, _, sf, pi = self.excess_table(int(np.max(steps, initial=0)))
-            g = sf if which == "sf" else pi
-            out = np.array([float(np.dot(f[: len(f) - t], g[t:])) for t in steps])
+            den, num = (np.array([float(np.dot(f[: len(f) - t], g[t:])) for t in steps]) for g in (sf, pi))
             upper, (mass, t1, _, _) = self.table_tail()
             if not upper:
-                out += mass if which == "sf" else mass * (pi[0] + pts[0] - ts) - t1
-            return out
+                den, num = den + mass, num + (mass * (pi[0] + pts[0] - ts) - t1)
+            return den, num
         nodes = self._stop_loss_nodes()[0]
-        if which == "sf":
-            g = self.sf
-        else:
-            self._stop_loss_table(nodes[-1] + np.max(ts, initial=0.0))
-            g = self._stop_loss_read
+        self._stop_loss_table(nodes[-1] + np.max(ts, initial=0.0))
+        gs = (self.sf, self._stop_loss_read)
         x, w = self._outer_panels()
         a, b = nodes[:-1], nodes[1:]
-        out = np.empty(len(ts))
+        out = np.empty((2, len(ts)))
         for i, t in enumerate(ts):
             # node intervals that S(x + t) kinks inside, at break - t or
             # upper - t, are integrated afresh between those edges
@@ -599,18 +595,22 @@ class Distribution:
             cuts = np.append(np.asarray(self.breaks) - t, hi)
             split = (b > hi) | ((a[:, None] < cuts) & (cuts < b[:, None])).any(axis=1)
             keep = ~split if split.any() else slice(None)  # a view, not a copy, when none splits
-            out[i] = np.dot(w[keep].ravel(), g(x[keep].ravel() + t))
+            xt, wt = x[keep].ravel() + t, w[keep].ravel()
+            out[:, i] = [np.dot(wt, g(xt)) for g in gs]
             if split.any():
                 edges = np.unique(np.concatenate([nodes, cuts]))
                 lo, up = edges[:-1], np.minimum(edges[1:], hi)
                 k = np.searchsorted(nodes, lo, side="right") - 1
                 fresh = (k >= 0) & (k < len(a)) & (lo < up)
                 fresh[fresh] = split[k[fresh]]
-                out[i] += np.sum(panels(lambda x: self.pdf(x) * g(x + t), lo[fresh], up[fresh]))
-            if np.isinf(self.support.lower):
+                for j, g in enumerate(gs):
+                    out[j, i] += np.sum(panels(lambda x: self.pdf(x) * g(x + t), lo[fresh], up[fresh]))
+        if np.isinf(self.support.lower):
+            below = np.full(len(ts), -np.inf), np.full(len(ts), nodes[0])
+            for j, g in enumerate(gs):
                 # in units of the integrand at the first node, so the relative
-                # tolerance, not EPSABS, ends the head however small it is
-                c = float(self.pdf(nodes[0]) * g(nodes[:1] + t)[0])
-                c = c if 0.0 < c < np.inf else 1.0
-                out[i] += c * integrate(lambda x: self.pdf(x) * g(x + t) / c, -np.inf, nodes[0])[0]
-        return out
+                # tolerance, not EPSABS, ends each head however small it is
+                c = self.pdf(nodes[0]) * g(nodes[0] + ts)
+                c = np.where((0.0 < c) & (c < np.inf), c, 1.0)
+                out[j] += c * integrate_batch(lambda x, k: self.pdf(x) * g(x + ts[k]) / c[k], *below)[0]
+        return out[0], out[1]

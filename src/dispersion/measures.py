@@ -12,19 +12,19 @@ halves. Discrete sums run over `Distribution.lattice_table`, enumerated
 to `dist.SUM_CUT`, and SD and GMD add the sums over the tail it leaves out
 (`Distribution.table_tail`).
 
-The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per
-law: S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the
-direct route. On continuous laws each t costs one pass of sf and one read
-of the table over the law's cached, pdf-weighted outer nodes; a read of Pi
-between table nodes integrates the Legendre interpolant of S stored with
-the table and calls no law. The change-of-measure route stays independent:
-the same adaptive quadrature of other integrands on continuous laws, other
-columns of the table on lattices. On continuous laws its numerators and
-denominators for every t of a curve run as one lockstep batch
-(`numerics.integrate_batch`), whose integrand is called once per step on
+The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per law:
+S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the direct
+route, both from one pass over t (`Distribution.shifted_means`): on continuous
+laws one sf call and one table read per t on the law's cached, pdf-weighted
+outer nodes. A read of Pi between table nodes integrates the Legendre
+interpolant of S stored with the table and calls no law. The change-of-measure
+route stays independent: the same adaptive quadrature of other integrands on
+continuous laws, other columns of the table on lattices. On continuous laws
+its numerators and denominators for every t of a curve run as one lockstep
+batch (`numerics.integrate_batch`), whose integrand is called once per step on
 the nodes of every unfinished integral. Lattice sums past the table's open end
-add the terms the table leaves out: Pi(top) and S(top) above it, the sum
-of F below a lower-open table.
+add the terms the table leaves out: Pi(top) and S(top) above it, the sum of F
+below a lower-open table.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
     """Mean excess of Y = |X - X'| on a t-grid, by two independent routes.
 
     m_direct is the stop-loss ratio E[Pi(X + t)] / E[S(X + t)] of
-    `Distribution.shifted_mean`. m_repr evaluates the change-of-measure
+    `Distribution.shifted_means`. m_repr evaluates the change-of-measure
     representation with weights dQ^F proportional to F(x) dF(x) by adaptive
     quadrature, the whole curve as one lockstep batch (F(x-1) f(x) on the
     lattice, where the C argument shifts to x - 1, summed over the stop-loss
@@ -204,10 +204,10 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
         raise ValueError("t grid must be nonnegative")
     if d.is_lattice and np.any(ts != np.floor(ts)):
         raise ValueError("lattice mean-excess grids must use integer t")
-    den = d.shifted_mean("sf", ts)
+    den, num = d.shifted_means(ts)
     if np.any(2.0 * den < _MIN_SY):
         raise DegenerateY(f"S_Y({ts[2.0 * den < _MIN_SY][0]:g}) underflowed for {d.label}")
-    direct = d.shifted_mean("stop_loss", ts) / den
+    direct = num / den
     if d.is_lattice:
         repr_ = _m_repr_curve_lattice(d, ts.astype(int))
     else:
@@ -221,15 +221,15 @@ def _m_repr_curve_continuous(d: Distribution, ts: np.ndarray) -> np.ndarray:
     change-of-measure integrands C (1/h) F f and C F f with C = F(x - t) / F(x)
     and 1/h = S / f multiplied out, so the numerator keeps its mass where f = 0
     inside the hull of a gapped support. Both are divided by the numerator's
-    largest value on every 32nd stop-loss node, so QUADPACK's relative
-    tolerance, not EPSABS, ends them far in a tail. All 2 len(ts) integrals
-    run as one lockstep batch, whose every step calls cdf once on all its
-    nodes, sf on the unfinished numerators' and pdf on the denominators'."""
+    largest value F(p) S(p + t) over every 32nd stop-loss node p, so QUADPACK's
+    relative tolerance, not EPSABS, ends them however far t is. All 2 len(ts)
+    integrals run as one lockstep batch, whose every step calls cdf once on all
+    its nodes, sf on the unfinished numerators' and pdf on the denominators'."""
     n = len(ts)
     lo, hi = d.support.lower, d.support.upper
     probe = d._stop_loss_nodes()[0][::32]
-    shifted = probe - ts[:, None]
-    scale = np.max(np.asarray(d.cdf(shifted.ravel()), dtype=float).reshape(shifted.shape) * d.sf(probe), axis=1)
+    shifted = probe + ts[:, None]
+    scale = np.max(d.cdf(probe) * np.asarray(d.sf(shifted.ravel()), dtype=float).reshape(shifted.shape), axis=1)
     scale = np.where((0.0 < scale) & (scale < np.inf), scale, 1.0)
     shift, unit = np.concatenate([ts, ts]), np.concatenate([scale, scale])
 

@@ -21,11 +21,11 @@ integral each node belongs to, and sends each integral its rows. Each
 integral takes the steps, and returns the numbers, it would alone;
 `integrate` is the batch of one.
 
-`panels` is the fixed-rule counterpart for many short intervals at once, on
-the nodes that `panel_nodes` places: the erfi families take their upper
-survival from it. The stop-loss table of `dist` sums the same rule over its
-node intervals and keeps the values of S at those nodes, whose Legendre
-interpolant it integrates to read the transform between nodes.
+`panels` is the fixed-rule counterpart for many short intervals at once,
+each summed in one fixed order, on the nodes that `panel_nodes` places: the
+erfi families take their upper survival from it. The stop-loss table of
+`dist` sums the same rule over its node intervals and keeps the values of S
+at those nodes, whose Legendre interpolant gives Pi between nodes.
 """
 
 from __future__ import annotations
@@ -490,11 +490,11 @@ def panels(fn: Callable[[np.ndarray], np.ndarray], a, b) -> np.ndarray:
     """Integral of fn over each [a_i, b_i] by one 16-point Gauss-Legendre panel.
 
     fn is vectorized; a and b broadcast together. A panel with b < a returns
-    minus the integral over [b, a].
+    minus the integral over [b, a], summed in one order whatever shares the call.
     """
     x, half = panel_nodes(a, b)
     vals = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-    return (vals @ GL_W) * half
+    return (vals * GL_W).sum(axis=-1) * half
 
 
 def panel_nodes(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,8 @@ from dispersion import (
     parse_family_spec,
     truncate,
 )
+from dispersion import dist as dist_module
+from dispersion import measures as measures_module
 from dispersion.combinators import _convolve_numeric
 from dispersion.dist import (
     CONTINUOUS,
@@ -377,6 +379,15 @@ def test_erfi_survival_matches_mpmath(spec):
     assert float(np.max(np.abs(d.cdf(xs) + d.sf(xs) - 1.0))) <= 1e-15
 
 
+@pytest.mark.parametrize("spec", list(_ERFI_CDFS))
+def test_erfi_survival_ignores_the_other_points_of_a_call(spec):
+    # the upper sf is one Gauss-Legendre panel per point, whose sum must not
+    # round by how many points share the call
+    d = make_distribution(spec)
+    xs = np.linspace(_ERFI_CDFS[spec][1], 1.0, 2000)
+    assert np.asarray(d.sf(xs)).tolist() == [float(d.sf(x)) for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # per-law tables: one lattice enumeration per cut, one scan grid per size
 # ---------------------------------------------------------------------------
@@ -474,6 +485,20 @@ def test_curve_evaluation_counts():
     calls["cdf"] = 0
     mean_excess_abs_diff(d, ts)
     assert calls["cdf"] <= 16
+
+
+def test_curve_heads_run_as_one_batch(monkeypatch):
+    # below the first stop-loss node of a support unbounded below, the heads
+    # of every t run as one lockstep batch per expectation; only an extension
+    # of the stop-loss table may still integrate alone
+    d = make_distribution("normal")
+    ts = np.linspace(0, 4.5, 32)
+    mean_excess_abs_diff(d, ts)
+    calls = []
+    for module in (dist_module, measures_module):
+        monkeypatch.setattr(module, "integrate", lambda *a, f=module.integrate: calls.append(a) or f(*a))
+    mean_excess_abs_diff(d, ts)
+    assert len(calls) <= 1
 
 
 def test_scan_grid_follows_dispersion_grid(monkeypatch):

@@ -408,7 +408,7 @@ def _repr_one_t(d, t):
     """The change-of-measure route at one t by two lone integrals: the
     reference the batched curve must repeat bit for bit."""
     probe = d._stop_loss_nodes()[0][::32]
-    scale = float(np.max(d.cdf(probe - t) * d.sf(probe)))
+    scale = float(np.max(d.cdf(probe) * d.sf(probe + t)))
     scale = scale if 0.0 < scale < np.inf else 1.0
 
     def weighted(g):
@@ -437,6 +437,40 @@ def test_batched_repr_route_repeats_lone_integrals(spec, ts):
     d = make_distribution(spec)
     curve = mean_excess_abs_diff(d, ts)
     assert curve.m_repr.tolist() == [_repr_one_t(d, float(t)) for t in ts]
+
+
+@pytest.mark.parametrize(
+    "spec,ts",
+    [
+        ("normal", np.linspace(0, 4.5, 32)),
+        ("normal-mix", np.linspace(0, 8, 32)),
+        ("erfi-interval", np.linspace(0, 1.8, 32)),
+    ],
+)
+def test_curve_point_repeats_its_lone_t(spec, ts):
+    # a t gives the same bits by both routes whatever other t share its call
+    d = make_distribution(spec)
+    curve = mean_excess_abs_diff(d, ts)
+    for t, direct, repr_ in zip(ts, curve.m_direct, curve.m_repr):
+        alone = mean_excess_abs_diff(d, [t])
+        assert (alone.m_direct[0], alone.m_repr[0]) == (direct, repr_)
+
+
+def test_weibull_far_tail_routes_match_mpmath():
+    # X = U^2, U unit exponential, so S(x) = exp(-sqrt x) and Pi(x) =
+    # 2 (sqrt x + 1) exp(-sqrt x); E[g(X + t)] = int e^-u g(u^2 + t) du. Every
+    # t is past the last stop-loss node the change-of-measure scale probes (757.5)
+    d = make_distribution("weibull:alpha=0.5")
+    ts = np.array([1000.0, 3000.0, 10000.0])
+    curve = mean_excess_abs_diff(d, ts)
+    with mp.workdps(40):
+        for t, direct, repr_ in zip(ts, curve.m_direct, curve.m_repr):
+            r = lambda u: mp.sqrt(u * u + t)
+            num = mp.quad(lambda u: mp.exp(-u - r(u)) * 2 * (r(u) + 1), [0, 10, 100, mp.inf])
+            den = mp.quad(lambda u: mp.exp(-u - r(u)), [0, 10, 100, mp.inf])
+            want = float(num / den)
+            assert abs(direct - want) <= 1e-9 * want
+            assert abs(repr_ - want) <= 1e-9 * want
 
 
 def test_curve_against_monte_carlo_excess():
@@ -507,7 +541,7 @@ def test_discrete_identities(spec):
     lam = float(np.dot(f, f))
     e_f = float(np.dot(f, np.asarray(d.cdf(pts), float)))
     assert abs(e_f - (1 + lam) / 2) <= 1e-10
-    assert abs(2 * d.shifted_mean("sf", [0.0])[0] - (1 - lam)) <= 1e-10
+    assert abs(2 * d.shifted_means([0.0])[0][0] - (1 - lam)) <= 1e-10
 
 
 @pytest.mark.parametrize(
