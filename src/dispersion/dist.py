@@ -10,7 +10,8 @@ this module and built lazily on first use, of read-only tables: the
 enumerated lattice table and the sums over the tail it leaves out, the
 scan grid of each size and clip with pdf, cdf and sf on it, the inverse
 table and its certified cubic refinement behind continuous quantiles
-without a closed form, and the stop-loss table behind every mean excess:
+without a closed form and the Monte Carlo draws of every continuous law,
+and the stop-loss table behind every mean excess:
 on continuous laws Pi at its nodes beside the Legendre antiderivative of
 S on each node interval, so a read between nodes evaluates no law, the
 same table extended past its last node as far as a read reaches, and the
@@ -146,10 +147,10 @@ class Distribution:
     which also serves quantile(), with table_tail() beside it, probe_grid()
     per size and clip with the pdf, cdf and sf columns of probe_values()
     beside it, the continuous inverse table (stop_loss() takes its nodes)
-    and its refinement that quantile() reads when the law has no ppf, and
-    one stop-loss table: excess_table() on the lattice; on continuous laws
-    the node table of stop_loss() with its Legendre coefficients
-    (_stop_loss_nodes()), its extension past the last node
+    and its refinement that quantile() reads when the law has no ppf or
+    `table` is set, and one stop-loss table: excess_table() on the lattice;
+    on continuous laws the node table of stop_loss() with its Legendre
+    coefficients (_stop_loss_nodes()), its extension past the last node
     (_stop_loss_table()) and the outer nodes and weights of shifted_means()
     (_outer_panels()). No other module touches it.
     """
@@ -186,26 +187,37 @@ class Distribution:
         with np.errstate(divide="ignore"):
             return np.log(np.maximum(self.pdf(x), 1e-320))
 
-    def quantile(self, p):
-        """Smallest x with cdf(x) >= p, to 1e-12 in probability.
+    def quantile(self, p, table: bool = False):
+        """Smallest x with cdf(x) >= p, to 1e-12 in probability; NaN where p is
+        NaN or outside [0, 1].
 
-        A closed-form ppf is used when the law has one. Otherwise both kinds
-        solve on cdf for p <= 1/2 and on sf against 1 - p above: lattice laws
-        exactly, by a search of the lattice table; continuous laws by
-        one cubic of _hermite_table, certified to 1e-12 when it is built.
-        Targets beyond either table are bisected between the support end and
-        the table's end node, so the output joins the table's monotonically.
+        A closed-form ppf is used when the law has one, unless `table` is set
+        on a continuous law. Otherwise both kinds solve on cdf for p <= 1/2
+        and on sf against 1 - p above: lattice laws exactly, by a search of
+        the lattice table; continuous laws by one cubic of _hermite_table,
+        certified to 1e-12 when it is built. Targets the cubics leave out, in
+        a sub-interval the table could not certify or beyond its end nodes,
+        go to the ppf where the law has one; without one they are bisected,
+        inside their node interval or between the support end and the end
+        node, so the output joins the table's monotonically. Monte Carlo
+        sets `table`, so it draws every continuous law through the certified
+        table, which reads a point many times faster than gammaincinv or
+        betaincinv do.
         """
         p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
         p1 = np.atleast_1d(p)
-        if self.ppf is not None:
-            out = np.asarray(self.ppf(p1), dtype=float)
-        elif self.is_lattice:
-            out = self._lattice_quantile(p1)
+        ok = (p1 >= 0.0) & (p1 <= 1.0)  # False at NaN
+        if ok.all():
+            out = self._solve(p1, table)
         else:
-            out = self._invert(p1)
-        return float(out[0]) if scalar else out
+            out = np.full(p1.shape, np.nan)
+            out[ok] = self._solve(p1[ok], table)
+        return float(out[0]) if p.ndim == 0 else out
+
+    def _solve(self, p: np.ndarray, table: bool) -> np.ndarray:
+        if self.ppf is not None and (self.is_lattice or not table):
+            return np.asarray(self.ppf(p), dtype=float)
+        return self._lattice_quantile(p) if self.is_lattice else self._invert(p)
 
     def _lattice_quantile(self, p: np.ndarray) -> np.ndarray:
         pts, _, cum, sf = self.lattice_table()
@@ -304,14 +316,23 @@ class Distribution:
         n, pc = len(u) - 1, np.clip(p, u[0], u[-1])
         # node interval by logit arithmetic; next to a node, rounding may pick its neighbour
         k = np.clip(((np.log(pc) - np.log1p(-pc) + INV_LOGIT) * (n / (2 * INV_LOGIT))).astype(int), 0, n - 1)
-        s = (pc - u[k]) * scale[k]
-        j = np.clip(s.astype(int), 0, sizes[k] - 1)
-        x = _horner(coef[offsets[k] + j], s - j)
-        for sel, fn, target in self._sides(p):
-            sel &= np.isnan(x) & (p == pc)  # an uncertified interval: bisect inside it
-            if sel.any():
-                x[sel] = bisect_increasing(fn, target[sel], x_nodes[k[sel]], x_nodes[k[sel] + 1])
-        x[p != pc] = self._beyond(p[p != pc], x_nodes[0], x_nodes[-1])
+        s = (pc - u.take(k)) * scale.take(k)
+        j = np.clip(s.astype(int), 0, sizes.take(k) - 1)
+        x = _horner(coef.take(offsets.take(k) + j, axis=0), s - j)  # take gathers rows far faster than coef[...]
+        beyond = p != pc
+        if self.ppf is not None:  # the closed form answers every target the cubics leave out
+            miss = np.isnan(x) | beyond
+            if miss.any():
+                x[miss] = self.ppf(p[miss])
+            return x
+        uncertified = np.isnan(x) & ~beyond
+        if uncertified.any():  # bisect inside the node interval
+            for sel, fn, target in self._sides(p):
+                sel &= uncertified
+                if sel.any():
+                    x[sel] = bisect_increasing(fn, target[sel], x_nodes[k[sel]], x_nodes[k[sel] + 1])
+        if beyond.any():
+            x[beyond] = self._beyond(p[beyond], x_nodes[0], x_nodes[-1])
         return x
 
     # -- lattice enumeration ------------------------------------------------

@@ -520,11 +520,12 @@ def bisect_increasing(
     bracket below 1e-21 of its initial width, far past the 1e-12
     in-probability tolerance used for inverse-CDF sampling.
 
-    Distribution.quantile uses it to build each law's inverse table, for
-    targets in a node interval that the table's cubic refinement leaves
-    uncertified, and for targets beyond a lattice or inverse table;
-    Distribution.lattice_points uses it to find the end of each lattice
-    enumeration.
+    Distribution.quantile uses it to build each law's inverse table (also
+    on laws with a ppf, whose Monte Carlo draws read that table), and, on
+    laws without a ppf, for targets in a node interval that the table's
+    cubic refinement leaves uncertified and for targets beyond a lattice or
+    inverse table; Distribution.lattice_points uses it to find the end of
+    each lattice enumeration.
     """
     targets = np.asarray(targets, dtype=float)
     if np.ndim(lo) == 0 and np.ndim(hi) == 0:

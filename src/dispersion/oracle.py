@@ -6,6 +6,13 @@ generator is counter-based (Philox) and keyed by the seed alone: batch b
 draws from Philox(seed).jumped(b), so estimates are bit-reproducible and
 the batch partition could be farmed out to workers and merged in any
 order.
+
+Draws invert the CDF through Distribution.quantile(u, table=True): the
+lattice table on lattice laws, and on every continuous law, closed-form
+ppf or not, the certified cubic Hermite inverse table, within 1e-12 in
+probability. Inside a sub-interval the table could not certify, and
+beyond its end nodes, the law's ppf answers where it has one and a
+bisection otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ def _sample(d: Distribution, gen: Generator, m: int) -> np.ndarray:
     # keep bisection away from exactly 0/1 targets
     u = np.clip(u, 1e-15, 1 - 1e-15)
     try:
-        return np.asarray(d.quantile(u), dtype=float)
+        return np.asarray(d.quantile(u, table=True), dtype=float)
     except Exception as exc:  # pragma: no cover - defensive
         raise SamplingUnavailable(f"inverse-CDF sampling failed for {d.label}: {exc}")
 

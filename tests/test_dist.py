@@ -198,9 +198,9 @@ def test_table_quantile_matches_bisection(name):
     assert float(gap_hi.max()) <= 1e-12
 
 
-def _max_residual(d, u):
+def _max_residual(d, u, table=False):
     # cdf for u <= 1/2, sf against 1 - u above
-    x = np.asarray(d.quantile(u), float)
+    x = np.asarray(d.quantile(u, table=table), float)
     low = u <= 0.5
     return float(np.max(np.abs(np.concatenate([d.cdf(x[low]) - u[low], (1 - u[~low]) - d.sf(x[~low])]))))
 
@@ -230,6 +230,65 @@ def test_uncertified_intervals_are_bisected(monkeypatch):
     d = make_distribution("normal-mix")
     assert np.isnan(d._hermite_table()[3][:, 0]).any()
     assert _max_residual(d, Generator(Philox(key=2024)).random(20_000)) <= 1e-12
+
+
+# laws with a closed-form ppf, which Monte Carlo draws through the table too
+_PPF_LAWS = {
+    **{spec: lambda spec=spec: make_distribution(spec) for spec in (
+        "gamma:alpha=2", "gamma:alpha=0.3", "beta:alpha=2", "weibull:alpha=0.5",
+        "normal", "gpd:alpha=0.25", "logistic")},
+    "affine(gamma:alpha=2,-2,1)": lambda: affine(make_distribution("gamma:alpha=2"), -2.0, 1.0),
+    "truncate(gamma:alpha=0.5,upper,3)":
+        lambda: truncate(make_distribution("gamma:alpha=0.5"), "upper", 3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_PPF_LAWS))
+def test_table_draws_are_certified_on_ppf_laws(name):
+    d = _PPF_LAWS[name]()
+    assert d.ppf is not None
+    assert _max_residual(d, Generator(Philox(key=2024)).random(200_000), table=True) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", list(_TABLE_LAWS) + [s for s in STANDARD_INSTANCES if make_distribution(s).is_lattice]
+)
+def test_table_keyword_changes_nothing_without_ppf(name):
+    # laws without a ppf, and lattice laws, already answer from their tables
+    d = _TABLE_LAWS[name]() if name in _TABLE_LAWS else make_distribution(name)
+    assert d.ppf is None
+    edges = [0.0, 1e-15, 1e-13, 0.5, 1 - 1e-13, 1 - 1e-15, 1.0]
+    u = np.concatenate([edges, Generator(Philox(key=2024)).random(20_000)])
+    assert np.array_equal(d.quantile(u), d.quantile(u, table=True))
+
+
+@pytest.mark.parametrize("spec", ["beta:alpha=0.5,beta=0.5", "gamma:alpha=0.05"])
+def test_uncertified_sub_intervals_read_the_ppf(spec):
+    d = make_distribution(spec)
+    nodes = d._inverse_table()[0]
+    sizes, offsets, scale, coef = d._hermite_table()
+    k = np.repeat(np.arange(len(sizes)), sizes)
+    j = np.arange(len(coef)) - offsets[k]
+    rows = np.flatnonzero(np.isnan(coef[:, 0]))
+    assert rows.size > 100
+    # one target in the middle half of each uncertified sub-interval, clear of
+    # its edges, where index rounding may pick a neighbour
+    r = Generator(Philox(key=2024)).uniform(0.25, 0.75, rows.size)
+    u = nodes[k[rows]] + (j[rows] + r) / scale[k[rows]]
+    assert np.array_equal(d.quantile(u, table=True), d.ppf(u))
+
+
+@pytest.mark.parametrize("spec", ["erf-hazard", "normal", "poisson:theta=2"])
+@pytest.mark.parametrize("table", [False, True])
+def test_quantile_of_invalid_targets_is_nan(spec, table):
+    d = make_distribution(spec)
+    bad = np.array([np.nan, -0.1, 1.1, -np.inf, np.inf])
+    assert np.isnan(d.quantile(bad, table=table)).all()
+    assert np.isnan(d.quantile(np.nan, table=table))
+    # valid targets beside them are answered as on their own
+    mixed = d.quantile(np.array([np.nan, 0.3, 1.1, 0.9]), table=table)
+    assert np.isnan(mixed[[0, 2]]).all()
+    assert np.array_equal(mixed[[1, 3]], d.quantile(np.array([0.3, 0.9]), table=table))
 
 
 # (law, reflection offset or None, p, smallest x with cdf(x) >= p), each

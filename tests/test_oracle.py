@@ -60,6 +60,35 @@ def test_mc_geometric_lambda():
     assert abs(est.lambda_hat - 1 / 3) <= 4 * est.ci_lambda
 
 
+def test_mc_draws_a_ppf_law_through_its_table():
+    # every continuous law draws through its certified inverse table; gamma(2)
+    # has no uncertified sub-interval, so its closed-form ppf is never called
+    d = make_distribution("gamma:alpha=2")
+    calls = []
+    ppf = d.ppf
+    d.ppf = lambda p: calls.append(np.size(p)) or ppf(p)
+    mc_estimate(d, 10**5, 5)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["beta:alpha=0.1,beta=0.1", "beta:alpha=2,beta=0.3", "beta:alpha=50,beta=0.5",
+     "gamma:alpha=0.01", "gamma:alpha=1000", "weibull:alpha=0.1"],
+)
+def test_mc_table_draws_match_ppf_draws_on_hard_shapes(spec, monkeypatch):
+    # draws within 1e-12 in probability of the closed form move an estimate
+    # far less than its confidence interval, here on poles, heavy tails and
+    # extreme shapes, some with sub-intervals that read the ppf
+    d = make_distribution(spec)
+    table = mc_estimate(d, 200_000, 11)
+    quantile = Distribution.quantile
+    monkeypatch.setattr(Distribution, "quantile", lambda self, p, table=False: quantile(self, p))
+    closed = mc_estimate(d, 200_000, 11)
+    assert abs(table.sd_hat - closed.sd_hat) <= closed.ci_sd
+    assert abs(table.gmd_hat - closed.gmd_hat) <= closed.ci_gmd
+
+
 def test_mc_ci_scales_with_n():
     d = make_distribution("normal")
     small = mc_estimate(d, 10**4, 9)
