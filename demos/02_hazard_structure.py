@@ -11,13 +11,12 @@ Run:  python demos/02_hazard_structure.py
 import numpy as np
 
 from dispersion import equivalence_audit, make_distribution
-from dispersion.hazard import scan_grid
 
 # The counterexample: h increases everywhere, but r dips and recovers, so
 # one light tail is not enough for GMD dominance (SD still wins: 0.407 vs
 # 0.402). The rows below are the data behind the two rate curves.
 d = make_distribution("erfi-interval")
-xs = scan_grid(d)[::128]
+xs = d.probe_grid()[::128]
 h = np.asarray(d.pdf(xs), float) / np.asarray(d.sf(xs), float)
 r = np.asarray(d.pdf(xs), float) / np.asarray(d.cdf(xs), float)
 print("x,hazard,reverse_hazard")
@@ -25,7 +24,7 @@ for row in zip(xs, h, r):
     print(",".join(f"{v:.6g}" for v in row))
 print()
 
-full_grid = scan_grid(d)
+full_grid = d.probe_grid()
 r_full = np.asarray(d.pdf(full_grid), float) / np.asarray(d.cdf(full_grid), float)
 print(f"reverse hazard minimum near x = {full_grid[np.argmin(r_full)]:+.4f} "
       "(the sign change of r')")

@@ -1,17 +1,19 @@
 """Command-line surface.
 
-    dispersion analyze        --dist FAMILY:k=v[,k=v...] --output json|csv [--out PATH]
-    dispersion sweep          --dist FAMILY:k=_[,...] --range a:b:step --output csv
-    dispersion truncate-sweep --dist FAMILY:... --side lower|upper --range a:b:step
-    dispersion mean-excess    --dist FAMILY:... --range a:b:step
-    dispersion verify         --dist FAMILY:... [--mc-n N] [--seed S] --output json
+    dispersion analyze        --dist FAMILY:k=v[,k=v...] [--output json|csv]
+    dispersion sweep          --dist FAMILY:k=_[,...] --range a:b:step [--output csv]
+    dispersion truncate-sweep --dist FAMILY:... --side lower|upper --range a:b:step [--output csv]
+    dispersion mean-excess    --dist FAMILY:... --range a:b:step [--output csv]
+    dispersion verify         --dist FAMILY:... [--mc-n N] [--seed S] [--output json]
     dispersion list-families  [--output json]
 
-The sweep placeholder ``_`` marks the swept parameter. CSV rows carry 12
-significant digits, are newline-terminated and locale-independent; fixed
-seeds make repeated invocations byte-identical. Exit status: 0 success,
-2 parse error, 3 computation error (the error class name is echoed).
-Environment: DISPERSION_GRID overrides the scan grid size (default 2048).
+Every command also takes --out PATH, and --output names only the formats
+it writes (the first is the default; list-families prints a text table by
+default). The sweep placeholder ``_`` marks the swept parameter. CSV rows
+carry 12 significant digits, are newline-terminated and
+locale-independent; fixed seeds make repeated invocations byte-identical.
+Exit status: 0 success, 2 parse error, 3 computation error (the error
+class name is echoed).
 """
 
 from __future__ import annotations
@@ -169,41 +171,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dist=True):
+    def common(p, *formats, dist=True):
+        # --output accepts only the formats the command writes; the first is the default
         if dist:
             p.add_argument("--dist", required=True, help="family:k=v[,k=v...]")
-        p.add_argument("--output", choices=["csv", "json"], default="json")
+        p.add_argument("--output", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write to PATH instead of stdout")
 
     p = sub.add_parser("analyze", help="one-law dispersion + hazard + verdict record")
-    common(p)
+    common(p, "json", "csv")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="sweep one family parameter (mark it with '_')")
-    common(p)
+    common(p, "csv")
     p.add_argument("--range", required=True, help="start:stop:step")
-    p.set_defaults(fn=cmd_sweep, output="csv")
+    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("truncate-sweep", help="tail SD/GMD as a function of the threshold")
-    common(p)
+    common(p, "csv")
     p.add_argument("--range", required=True, help="start:stop:step")
     p.add_argument("--side", choices=["lower", "upper"], required=True)
-    p.set_defaults(fn=cmd_truncate_sweep, output="csv")
+    p.set_defaults(fn=cmd_truncate_sweep)
 
     p = sub.add_parser("mean-excess", help="mean excess of |X - X'| by both routes")
-    common(p)
+    common(p, "csv")
     p.add_argument("--range", required=True, help="start:stop:step")
-    p.set_defaults(fn=cmd_mean_excess, output="csv")
+    p.set_defaults(fn=cmd_mean_excess)
 
     p = sub.add_parser("verify", help="Monte Carlo cross-check of the analytic values")
-    common(p)
+    common(p, "json")
     p.add_argument("--mc-n", type=int, default=10**6, dest="mc_n")
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("list-families", help="registry families and parameter domains")
-    common(p, dist=False)
-    p.set_defaults(fn=cmd_list_families, output="text")
+    common(p, "json", dist=False)
+    p.set_defaults(fn=cmd_list_families, output="text")  # a text table unless --output json
     return parser
 
 

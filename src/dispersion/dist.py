@@ -8,10 +8,10 @@ Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache, owned by
 this module and built lazily on first use, of read-only tables: the
 enumerated lattice table and the sums over the tail it leaves out, the
-scan grid of each size and clip with pdf, cdf and sf on it, the inverse
-table and its certified cubic refinement behind continuous quantiles
-without a closed form and the Monte Carlo draws of every continuous law,
-and the stop-loss table behind every mean excess:
+one scan grid with pdf, cdf and sf on it, the inverse table and its
+certified cubic refinement behind continuous quantiles without a closed
+form and the Monte Carlo draws of every continuous law, and the stop-loss
+table behind every mean excess:
 on continuous laws Pi at its nodes beside the Legendre antiderivative of
 S on each node interval, so a read between nodes evaluates no law, the
 same table extended past its last node as far as a read reaches, and the
@@ -50,6 +50,12 @@ SUM_CUT = 1e-12
 LATTICE_LIMIT = 2**19
 # points in the first block of a tail summed past a table; each next block doubles
 TAIL_BLOCK = 1024
+
+# scan grid of a continuous law: SCAN_POINTS quantiles evenly spaced in
+# probability over [SCAN_CLIP, 1 - SCAN_CLIP]; a lattice law scans every point
+# of its table carrying mass >= SUM_CUT
+SCAN_POINTS = 2048
+SCAN_CLIP = 1e-6
 
 # continuous stop-loss table: G = _ANTIDERIV @ (S at the 16 Gauss-Legendre
 # nodes of [-1, 1]) are the Legendre coefficients of int_s^1 p, p the degree-15
@@ -144,10 +150,10 @@ class Distribution:
     integers, zero elsewhere) for lattice supports. cdf(x) = P(X <= x) and
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
     `_cache` holds the read-only tables built on first use: lattice_table(),
-    which also serves quantile(), with table_tail() beside it, probe_grid()
-    per size and clip with the pdf, cdf and sf columns of probe_values()
-    beside it, the continuous inverse table (stop_loss() takes its nodes)
-    and its refinement that quantile() reads when the law has no ppf or
+    which also serves quantile(), with table_tail() beside it, the one
+    probe_grid() with the pdf, cdf and sf columns of probe_values() beside
+    it, the continuous inverse table (stop_loss() takes its nodes) and its
+    refinement that quantile() reads when the law has no ppf or
     `table` is set, and one stop-loss table: excess_table() on the lattice;
     on continuous laws the node table of stop_loss() with its Legendre
     coefficients (_stop_loss_nodes()), its extension past the last node
@@ -412,37 +418,45 @@ class Distribution:
 
     # -- probe grids ---------------------------------------------------------
 
-    def probe_grid(self, n: int, clip: float = 1e-6) -> np.ndarray:
-        """Quantile-spaced grid of n points over [q(clip), q(1-clip)].
+    def probe_grid(self) -> np.ndarray:
+        """Quantile-spaced grid of SCAN_POINTS points over [q(SCAN_CLIP),
+        q(1 - SCAN_CLIP)].
 
         For lattice laws this instead returns every support point carrying
-        mass >= SUM_CUT. The grid is built once per (n, clip) and read-only.
+        mass >= SUM_CUT. The grid is built once per law and read-only.
         """
-        key = ("grid", n, clip)
-        if key not in self._cache:
+        if "grid" not in self._cache:
             if self.is_lattice:
                 pts, mass, _, _ = self.lattice_table()
                 xs = pts[mass >= SUM_CUT]
                 if len(xs) == 0:
                     raise UnsupportedKind(f"no lattice point carries mass >= {SUM_CUT:g}")
             else:
-                ps = np.linspace(clip, 1.0 - clip, n)
+                ps = np.linspace(SCAN_CLIP, 1.0 - SCAN_CLIP, SCAN_POINTS)
                 xs = np.maximum.accumulate(np.asarray(self.quantile(ps), dtype=float))
-            self._cache[key] = _read_only(xs)[0]
-        return self._cache[key]
+            self._cache["grid"] = _read_only(xs)[0]
+        return self._cache["grid"]
 
-    def probe_values(self, n: int, clip: float, *which: str) -> tuple[np.ndarray, ...]:
-        """(probe_grid(n, clip), then pdf, cdf or sf on it for each name in
-        `which`). Each column is evaluated once per law and kept read-only
-        beside its grid, so the scans of one law share it."""
-        xs = self.probe_grid(n, clip)
-        cols = []
-        for name in which:
-            key = ("grid", n, clip, name)
-            if key not in self._cache:
-                self._cache[key] = _read_only(np.asarray(getattr(self, name)(xs), dtype=float))[0]
-            cols.append(self._cache[key])
+    def probe_values(self, *which: str) -> tuple[np.ndarray, ...]:
+        """(probe_grid(), then pdf, cdf or sf on it for each name in `which`).
+        Each column is evaluated once per law and kept read-only beside its
+        grid, so the scans of one law share it."""
+        with np.errstate(all="ignore"):
+            xs = self.probe_grid()
+            cols = []
+            for name in which:
+                key = ("grid", name)
+                if key not in self._cache:
+                    self._cache[key] = _read_only(np.asarray(getattr(self, name)(xs), dtype=float))[0]
+                cols.append(self._cache[key])
         return (xs, *cols)
+
+    @property
+    def probe_label(self) -> str:
+        """The probe grid as a scan record names it."""
+        if self.is_lattice:
+            return f"lattice[mass>={SUM_CUT:g}]"
+        return f"quantile[{SCAN_CLIP:g},{1 - SCAN_CLIP}]n{SCAN_POINTS}"
 
     def iqr(self) -> float:
         q1, q3 = self.quantile(np.array([0.25, 0.75]))

@@ -3,13 +3,13 @@ function, and grid-based monotonicity / log-concavity diagnostics.
 
 Monotone directions are non-strict throughout: a constant function counts
 as both nondecreasing and nonincreasing and is reported as "constant".
-Scans run on a quantile-spaced grid over [q(1e-6), q(1 - 1e-6)] (default
-2048 points, override with env var DISPERSION_GRID) for continuous laws
-and on every lattice point carrying mass >= `dist.SUM_CUT` (1e-12) for
-discrete ones; the 1e-6 clip is recorded in each verdict's grid
-description. `Distribution.probe_grid` builds each grid once per law and
-`Distribution.probe_values` evaluates pdf, cdf and sf on it once for every
-scan. The mean excess of X reads the law's stop-loss table
+Every scan of a law runs on its one probe grid (`Distribution.probe_grid`):
+on a continuous law `dist.SCAN_POINTS` = 2048 quantile-spaced points over
+[q(1e-6), q(1 - 1e-6)], the clip being `dist.SCAN_CLIP`; on a lattice law
+every point carrying mass >= `dist.SUM_CUT` (1e-12). `Distribution.probe_values`
+evaluates pdf, cdf and sf on it once for every scan. Every scan holds to one
+relative tolerance, `SLACK` = 1e-9, and each verdict records the grid
+(`Distribution.probe_label`) and the tolerance. The mean excess of X reads the law's stop-loss table
 (`Distribution.stop_loss`), the one behind the mean excess of |X - X'|; on
 the lattice that table sums S from the top of the one enumerated table,
 starting from the sum of S past it (`Distribution.lattice_tail`), so it
@@ -18,13 +18,12 @@ holds past the table's end too.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import SUM_CUT, Distribution
+from .dist import SCAN_CLIP, Distribution
 from .errors import (
     GridEmpty,
     HeadExhausted,
@@ -41,12 +40,9 @@ LOG_CONCAVE = "log-concave"
 LOG_CONVEX = "log-convex"
 NEITHER = "neither"
 
-DEFAULT_SLACK = 1e-9
-QUANTILE_CLIP = 1e-6
-
-
-def grid_size() -> int:
-    return int(os.environ.get("DISPERSION_GRID", "2048"))
+# relative tolerance of every scan: a step against a direction is forgiven up
+# to SLACK times the largest value scanned (times |log G(x)| per lattice point)
+SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,6 @@ class MonotoneVerdict:
     direction: str
     witness: tuple[float, float, tuple[float, float]] | None
     grid: str
-    slack: float
 
     @property
     def is_nonincreasing(self) -> bool:
@@ -91,7 +86,7 @@ class HazardReport:
             "r_direction": self.r_verdict.direction,
             "r_witness": _witness_list(self.r_verdict),
             "grid": self.h_verdict.grid,
-            "slack": self.h_verdict.slack,
+            "slack": SLACK,
             "equivalence_audit_pass": self.equivalence_audit_pass,
         }
         for target in ("pdf", "cdf", "sf"):
@@ -175,59 +170,36 @@ def _ratio(num, den) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def scan_grid(d: Distribution) -> np.ndarray:
-    return d.probe_grid(grid_size(), clip=QUANTILE_CLIP)
-
-
-def _scan_columns(d: Distribution, *which: str) -> tuple[np.ndarray, ...]:
-    """The scan grid and the law's cached pdf, cdf or sf on it, one grid per scan."""
-    with np.errstate(all="ignore"):
-        return d.probe_values(grid_size(), QUANTILE_CLIP, *which)
-
-
-def _grid_label(d: Distribution) -> str:
-    if d.is_lattice:
-        return f"lattice[mass>={SUM_CUT:g}]"
-    return f"quantile[{QUANTILE_CLIP:g},{1 - QUANTILE_CLIP}]n{grid_size()}"
-
-
-def classify_sequence(
-    xs: np.ndarray, vals: np.ndarray, slack: float, grid: str
-) -> MonotoneVerdict:
+def classify_sequence(xs: np.ndarray, vals: np.ndarray, grid: str) -> MonotoneVerdict:
     """Classify a sampled sequence as monotone up/down/constant or neither."""
     if len(xs) < 2:
         # a single probe point cannot falsify anything
-        return MonotoneVerdict(CONSTANT, None, grid, slack)
+        return MonotoneVerdict(CONSTANT, None, grid)
     vals = np.asarray(vals, float)
     if not np.all(np.isfinite(vals)):
         raise GridEmpty("non-finite values on scan grid")
     diffs = np.diff(vals)
-    scale = float(np.max(np.abs(vals)))
-    tol = slack * scale
+    tol = SLACK * float(np.max(np.abs(vals)))
     up_ok = bool(np.all(diffs >= -tol))
     down_ok = bool(np.all(diffs <= tol))
     if up_ok and down_ok:
-        return MonotoneVerdict(CONSTANT, None, grid, slack)
+        return MonotoneVerdict(CONSTANT, None, grid)
     if up_ok:
-        return MonotoneVerdict(INCREASING, None, grid, slack)
+        return MonotoneVerdict(INCREASING, None, grid)
     if down_ok:
-        return MonotoneVerdict(DECREASING, None, grid, slack)
+        return MonotoneVerdict(DECREASING, None, grid)
     i = int(np.argmax(np.abs(diffs)))
     witness = (float(xs[i]), float(xs[i + 1]), (float(vals[i]), float(vals[i + 1])))
-    return MonotoneVerdict(NON_MONOTONE, witness, grid, slack)
+    return MonotoneVerdict(NON_MONOTONE, witness, grid)
 
 
-def monotonicity_scan(
-    fn: Callable[[np.ndarray], np.ndarray],
-    d: Distribution,
-    slack: float = DEFAULT_SLACK,
-) -> MonotoneVerdict:
+def monotonicity_scan(fn: Callable[[np.ndarray], np.ndarray], d: Distribution) -> MonotoneVerdict:
     """Classify fn's direction on the law's scan grid.
 
     fn may be vectorized or scalar-only; scalar functions are mapped
     pointwise.
     """
-    xs = scan_grid(d)
+    xs = d.probe_grid()
     if len(xs) == 0:
         raise GridEmpty(f"empty scan grid for {d.label}")
     try:
@@ -236,50 +208,48 @@ def monotonicity_scan(
             raise TypeError
     except (TypeError, ValueError):
         vals = np.array([float(fn(float(x))) for x in xs])
-    return classify_sequence(xs, vals, slack, _grid_label(d))
+    return classify_sequence(xs, vals, d.probe_label)
 
 
-def hazard_scan(d: Distribution, slack: float = DEFAULT_SLACK) -> MonotoneVerdict:
-    xs, f, s = _scan_columns(d, "pdf", "sf")
-    return _rate_verdict(d, xs, _hazard_vals(d, xs, f, s), slack)
+def hazard_scan(d: Distribution) -> MonotoneVerdict:
+    xs, f, s = d.probe_values("pdf", "sf")
+    return _rate_verdict(d, xs, _hazard_vals(d, xs, f, s))
 
 
-def reverse_hazard_scan(d: Distribution, slack: float = DEFAULT_SLACK) -> MonotoneVerdict:
-    xs, f, c = _scan_columns(d, "pdf", "cdf")
-    return _rate_verdict(d, xs, _ratio(f, c), slack)
+def reverse_hazard_scan(d: Distribution) -> MonotoneVerdict:
+    xs, f, c = d.probe_values("pdf", "cdf")
+    return _rate_verdict(d, xs, _ratio(f, c))
 
 
-def _rate_verdict(d: Distribution, xs: np.ndarray, vals: np.ndarray, slack: float) -> MonotoneVerdict:
+def _rate_verdict(d: Distribution, xs: np.ndarray, vals: np.ndarray) -> MonotoneVerdict:
     """classify_sequence of a hazard or reverse hazard. A continuous grid whose
     clipped quantile rounds onto a finite support end, where S or F is 0 and
     the rate is not finite, is refused with that end named (beta laws of
     second shape 0.3 or less put q(1 - 1e-6) within 1e-20 of 1). The grid is
     nondecreasing, so only its first and last points can lie on an end."""
     if not d.is_lattice and len(xs):
-        for i, end, p in ((0, d.support.lower, QUANTILE_CLIP), (-1, d.support.upper, 1.0 - QUANTILE_CLIP)):
+        for i, end, p in ((0, d.support.lower, SCAN_CLIP), (-1, d.support.upper, 1.0 - SCAN_CLIP)):
             if xs[i] == end and not np.isfinite(vals[i]):
                 raise GridEmpty(
                     f"scan grid of {d.label} reaches its support end {end:g}, where the density is "
                     f"{float(d.pdf(end)):g}: its quantile at {p:g} rounds onto that end"
                 )
-    return classify_sequence(xs, vals, slack, _grid_label(d))
+    return classify_sequence(xs, vals, d.probe_label)
 
 
-def log_concavity_scan(
-    d: Distribution, target: str, slack: float = DEFAULT_SLACK
-) -> str:
+def log_concavity_scan(d: Distribution, target: str) -> str:
     """Classify log pdf/cdf/sf as log-concave, log-convex, or neither.
 
     Continuous laws: secant slopes of the log target must be monotone
     (equivalent to second differences, but well defined on the non-uniform
     quantile grid). Lattice laws: exact ratio test
-    G(x)^2 vs G(x-1) G(x+1) with per-point slack 1e-9 * |log G(x)|.
+    G(x)^2 vs G(x-1) G(x+1) with per-point slack SLACK * |log G(x)|.
     A log-linear target passes both directions and reports log-concave.
     """
     if target not in ("pdf", "cdf", "sf"):
         raise ValueError(f"target must be pdf/cdf/sf, got {target!r}")
     if d.is_lattice:
-        return _log_concavity_lattice(d, target, slack)
+        return _log_concavity_lattice(d, target)
     xs, vals = _log_target(d, target)
     ok = np.isfinite(vals)
     xs, vals = xs[ok], vals[ok]
@@ -287,7 +257,7 @@ def log_concavity_scan(
         raise GridEmpty(f"log {target} not finite on scan grid for {d.label}")
     slopes = np.diff(vals) / np.diff(xs)
     mids = 0.5 * (xs[:-1] + xs[1:])
-    verdict = classify_sequence(mids, slopes, slack, _grid_label(d))
+    verdict = classify_sequence(mids, slopes, d.probe_label)
     if verdict.direction in (DECREASING, CONSTANT):
         return LOG_CONCAVE
     if verdict.direction == INCREASING:
@@ -299,14 +269,14 @@ def _log_target(d: Distribution, target: str) -> tuple[np.ndarray, np.ndarray]:
     """(scan grid, log pdf, cdf or sf on it)."""
     with np.errstate(all="ignore"):
         if target == "pdf":
-            xs = scan_grid(d)
+            xs = d.probe_grid()
             return xs, np.asarray(d.log_pdf(xs), float)
-        xs, vals = _scan_columns(d, target)
+        xs, vals = d.probe_values(target)
         return xs, np.log(np.maximum(vals, 1e-320))
 
 
-def _log_concavity_lattice(d: Distribution, target: str, slack: float) -> str:
-    xs, g0 = _scan_columns(d, target)
+def _log_concavity_lattice(d: Distribution, target: str) -> str:
+    xs, g0 = d.probe_values(target)
     fn = getattr(d, target)
     g = lambda k: np.asarray(fn(k), float)
     with np.errstate(all="ignore"):
@@ -317,7 +287,7 @@ def _log_concavity_lattice(d: Distribution, target: str, slack: float) -> str:
     if not np.any(ok):
         raise GridEmpty(f"ratio test has no valid points for {d.label}")
     d2 = lg_m[ok] + lg_p[ok] - 2.0 * lg_0[ok]
-    tol = slack * np.maximum(np.abs(lg_0[ok]), 1e-3)
+    tol = SLACK * np.maximum(np.abs(lg_0[ok]), 1e-3)
     concave_ok = bool(np.all(d2 <= tol))
     convex_ok = bool(np.all(d2 >= -tol))
     if concave_ok:
@@ -342,15 +312,15 @@ def _residual_spot_ts(d: Distribution) -> list[float]:
     return [0.1 * iqr, 0.5 * iqr, 1.0 * iqr]
 
 
-def _residual_scan(d: Distribution, t: float, which: str, slack: float) -> MonotoneVerdict:
+def _residual_scan(d: Distribution, t: float, which: str) -> MonotoneVerdict:
     if which == "D":
-        xs, denom = _scan_columns(d, "sf")
+        xs, denom = d.probe_values("sf")
         vals = _ratio(d.sf(xs + t), denom)
     else:
-        xs, denom = _scan_columns(d, "cdf")
+        xs, denom = d.probe_values("cdf")
         vals = _ratio(d.cdf(xs - t), denom)
     ok = np.isfinite(vals)
-    return classify_sequence(xs[ok], vals[ok], slack, _grid_label(d))
+    return classify_sequence(xs[ok], vals[ok], d.probe_label)
 
 
 def _direction_consistent(rate: MonotoneVerdict, resid: MonotoneVerdict) -> bool:
@@ -377,7 +347,7 @@ def _logclass_consistent(rate: MonotoneVerdict, cls: str, chain: str) -> bool:
     return cls == expected
 
 
-def equivalence_audit(d: Distribution, slack: float = DEFAULT_SLACK) -> HazardReport:
+def equivalence_audit(d: Distribution) -> HazardReport:
     """Cross-check the three characterizations of hazard monotonicity.
 
     Scans h and r, classifies log-concavity of pdf/cdf/sf, and spot-checks
@@ -385,15 +355,15 @@ def equivalence_audit(d: Distribution, slack: float = DEFAULT_SLACK) -> HazardRe
     (integer t for lattice laws). Passes iff every independent route agrees
     with the rate verdicts.
     """
-    h_v = hazard_scan(d, slack)
-    r_v = reverse_hazard_scan(d, slack)
-    logc = {target: log_concavity_scan(d, target, slack) for target in ("pdf", "cdf", "sf")}
+    h_v = hazard_scan(d)
+    r_v = reverse_hazard_scan(d)
+    logc = {target: log_concavity_scan(d, target) for target in ("pdf", "cdf", "sf")}
     ok = _logclass_consistent(h_v, logc["sf"], "A") and _logclass_consistent(
         r_v, logc["cdf"], "B"
     )
     for t in _residual_spot_ts(d):
-        ok = ok and _direction_consistent(h_v, _residual_scan(d, t, "D", slack))
-        ok = ok and _direction_consistent(r_v, _residual_scan(d, t, "C", slack))
+        ok = ok and _direction_consistent(h_v, _residual_scan(d, t, "D"))
+        ok = ok and _direction_consistent(r_v, _residual_scan(d, t, "C"))
     return HazardReport(
         h_verdict=h_v, r_verdict=r_v, logconcavity=logc, equivalence_audit_pass=bool(ok)
     )

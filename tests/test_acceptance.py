@@ -23,7 +23,6 @@ from dispersion import (
     tail_dispersion,
     truncate,
 )
-from dispersion.hazard import scan_grid
 from dispersion.measures import gmd_numeric, sd_numeric
 from dispersion.ordering import GMD_DOMINATES, SD_DOMINATES
 
@@ -132,7 +131,7 @@ def test_2a_erf_hazard_values():
 def test_2b_erfi_interval_values():
     d = make_distribution("erfi-interval")
     s, g = sd(d), gmd(d)
-    xs = scan_grid(d)
+    xs = d.probe_grid()
     r = np.asarray(d.pdf(xs), float) / np.asarray(d.cdf(xs), float)
     x_flip = float(xs[np.argmin(r)])
     ok = abs(s - 0.407) <= 0.0005 and abs(g - 0.402) <= 0.0005

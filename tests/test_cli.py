@@ -201,12 +201,31 @@ def test_negative_range_space_form(capsys):
     assert all(float(r.split(",")[3]) <= 0 for r in rows[1:])
 
 
-def test_grid_env_override():
-    env = dict(os.environ, DISPERSION_GRID="256")
-    proc = subprocess.run(
-        RUN + ["analyze", "--dist", "normal", "--output", "json"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0
-    rec = json.loads(proc.stdout)
-    assert "n256" in rec["hazard"]["grid"]
+def test_grid_env_is_ignored():
+    # the scan grid reads no environment: on 4 points the damped-hazard density
+    # scans log-concave and would certify gmd-dominates, a false certificate
+    for value in ("4", "abc"):
+        env = dict(os.environ, DISPERSION_GRID=value)
+        proc = subprocess.run(
+            RUN + ["analyze", "--dist", "damped-hazard:theta=0.5", "--output", "json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)
+        assert rec["hazard"]["grid"].endswith("n2048")
+        assert rec["verdict"]["verdict"] == "inconclusive"
+        assert rec["verdict"]["basis"] == "none"
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--dist", "gamma:alpha=_", "--range", "1:2:1", "--output", "json"],
+    ["truncate-sweep", "--dist", "normal", "--side", "lower", "--range", "0:1:1", "--output", "json"],
+    ["mean-excess", "--dist", "normal", "--range", "0:1:1", "--output", "json"],
+    ["verify", "--dist", "normal", "--mc-n", "1000", "--output", "csv"],
+    ["list-families", "--output", "csv"],
+])
+def test_output_format_the_command_does_not_write_is_parse_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--output" in err

@@ -27,10 +27,10 @@ from dispersion.dist import (
     CONTINUOUS,
     LATTICE,
     LATTICE_LIMIT,
+    SCAN_POINTS,
     SUM_CUT,
     Distribution,
 )
-from dispersion.hazard import grid_size, scan_grid
 from dispersion.numerics import bisect_increasing, integrate
 
 from conftest import STANDARD_INSTANCES
@@ -107,10 +107,18 @@ def test_support_validation():
 # ---------------------------------------------------------------------------
 
 
+def quantile_grid(d, n: int) -> np.ndarray:
+    """n quantile-spaced points over [q(1e-6), q(1 - 1e-6)] on a continuous
+    law, every lattice point of mass >= SUM_CUT on a lattice one."""
+    if d.is_lattice:
+        return d.probe_grid()
+    return np.maximum.accumulate(np.asarray(d.quantile(np.linspace(1e-6, 1 - 1e-6, n)), float))
+
+
 @pytest.mark.parametrize("spec", STANDARD_INSTANCES)
 def test_cdf_sf_complement_and_monotone(spec, instances):
     d = instances[spec]
-    xs = d.probe_grid(64)
+    xs = quantile_grid(d, 64)
     gap = np.abs(np.asarray(d.cdf(xs)) + np.asarray(d.sf(xs)) - 1.0)
     if d.is_lattice:
         # complement holds to one or two float roundings (exact convention)
@@ -448,7 +456,7 @@ def test_erfi_survival_ignores_the_other_points_of_a_call(spec):
 
 
 # ---------------------------------------------------------------------------
-# per-law tables: one lattice enumeration per cut, one scan grid per size
+# per-law tables: one lattice enumeration per cut, one scan grid per law
 # ---------------------------------------------------------------------------
 
 
@@ -464,7 +472,7 @@ def test_classify_inverts_one_scan_grid(spec, monkeypatch):
     monkeypatch.setattr(Distribution, "quantile", counted)
     classify(make_distribution(spec))
     # the grid once for all eleven scans, plus the two quartiles of the IQR
-    assert sum(points) == grid_size() + 2
+    assert sum(points) == SCAN_POINTS + 2
 
 
 def _count_cuts(monkeypatch) -> list[float]:
@@ -508,8 +516,8 @@ def test_mean_excess_enumerates_its_cut_once(monkeypatch):
 def test_cached_tables_are_read_only():
     cont = make_distribution("erfi-interval")
     lat = make_distribution("poisson:theta=2")
-    arrays = [*cont.probe_values(64, 1e-6, "pdf", "cdf", "sf"), *cont._inverse_table(), *cont._hermite_table()]
-    arrays += lat.probe_values(64, 1e-6, "pdf", "cdf", "sf")
+    arrays = [*cont.probe_values("pdf", "cdf", "sf"), *cont._inverse_table(), *cont._hermite_table()]
+    arrays += lat.probe_values("pdf", "cdf", "sf")
     arrays += [*lat.lattice_table(), lat.table_tail()[1]]
     tail = make_distribution("weibull:alpha=1")
     arrays += [*cont._stop_loss_nodes(), *cont._outer_panels(), *lat.excess_table(5)]
@@ -560,15 +568,6 @@ def test_curve_heads_run_as_one_batch(monkeypatch):
     assert len(calls) <= 1
 
 
-def test_scan_grid_follows_dispersion_grid(monkeypatch):
-    d = make_distribution("erfi-interval")
-    for n in (256, 512, 256):
-        monkeypatch.setenv("DISPERSION_GRID", str(n))
-        grid = scan_grid(d)
-        assert len(grid) == n
-        assert scan_grid(d) is grid
-
-
 # ---------------------------------------------------------------------------
 # affine
 # ---------------------------------------------------------------------------
@@ -596,7 +595,7 @@ def test_affine_roundtrip_reproduces_cdf(instances):
         d = instances.get(spec) or make_distribution(spec)
         a, b = (-2.0, 1.5) if not d.is_lattice else (-1.0, 3.0)
         back = affine(affine(d, a, b), 1 / a, -b / a)
-        xs = d.probe_grid(33)
+        xs = quantile_grid(d, 33)
         assert np.allclose(back.cdf(xs), d.cdf(xs), atol=1e-10)
 
 

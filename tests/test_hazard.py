@@ -27,7 +27,6 @@ from dispersion.hazard import (
     NON_MONOTONE,
     hazard_scan,
     reverse_hazard_scan,
-    scan_grid,
 )
 from dispersion.numerics import integrate
 
@@ -194,7 +193,7 @@ def test_scan_erfi_hazard_increasing_reverse_non_monotone():
 
 def test_erfi_reverse_hazard_sign_change_location():
     d = make_distribution("erfi-interval")
-    xs = scan_grid(d)
+    xs = d.probe_grid()
     r = np.asarray(d.pdf(xs), float) / np.asarray(d.cdf(xs), float)
     x_min = float(xs[np.argmin(r)])
     assert x_min == pytest.approx(-0.076, abs=0.005)
@@ -202,7 +201,7 @@ def test_erfi_reverse_hazard_sign_change_location():
 
 def test_monotonicity_scan_generic_fn():
     d = make_distribution("gamma:alpha=2")
-    v = monotonicity_scan(lambda x: np.asarray(x) ** 2, d, slack=1e-9)
+    v = monotonicity_scan(lambda x: np.asarray(x) ** 2, d)
     assert v.direction == INCREASING
 
 
@@ -336,5 +335,8 @@ def test_hazard_report_serializes_flat():
     assert isinstance(rec["r_witness"], list) and len(rec["r_witness"]) == 4
     assert rec["h_witness"] is None
     assert rec["slack"] == 1e-9
-    assert "quantile" in rec["grid"]
+    assert rec["grid"] == "quantile[1e-06,0.999999]n2048"
     assert rec["logconcavity_pdf"] == LOG_CONVEX
+    lattice = equivalence_audit(make_distribution("poisson:theta=2")).to_record()
+    assert lattice["grid"] == "lattice[mass>=1e-12]"
+    assert lattice["slack"] == 1e-9
