@@ -5,18 +5,14 @@ A Distribution carries vectorized density/pmf, CDF and survival callables
 plus support metadata and whatever closed-form moments are known. The
 survival convention is P(X > x) in both kinds, so cdf + sf = 1 pointwise.
 Instances are immutable after construction and safe to evaluate from
-concurrent workers; the only mutable state is a per-law cache, owned by
-this module and built lazily on first use, of read-only tables: the
-enumerated lattice table and the sums over the tail it leaves out, the
-one scan grid with pdf, cdf and sf on it, the inverse table and its
-certified cubic refinement behind continuous quantiles without a closed
-form and the Monte Carlo draws of every continuous law, and the stop-loss
-table behind every mean excess:
-on continuous laws Pi at its nodes beside the Legendre antiderivative of
-S on each node interval, so a read between nodes evaluates no law, the
-same table extended past its last node as far as a read reaches, and the
-density-weighted panel nodes of the outer expectations E[S(X + t)] and
-E[Pi(X + t)]; on the lattice Pi beside the enumerated columns.
+concurrent workers; the only mutable state is a per-law cache of read-only
+tables, owned by this module and built lazily on first use (Distribution
+lists them): the enumerated lattice table and the sums over the tail it
+leaves out, the one scan grid, the certified inverse table behind
+continuous quantiles and Monte Carlo draws, and the stop-loss table behind
+every mean excess. On continuous laws a read of that table between nodes
+evaluates no law; on the lattice the table is built once and read past its
+top by sf and the tail's sum of S, never extended.
 """
 
 from __future__ import annotations
@@ -50,6 +46,8 @@ SUM_CUT = 1e-12
 LATTICE_LIMIT = 2**19
 # points in the first block of a tail summed past a table; each next block doubles
 TAIL_BLOCK = 1024
+# most cells, t values times table points, one block of a lattice curve reads
+CURVE_CELLS = 2**16
 
 # scan grid of a continuous law: SCAN_POINTS quantiles evenly spaced in
 # probability over [SCAN_CLIP, 1 - SCAN_CLIP]; a lattice law scans every point
@@ -154,11 +152,11 @@ class Distribution:
     probe_grid() with the pdf, cdf and sf columns of probe_values() beside
     it, the continuous inverse table (stop_loss() takes its nodes) and its
     refinement that quantile() reads when the law has no ppf or
-    `table` is set, and one stop-loss table: excess_table() on the lattice;
-    on continuous laws the node table of stop_loss() with its Legendre
-    coefficients (_stop_loss_nodes()), its extension past the last node
-    (_stop_loss_table()) and the outer nodes and weights of shifted_means()
-    (_outer_panels()). No other module touches it.
+    `table` is set, and one stop-loss table: excess_table() on the lattice,
+    read at any integer by _excess_read(); on continuous laws the node table
+    of stop_loss() with its Legendre coefficients (_stop_loss_nodes()), its
+    extension past the last node (_stop_loss_table()) and the outer nodes and
+    weights of shifted_means() (_outer_panels()). No other module touches it.
     """
 
     support: Support
@@ -464,25 +462,36 @@ class Distribution:
 
     # -- stop-loss transform -------------------------------------------------
 
-    def excess_table(self, reach: int) -> tuple[np.ndarray, ...]:
-        """(points, pmf, cdf, sf, Pi) on lattice_table(), extended `reach`
-        points past its upper end by one pdf/cdf/sf call.
-
-        Pi(k) = sum_{j >= k} S(j), summed from the top; on an upper-open
-        support it starts from lattice_tail's sum of S past the top. One
-        read-only table is kept per law, rebuilt when a call reaches further.
+    def excess_table(self) -> tuple[np.ndarray, ...]:
+        """(points, pmf, cdf, sf, Pi): lattice_table() and Pi(k) = sum_{j >= k}
+        S(j), summed from the top and started from table_tail()'s sum of S
+        past it (0 on a support bounded above). Built once per law, read-only.
         """
-        pts, f, cdf, sf = self.lattice_table()
-        table = self._cache.get("stop_loss")
-        if table is None or table[0][-1] < pts[-1] + reach:
-            if len(pts) + reach > LATTICE_LIMIT:
-                raise SupportTooLarge(f"stop-loss table exceeds {LATTICE_LIMIT} points")
-            more = pts[-1] + np.arange(1.0, reach + 1)
-            cols = [np.concatenate([c, fn(more)]) for c, fn in ((f, self.pdf), (cdf, self.cdf), (sf, self.sf))]
-            rest = self.lattice_tail(int(pts[-1]) + reach, True)[3] if np.isinf(self.support.upper) else 0.0
-            pi = np.cumsum(np.append(cols[2], rest)[::-1])[:0:-1]
-            table = self._cache["stop_loss"] = _read_only(np.concatenate([pts, more]), *cols, pi)
-        return table
+        if "stop_loss" not in self._cache:
+            upper, tail = self.table_tail()
+            pi = np.cumsum(np.append(self.lattice_table()[3], tail[3] if upper else 0.0)[::-1])[:0:-1]
+            self._cache["stop_loss"] = (*self.lattice_table(), *_read_only(pi))
+        return self._cache["stop_loss"]
+
+    def _excess_read(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(S(k), Pi(k)) at integers k (floats, any shape): excess_table()'s columns
+        inside it; S = 1 and Pi = Pi(first) + first - k below it; past its top 0 on
+        a support bounded above, else S from sf and Pi by the tail rule, summed
+        from the top of each run of consecutive k after one lattice_tail call there."""
+        pts, _, _, sf, pi = self.excess_table()
+        i = (k - pts[0]).astype(np.intp)
+        s, p = sf.take(i, mode="clip"), pi.take(i, mode="clip")
+        below, past = k < pts[0], k > pts[-1]
+        s[below], p[below] = 1.0, p[below] + (pts[0] - k[below])
+        s[past] = p[past] = 0.0
+        if past.any() and np.isinf(self.support.upper):
+            u, back = np.unique(k[past], return_inverse=True)
+            su, pu = np.asarray(self.sf(u), dtype=float), np.empty(len(u))
+            for run in np.split(np.arange(len(u)), np.flatnonzero(np.diff(u) > 1) + 1):
+                rest = self.lattice_tail(int(u[run[-1]]), True)[3]
+                pu[run] = np.cumsum(np.append(su[run], rest)[::-1])[:0:-1]
+            s[past], p[past] = su[back], pu[back]
+        return s, p
 
     def _stop_loss_nodes(self) -> tuple[np.ndarray, ...]:
         """(nodes, Pi at the nodes, coefficients) of a continuous law: the
@@ -564,22 +573,16 @@ class Distribution:
     def stop_loss(self, x):
         """Stop-loss transform Pi(x) = E[(X - x)+] = int_x^inf S(w) dw.
 
-        Lattice laws read excess_table(): Pi(k) - (x - k) S(k) at k = floor(x),
-        S = 1 below the table, whose omitted F is below SUM_CUT; past its top
-        Pi(k) = S(k) + lattice_tail(k)'s sum of S past k. Continuous laws read
-        the node table, extended past its last node as far as x reaches
-        (_stop_loss_read).
+        Lattice laws read Pi(k) - (x - k) S(k) at k = floor(x) by
+        _excess_read(), which takes S = 1 below the table, whose omitted F is
+        below SUM_CUT. Continuous laws read the node table, extended past its
+        last node as far as x reaches (_stop_loss_read).
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if self.is_lattice:
             k = np.floor(xs)
-            pts, _, _, sf, pi = self.excess_table(0)
-            i = np.clip(k - pts[0], 0, len(pts) - 1).astype(int)
-            below = np.maximum(pts[0] - k, 0.0)  # S = 1 below the table
-            out = pi[i] + below - (xs - k) * np.where(below > 0, 1.0, sf[i])
-            for j in np.flatnonzero(k > pts[-1]):
-                s = float(self.sf(k[j]))
-                out[j] = s + self.lattice_tail(int(k[j]), True)[3] - (xs[j] - k[j]) * s
+            s, p = self._excess_read(k)
+            out = p - (xs - k) * s
         else:
             out = self._stop_loss_read(xs)
         return float(out[0]) if np.ndim(x) == 0 else out
@@ -597,22 +600,24 @@ class Distribution:
     def shifted_means(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """(E[S(X + t)], E[Pi(X + t)]) for each t >= 0.
 
-        Lattice laws (integer t) take one dot product per t and expectation
-        over excess_table(); below a lower-open table, where S = 1 and
-        Pi(x + t) = Pi(first) + first - x - t, they add both heads from
-        table_tail(). Continuous laws take one pass over t, dotting the
-        pdf-weighted panel nodes of _outer_panels(), shifted by t, with sf and
-        with Pi read from the stop-loss table, extended once to the last node
-        plus the largest t. A node interval inside which S(x + t) kinks, at
-        upper - t or at break - t, is integrated afresh by one panel per
-        piece. On an unbounded lower end the heads below the first node run
-        as one adaptive batch per expectation, each scaled by its integrand there.
+        Lattice laws (integer t) sum f(x) S(x + t) and f(x) Pi(x + t) over
+        excess_table(), read by _excess_read() in blocks of CURVE_CELLS cells;
+        below a lower-open table, where S = 1 and Pi(x + t) = Pi(first) +
+        first - x - t, they add both heads from table_tail(). Continuous laws
+        take one pass over t, dotting the pdf-weighted panel nodes of
+        _outer_panels(), shifted by t, with sf and with Pi read from the
+        stop-loss table, extended once to the last node plus the largest t. A
+        node interval inside which S(x + t) kinks, at upper - t or at break -
+        t, is integrated afresh by one panel per piece. On an unbounded lower
+        end the heads below the first node run as one adaptive batch per
+        expectation, each scaled by its integrand there.
         """
         ts = np.asarray(ts, dtype=float)
         if self.is_lattice:
-            steps = ts.astype(int)
-            pts, f, _, sf, pi = self.excess_table(int(np.max(steps, initial=0)))
-            den, num = (np.array([float(np.dot(f[: len(f) - t], g[t:])) for t in steps]) for g in (sf, pi))
+            pts, f, _, _, pi = self.excess_table()
+            step = max(1, CURVE_CELLS // len(pts))
+            reads = (self._excess_read(pts + t[:, None]) for t in np.split(ts, range(step, len(ts), step)))
+            den, num = np.concatenate([[(f * s).sum(axis=-1), (f * p).sum(axis=-1)] for s, p in reads], axis=1)
             upper, (mass, t1, _, _) = self.table_tail()
             if not upper:
                 den, num = den + mass, num + (mass * (pi[0] + pts[0] - ts) - t1)

@@ -10,10 +10,8 @@ every point carrying mass >= `dist.SUM_CUT` (1e-12). `Distribution.probe_values`
 evaluates pdf, cdf and sf on it once for every scan. Every scan holds to one
 relative tolerance, `SLACK` = 1e-9, and each verdict records the grid
 (`Distribution.probe_label`) and the tolerance. The mean excess of X reads the law's stop-loss table
-(`Distribution.stop_loss`), the one behind the mean excess of |X - X'|; on
-the lattice that table sums S from the top of the one enumerated table,
-starting from the sum of S past it (`Distribution.lattice_tail`), so it
-holds past the table's end too.
+(`Distribution.stop_loss`), the one behind the mean excess of |X - X'|, which
+holds past the end of a lattice table too.
 """
 
 from __future__ import annotations

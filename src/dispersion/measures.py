@@ -14,17 +14,12 @@ to `dist.SUM_CUT`, and SD and GMD add the sums over the tail it leaves out
 
 The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per law:
 S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the direct
-route, both from one pass over t (`Distribution.shifted_means`): on continuous
-laws one sf call and one table read per t on the law's cached, pdf-weighted
-outer nodes. A read of Pi between table nodes integrates the Legendre
-interpolant of S stored with the table and calls no law. The change-of-measure
-route stays independent: the same adaptive quadrature of other integrands on
-continuous laws, other columns of the table on lattices. On continuous laws
-its numerators and denominators for every t of a curve run as one lockstep
-batch (`numerics.integrate_batch`), whose integrand is called once per step on
-the nodes of every unfinished integral. Lattice sums past the table's open end
-add the terms the table leaves out: Pi(top) and S(top) above it, the sum of F
-below a lower-open table.
+route, both from one pass over t (`Distribution.shifted_means`). The
+change-of-measure route stays independent: other integrands, run for every t
+of a continuous curve as one lockstep batch (`numerics.integrate_batch`), and
+other columns of the table on lattices. On lattices both routes read S and Pi
+at x + t through `Distribution._excess_read`, which reaches any t past the
+table's top by sf and the tail's sum of S.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .combinators import truncate
-from .dist import SUM_CUT, Distribution
+from .dist import CURVE_CELLS, SUM_CUT, Distribution
 from .errors import (
     ContinuousInput,
     DegenerateY,
@@ -254,20 +249,22 @@ def _m_repr_curve_continuous(d: Distribution, ts: np.ndarray) -> np.ndarray:
 
 
 def _m_repr_curve_lattice(d: Distribution, ts: np.ndarray) -> np.ndarray:
-    """sum_x F(x-1-t) S(x-1) / sum_x F(x-1-t) f(x) over `excess_table`: the
-    change-of-measure sums, weights F(x-1) f(x), C = F(x-1-t) / F(x-1) and
-    1/h = S(x-1) / f(x) multiplied out, F(x-1-t) a shifted cdf slice. Past
-    the table's top, where F(x-1-t) = 1, the terms sum to Pi(top) and
-    S(top); below a lower-open table, where S(x-1) = 1 and f(x) ~ 0, the
-    numerator's terms sum to the omitted sum of F."""
-    _, f, big_f, big_s, pi = d.excess_table(int(np.max(ts, initial=0)))
+    """sum_y F(y) S(y+t) / sum_y F(y) f(y+1+t) over y = x-1-t on the table, in
+    blocks of CURVE_CELLS cells: the change-of-measure sums, weights F(x-1) f(x),
+    C = F(x-1-t) / F(x-1) and 1/h = S(x-1) / f(x) multiplied out. f past the top
+    is pdf; terms past it, where F(y) = 1, sum to Pi(top+1+t) and S(top+1+t)."""
+    pts, f, big_f, _, _ = d.excess_table()
     upper, tail = d.table_tail()
-    head = 0.0 if upper else float(tail[3])
-    n = len(f)
-    out = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        den = float(np.dot(big_f[: n - 1 - t], f[t + 1 :])) + big_s[-1]
-        if den < _MIN_SY:
-            raise DegenerateY(f"S_Y({t}) underflowed for {d.label}")
-        out[i] = (float(np.dot(big_f[: n - 1 - t], big_s[t : n - 1])) + pi[-1] + head) / den
-    return out
+    head = 0.0 if upper else float(tail[3])  # y below a lower-open table: S(y+t) = 1, sum F
+    step, out = max(1, CURVE_CELLS // len(pts)), []
+    for t in np.split(ts, range(step, len(ts), step)):
+        k = np.append(pts, pts[-1] + 1) + t[:, None]  # y + t, then top + 1 + t
+        s, p = d._excess_read(k)
+        g = f.take((k[:, 1:] - pts[0]).astype(np.intp), mode="clip")
+        past = k[:, 1:] > pts[-1]
+        g[past] = d.pdf(k[:, 1:][past])
+        den = (big_f * g).sum(axis=-1) + s[:, -1]
+        if np.any(den < _MIN_SY):
+            raise DegenerateY(f"S_Y({t[den < _MIN_SY][0]}) underflowed for {d.label}")
+        out.append(((big_f * s[:, :-1]).sum(axis=-1) + p[:, -1] + head) / den)
+    return np.concatenate(out)

@@ -520,7 +520,7 @@ def test_cached_tables_are_read_only():
     arrays += lat.probe_values("pdf", "cdf", "sf")
     arrays += [*lat.lattice_table(), lat.table_tail()[1]]
     tail = make_distribution("weibull:alpha=1")
-    arrays += [*cont._stop_loss_nodes(), *cont._outer_panels(), *lat.excess_table(5)]
+    arrays += [*cont._stop_loss_nodes(), *cont._outer_panels(), *lat.excess_table()]
     arrays += [*tail._stop_loss_table(60.0), *tail._outer_panels()]
     for a in arrays:
         with pytest.raises(ValueError):

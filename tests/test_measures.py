@@ -1,6 +1,9 @@
 """SD/GMD values, representation agreement, and the discrete identities."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -234,14 +237,18 @@ def test_zipf3_curve_matches_hurwitz_stop_loss():
         assert abs(repr_ - want) <= 1e-12 * (1 + want)
 
 
-@pytest.mark.parametrize("alpha", [2.5, 4.0])
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
 def test_zipf_curve_matches_hurwitz_pair_sums(alpha):
     # as for zipf(3) above; the table of zipf(4) ends near 701 and the sums of
-    # S past it come from its tail, and zipf(2.5) is enumerated to 1e-12 only
+    # S past it come from its tail, and zipf(2.5) is enumerated to 1e-12 only.
+    # From t = 1e3 on, x + t is past the top of every table for most x: S there
+    # is sf, and Pi the tail rule, up to t = 1e7, far past 2^19 points
     s = alpha + 1
-    ts = np.arange(8, dtype=float)
+    ts = np.concatenate([np.arange(8.0), [1e3, 1e5, 6e5, 1e6, 1e7]])
     curve = mean_excess_abs_diff(make_distribution(f"zipf:alpha={alpha}"), ts)
-    xs = np.arange(1, 20001, dtype=float)
+    # the pair sums run to x = 2e5 on zipf(2.5), whose table has 41,696 points:
+    # cut at 2e4, they would miss about 1e-12 of m_Y at t = 1e5
+    xs = np.arange(1, 200001 if alpha < 3 else 20001, dtype=float)
     f = xs**-s
     for t, direct, repr_ in zip(ts, curve.m_direct, curve.m_repr):
         k = xs + t
@@ -249,6 +256,38 @@ def test_zipf_curve_matches_hurwitz_pair_sums(alpha):
         want = float(num / np.dot(f, special.zeta(s, k + 1)))
         assert abs(direct - want) <= 1e-12 * (1 + want)
         assert abs(repr_ - want) <= 1e-12 * (1 + want)
+
+
+def test_geometric_curve_stays_memoryless_past_its_table():
+    # Pi(k) / S(k) = 1 / p at every k, so m_Y = 1 / p, read past the 78-point
+    # table by sf and the tail rule
+    d = make_distribution("geometric:p=0.3")
+    assert len(d.lattice_table()[0]) == 78
+    curve = mean_excess_abs_diff(d, np.array([0.0, 31, 77, 78, 79, 100, 500, 1000]))
+    for m in (curve.m_direct, curve.m_repr):
+        assert np.max(np.abs(m - 1 / 0.3)) <= 1e-12 * (1 + 1 / 0.3)
+
+
+_THREAD_DIGEST = """
+import numpy as np
+from dispersion import make_distribution, mean_excess_abs_diff
+c = mean_excess_abs_diff(make_distribution("zipf:alpha=2.5"), np.arange(8.0))
+print(*(v.hex() for v in (*c.m_direct, *c.m_repr)))
+"""
+
+
+def test_lattice_curve_bits_do_not_depend_on_blas_threads():
+    # the lattice curves sum by numpy's own fixed-order reductions over the
+    # 41,696-point table of zipf(2.5), not by BLAS, whose blocking follows
+    # the thread count
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_DIGEST], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split())
+    assert len(runs[0]) == 16
+    assert runs[0] == runs[1]
 
 
 _INVARIANT_LAWS = ["zipf:alpha=2.5", "zipf:alpha=3", "zipf:alpha=4", "geometric:p=0.3",
@@ -402,6 +441,15 @@ def test_stop_loss_read_is_legval_bit_for_bit(spec):
     s = rng.uniform(-1.0, 1.0, len(cols))
     want = legval(s, coef[:, cols], tensor=False)
     assert np.array_equal(_legval_rows(s, coef, cols), want)
+
+
+def test_lattice_stop_loss_is_zero_past_a_support_bounded_above():
+    # -zipf(2.5) ends at -1: Pi(x) = (-1 - x) f(-1) on [-2, -1] and 0 above,
+    # however far past the table's top x is
+    d = affine(make_distribution("zipf:alpha=2.5"), -1.0, 0.0)
+    got = d.stop_loss(np.array([-1.5, -1.0, -0.5, 0.5, 5.0, 1e3, 1e7]))
+    assert got[0] == pytest.approx(0.5 * float(d.pdf(-1.0)), rel=1e-15)
+    assert np.all(got[1:] == 0.0)
 
 
 def _repr_one_t(d, t):
