@@ -62,28 +62,24 @@ def _json_dump(record) -> str:
     return json.dumps(record, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
-def _analyze_record(spec_text: str) -> dict:
-    d = make_distribution(parse_family_spec(spec_text))
+def _verdict_fields(v) -> list[str]:
+    """sd, gmd, diff, verdict and basis of one CSV row."""
+    disp = v.report
+    return [_fmt(disp.sd), _fmt(disp.gmd), _fmt(disp.diff), v.verdict, v.basis]
+
+
+def cmd_analyze(args) -> str:
+    d = make_distribution(parse_family_spec(args.dist))
     verdict = classify(d)
-    return {
+    if args.output == "csv":
+        # the CSV row reads no record, so the equivalence audit never runs
+        return "sd,gmd,diff,verdict,basis\n" + ",".join(_verdict_fields(verdict)) + "\n"
+    return _json_dump({
         "dist": d.label,
         "dispersion": verdict.report.to_record(),
         "hazard": verdict.evidence.hazard.to_record(),
         "verdict": verdict.to_record(),
-    }
-
-
-def cmd_analyze(args) -> str:
-    rec = _analyze_record(args.dist)
-    if args.output == "json":
-        return _json_dump(rec)
-    disp = rec["dispersion"]
-    head = "sd,gmd,diff,verdict,basis\n"
-    row = ",".join(
-        [_fmt(disp["sd"]), _fmt(disp["gmd"]), _fmt(disp["diff"]),
-         rec["verdict"]["verdict"], rec["verdict"]["basis"]]
-    )
-    return head + row + "\n"
+    })
 
 
 def cmd_sweep(args) -> str:
@@ -97,11 +93,7 @@ def cmd_sweep(args) -> str:
         params = dict(spec.params)
         params[name] = float(value)
         v = classify(make_distribution(FamilySpec(spec.family, params)))
-        disp = v.report
-        rows.append(",".join(
-            [_fmt(value), _fmt(disp.sd), _fmt(disp.gmd), _fmt(disp.diff),
-             v.verdict, v.basis]
-        ))
+        rows.append(",".join([_fmt(value), *_verdict_fields(v)]))
     return "\n".join(rows) + "\n"
 
 

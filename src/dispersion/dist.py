@@ -156,7 +156,9 @@ class Distribution:
     read at any integer by _excess_read(); on continuous laws the node table
     of stop_loss() with its Legendre coefficients (_stop_loss_nodes()), its
     extension past the last node (_stop_loss_table()) and the outer nodes and
-    weights of shifted_means() (_outer_panels()). No other module touches it.
+    weights of shifted_means() (_outer_panels()). Beside them
+    `measures.dispersion_report` keeps the law's SD/GMD report under
+    "report"; no other module touches it.
     """
 
     support: Support

@@ -12,12 +12,18 @@ relative tolerance, `SLACK` = 1e-9, and each verdict records the grid
 (`Distribution.probe_label`) and the tolerance. The mean excess of X reads the law's stop-loss table
 (`Distribution.stop_loss`), the one behind the mean excess of |X - X'|, which
 holds past the end of a lattice table too.
+
+`equivalence_audit` scans h and r and classifies log pdf, cdf and sf at once;
+its cross-check of those verdicts, the residual spot checks included, runs
+only when its flag or a record is read (`HazardReport.equivalence_audit_pass`).
+No verdict depends on it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +74,10 @@ class MonotoneVerdict:
 class HazardReport:
     """Joint structural diagnosis of one law.
 
+    The rate verdicts and the log-concavity classes of pdf/cdf/sf are computed
+    when the report is made. The audit flag, residual spot checks included,
+    is computed from `law` when it or `to_record()` is first read, and kept;
+    no verdict depends on it.
     Serializes flat: verdict strings, optional witness triples, the
     log-concavity classification of pdf/cdf/sf, and the audit flag.
     """
@@ -75,7 +85,19 @@ class HazardReport:
     h_verdict: MonotoneVerdict
     r_verdict: MonotoneVerdict
     logconcavity: dict[str, str]
-    equivalence_audit_pass: bool
+    law: Distribution = field(compare=False, repr=False)
+
+    @cached_property
+    def equivalence_audit_pass(self) -> bool:
+        """The audit of `equivalence_audit`, run on first read and kept."""
+        h_v, r_v, d = self.h_verdict, self.r_verdict, self.law
+        ok = _logclass_consistent(h_v, self.logconcavity["sf"], "A") and _logclass_consistent(
+            r_v, self.logconcavity["cdf"], "B"
+        )
+        for t in _residual_spot_ts(d):
+            ok = ok and _direction_consistent(h_v, _residual_scan(d, t, "D"))
+            ok = ok and _direction_consistent(r_v, _residual_scan(d, t, "C"))
+        return bool(ok)
 
     def to_record(self) -> dict:
         rec = {
@@ -348,20 +370,13 @@ def _logclass_consistent(rate: MonotoneVerdict, cls: str, chain: str) -> bool:
 def equivalence_audit(d: Distribution) -> HazardReport:
     """Cross-check the three characterizations of hazard monotonicity.
 
-    Scans h and r, classifies log-concavity of pdf/cdf/sf, and spot-checks
-    monotonicity in x of D(., t) and C(., t) at t in {0.1, 0.5, 1.0} * IQR
-    (integer t for lattice laws). Passes iff every independent route agrees
-    with the rate verdicts.
+    Scans h and r and classifies log-concavity of pdf/cdf/sf now. The report's
+    `equivalence_audit_pass` spot-checks monotonicity in x of D(., t) and
+    C(., t) at t in {0.1, 0.5, 1.0} * IQR (integer t for lattice laws) when it
+    is first read, and passes iff every independent route agrees with the
+    rate verdicts. No verdict depends on it.
     """
     h_v = hazard_scan(d)
     r_v = reverse_hazard_scan(d)
     logc = {target: log_concavity_scan(d, target) for target in ("pdf", "cdf", "sf")}
-    ok = _logclass_consistent(h_v, logc["sf"], "A") and _logclass_consistent(
-        r_v, logc["cdf"], "B"
-    )
-    for t in _residual_spot_ts(d):
-        ok = ok and _direction_consistent(h_v, _residual_scan(d, t, "D"))
-        ok = ok and _direction_consistent(r_v, _residual_scan(d, t, "C"))
-    return HazardReport(
-        h_verdict=h_v, r_verdict=r_v, logconcavity=logc, equivalence_audit_pass=bool(ok)
-    )
+    return HazardReport(h_verdict=h_v, r_verdict=r_v, logconcavity=logc, law=d)

@@ -135,6 +135,11 @@ def gmd(d: Distribution) -> float:
 
 
 def dispersion_report(d: Distribution) -> DispersionReport:
+    """SD, GMD, their difference, the method and the summed error estimate.
+    Computed once per law and kept in its cache; a law whose report raises
+    raises again on every call."""
+    if "report" in d._cache:
+        return d._cache["report"]
     err = 0.0
     method = CLOSED_FORM
     numeric_method = SUMMATION if d.is_lattice else QUADRATURE
@@ -150,9 +155,10 @@ def dispersion_report(d: Distribution) -> DispersionReport:
         gmd_val, e = gmd_numeric(d)
         err += e
         method = numeric_method
-    return DispersionReport(
+    d._cache["report"] = DispersionReport(
         sd=sd_val, gmd=gmd_val, diff=sd_val - gmd_val, method=method, err_estimate=err
     )
+    return d._cache["report"]
 
 
 def tail_dispersion(d: Distribution, side: str, u: float) -> DispersionReport:

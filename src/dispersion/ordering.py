@@ -99,7 +99,10 @@ def classify(d: Distribution) -> OrderingVerdict:
     with r decreasing. Lattice: SD dominance (strict) from the same rate
     hypotheses; GMD dominance additionally requires
     GMD <= (1 - Lambda) / (2 Lambda). Constant rates satisfy either
-    non-strict hypothesis and certify SD dominance first.
+    non-strict hypothesis and certify SD dominance first. The verdict reads
+    the rate verdicts and the density's log-concavity class only; the
+    evidence's audit flag, residual spot checks included, is computed when it
+    or a record is read.
     """
     report = equivalence_audit(d)
     h_v, r_v = report.h_verdict, report.r_verdict

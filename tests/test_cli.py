@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from dispersion import hazard
 from dispersion.cli import main
 
 RUN = [sys.executable, "-m", "dispersion.cli"]
@@ -51,6 +52,26 @@ def test_sweep_schema_and_signs(capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert float(rows[0][3]) > 0 and rows[0][4] == "sd-dominates"
     assert float(rows[2][3]) < 0 and rows[2][4] == "gmd-dominates"
+
+
+@pytest.mark.parametrize("family,param,value", [("gamma", "alpha", "0.5"), ("geometric", "p", "0.2")])
+def test_only_the_json_record_runs_the_residual_scans(family, param, value, capsys, monkeypatch):
+    # the equivalence audit's six residual scans run when its flag is read:
+    # analyze --output json reads it, sweep and analyze --output csv do not
+    calls = []
+    scan = hazard._residual_scan
+    monkeypatch.setattr(hazard, "_residual_scan", lambda *args: calls.append(args) or scan(*args))
+    spec = f"{family}:{param}={value}"
+    for args in (["sweep", "--dist", f"{family}:{param}=_", "--range", f"{value}:{value}:1"],
+                 ["analyze", "--dist", spec, "--output", "csv"]):
+        assert run_cli(args, capsys)[0] == 0
+    assert calls == []
+    code, out, _ = run_cli(["analyze", "--dist", spec, "--output", "json"], capsys)
+    assert code == 0
+    assert len(calls) == 6
+    rec = json.loads(out)["hazard"]
+    assert rec["equivalence_audit_pass"] is True
+    assert {"logconcavity_pdf", "logconcavity_cdf", "logconcavity_sf"} <= rec.keys()
 
 
 def test_sweep_requires_single_placeholder(capsys):

@@ -470,8 +470,11 @@ def test_classify_inverts_one_scan_grid(spec, monkeypatch):
         return quantile(self, p)
 
     monkeypatch.setattr(Distribution, "quantile", counted)
-    classify(make_distribution(spec))
-    # the grid once for all eleven scans, plus the two quartiles of the IQR
+    v = classify(make_distribution(spec))
+    # the grid once for the five scans the verdict reads
+    assert sum(points) == SCAN_POINTS
+    # the audit's six residual scans reuse it and add the two quartiles of the IQR
+    assert v.evidence.hazard.equivalence_audit_pass
     assert sum(points) == SCAN_POINTS + 2
 
 

@@ -7,6 +7,7 @@ from scipy import special
 
 from dispersion import (
     affine,
+    classify,
     equivalence_audit,
     errors,
     hazard_rate,
@@ -245,6 +246,15 @@ def test_equivalence_audit_passes_everywhere(spec, instances):
         report.r_verdict.direction,
         report.logconcavity,
     )
+
+
+@pytest.mark.parametrize("spec", STANDARD_INSTANCES)
+def test_classify_evidence_matches_a_fresh_audit(spec):
+    # classify leaves the audit flag unread; its record computes the flag a
+    # fresh audit of the same law computes
+    hazard = classify(make_distribution(spec)).evidence.hazard
+    assert "equivalence_audit_pass" not in vars(hazard)
+    assert hazard.to_record() == equivalence_audit(make_distribution(spec)).to_record()
 
 
 def test_audit_exponential_boundary_case():

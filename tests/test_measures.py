@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from dispersion import (
     affine,
     brute_force_lattice,
+    classify,
     concentration,
     convolve,
     dispersion_report,
@@ -69,6 +70,17 @@ def test_gmd_geometric():
     assert gmd(d) == pytest.approx(4 / 3, rel=1e-14)
 
 
+@pytest.mark.parametrize("a", [*np.logspace(-8, 6, 57), *np.linspace(5, 13, 17)])
+def test_gamma_gmd_matches_mpmath(a):
+    # 2 Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) from a = 1e-8 to 1e6, across the
+    # switch from the gamma quotient to the asymptotic series at a = 12
+    with mp.workdps(40):
+        a_mp = mp.mpf(float(a))
+        want = 2 * mp.gamma(a_mp + mp.mpf(1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(a_mp))
+        got = make_distribution(f"gamma:alpha={float(a)!r}").closed.gmd
+        assert abs(got - want) <= 3e-15 * want
+
+
 def test_dispersion_report_methods():
     closed = dispersion_report(make_distribution("normal"))
     assert closed.method == "closed-form" and closed.err_estimate == 0.0
@@ -76,6 +88,28 @@ def test_dispersion_report_methods():
     assert quad.method == "quadrature" and quad.err_estimate > 0
     summ = dispersion_report(make_distribution("zipf:alpha=3"))
     assert summ.method == "summation"
+
+
+def test_dispersion_report_is_kept_per_law():
+    d = make_distribution("erf-hazard")
+    rep = dispersion_report(d)
+    assert dispersion_report(d) is rep
+    assert classify(d).report is rep
+
+
+def test_dispersion_report_that_raises_raises_again(monkeypatch):
+    calls = []
+
+    def diverge(d):
+        calls.append(d.label)
+        raise errors.DivergentMoment(f"variance of {d.label} diverges")
+
+    monkeypatch.setattr("dispersion.measures.sd_numeric", diverge)
+    d = make_distribution("erf-hazard")
+    for _ in range(2):
+        with pytest.raises(errors.DivergentMoment):
+            dispersion_report(d)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

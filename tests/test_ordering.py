@@ -54,6 +54,14 @@ def test_verdict_carries_its_report(spec):
         v.numeric_diff = 0.0
 
 
+@pytest.mark.parametrize("alpha", [200, 300, 500, 1000])
+def test_classify_certifies_gamma_of_large_shape(alpha):
+    # GMD = 2 Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha)) ~ 2 sqrt(alpha / pi) > SD = sqrt(alpha)
+    v = classify(make_distribution(f"gamma:alpha={alpha}"))
+    assert (v.verdict, v.basis) == (GMD_DOMINATES, PROP_LOGCONCAVE)
+    assert v.report.gmd == pytest.approx(2 * np.sqrt(alpha / np.pi), rel=1 / alpha)
+
+
 def test_classify_logistic():
     v = classify(make_distribution("logistic"))
     assert v.verdict == GMD_DOMINATES
