@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DispersionError, ParseError
 from .families import FamilySpec, list_families, make_distribution, parse_family_spec
-from .measures import dispersion_report, mean_excess_abs_diff, tail_dispersion
+from .measures import concentration, dispersion_report, mean_excess_abs_diff, tail_dispersion
 from .oracle import mc_estimate
 from .ordering import classify
 
@@ -128,8 +128,6 @@ def cmd_verify(args) -> str:
         "gmd": bool(abs(est.gmd_hat - disp.gmd) <= 4 * est.ci_gmd),
     }
     if d.is_lattice:
-        from .measures import concentration
-
         lam = concentration(d).lambda_
         analytic["lambda"] = lam
         agreement["lambda"] = bool(abs(est.lambda_hat - lam) <= 4 * est.ci_lambda)

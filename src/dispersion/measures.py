@@ -5,12 +5,13 @@ concentration value of a lattice law.
 GMD uses the single-integral reduction 2 * int F(x) S(x) dx (2 * sum F S on
 the lattice) of the pairwise-difference definition; its correctness is
 gated on agreement with the Monte Carlo and brute-force oracles in the
-test suite. On continuous laws SD and GMD integrate x f, x^2 f and F S
-with `numerics.integrate`, the vectorized port of QUADPACK: each step
-evaluates the law's callables once on the Gauss-Kronrod nodes of both new
-halves. Discrete sums run over `Distribution.lattice_table`, enumerated
-to `dist.SUM_CUT`, and SD and GMD add the sums over the tail it leaves out
-(`Distribution.table_tail`).
+test suite. On continuous laws SD and GMD integrate x f, x^2 f and F S as
+one lockstep batch of `numerics.integrate_batch`, the vectorized port of
+QUADPACK: each step evaluates pdf once for both moments, and cdf and sf once
+for F S, on the Gauss-Kronrod nodes of every unfinished integral, and each
+integral returns the bits it would alone. Discrete sums run over
+`Distribution.lattice_table`, enumerated to `dist.SUM_CUT`, and SD and GMD
+add the sums over the tail it leaves out (`Distribution.table_tail`).
 
 The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per law:
 S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the direct
@@ -36,7 +37,7 @@ from .errors import (
     DegenerateY,
     DivergentMoment,
 )
-from .numerics import integrate, integrate_batch
+from .numerics import integrate_batch
 
 CLOSED_FORM = "closed-form"
 QUADRATURE = "quadrature"
@@ -82,42 +83,72 @@ class ConcentrationValue:
 # ---------------------------------------------------------------------------
 
 
-def _moments_numeric(d: Distribution) -> tuple[float, float, float]:
-    """(mean, second moment, error estimate)."""
+def _numeric(d: Distribution, want_sd: bool, want_gmd: bool) -> tuple:
+    """((sd, error estimate), (gmd, error estimate)), None for a measure not
+    asked for. The lattice sums x f, x^2 f and F S over lattice_table() and
+    adds the sums over the tail it leaves out. A continuous law integrates
+    those of the three its measures need over its support as one lockstep
+    batch, whose every step calls pdf once for both moments and cdf and sf
+    once for F S. The variance is checked before the GMD's sign."""
+    if not (want_sd or want_gmd):
+        return None, None
     if d.is_lattice:
-        pts, f, _, _ = d.lattice_table()
-        _, t1, t2, _ = d.table_tail()[1]
-        return float(np.dot(pts, f)) + t1, float(np.dot(pts * pts, f)) + t2, SUM_CUT
-    lo, hi = d.support.lower, d.support.upper
-    m1, e1 = integrate(lambda x: x * d.pdf(x), lo, hi)
-    m2, e2 = integrate(lambda x: x * x * d.pdf(x), lo, hi)
-    return m1, m2, e2 + 2 * abs(m1) * e1
+        pts, f, big_f, big_s = d.lattice_table()
+        tail = d.table_tail()[1]
+        if want_sd:
+            m1, m2 = float(np.dot(pts, f)) + tail[1], float(np.dot(pts * pts, f)) + tail[2]
+            m_err = SUM_CUT
+        if want_gmd:
+            half, gmd_err = float(np.dot(big_f, big_s)) + tail[3], SUM_CUT
+    else:
+        which = np.array([0, 1] * want_sd + [2] * want_gmd)  # x f, x^2 f, F S
+
+        def fn(x, k):
+            g = np.empty_like(x)
+            moment = which[k] < 2
+            if moment.any():
+                xm = x[moment]
+                p = d.pdf(xm)
+                g[moment] = np.where(which[k[moment]] == 0, xm * p, xm * xm * p)
+            if not moment.all():
+                xs = x[~moment]
+                g[~moment] = d.cdf(xs) * d.sf(xs)
+            return g
+
+        n = len(which)
+        vals, errs = integrate_batch(fn, np.full(n, d.support.lower), np.full(n, d.support.upper))
+        vals, errs = vals.tolist(), errs.tolist()
+        if want_sd:
+            m1, m2 = vals[0], vals[1]
+            m_err = errs[1] + 2 * abs(m1) * errs[0]
+        if want_gmd:
+            half, gmd_err = vals[-1], 2.0 * errs[-1]
+    sd_out = gmd_out = None
+    if want_sd:
+        var = m2 - m1 * m1
+        if not np.isfinite(var) or var <= 0:
+            raise DivergentMoment(f"variance of {d.label} is not a positive finite number")
+        s = math.sqrt(var)
+        sd_out = s, m_err / (2 * s)
+    if want_gmd:
+        if not d.is_lattice and (not np.isfinite(half) or half <= 0):
+            # a nonpositive value is quadrature that missed the mass, not a GMD
+            raise DivergentMoment(f"GMD integral for {d.label} is not a positive finite number")
+        gmd_out = 2.0 * half, gmd_err
+    return sd_out, gmd_out
 
 
 def sd_numeric(d: Distribution) -> tuple[float, float]:
     """(sd, error estimate) by quadrature/summation of the first two moments;
     the error estimate is QUADPACK's, or SUM_CUT on the lattice."""
-    m1, m2, err = _moments_numeric(d)
-    var = m2 - m1 * m1
-    if not np.isfinite(var) or var <= 0:
-        raise DivergentMoment(f"variance of {d.label} is not a positive finite number")
-    s = math.sqrt(var)
-    return s, err / (2 * s)
+    return _numeric(d, True, False)[0]
 
 
 def gmd_numeric(d: Distribution) -> tuple[float, float]:
     """(gmd, error estimate) via 2 * int F S dx (adaptive quadrature with
     QUADPACK's error estimate) or 2 * sum F S, with the sum of S (or of F)
     over the omitted tail standing for F S there."""
-    if d.is_lattice:
-        _, _, big_f, big_s = d.lattice_table()
-        return 2.0 * (float(np.dot(big_f, big_s)) + d.table_tail()[1][3]), SUM_CUT
-    lo, hi = d.support.lower, d.support.upper
-    val, err = integrate(lambda x: d.cdf(x) * d.sf(x), lo, hi)
-    if not np.isfinite(val) or val <= 0:
-        # a nonpositive value is quadrature that missed the mass, not a GMD
-        raise DivergentMoment(f"GMD integral for {d.label} is not a positive finite number")
-    return 2.0 * val, 2.0 * err
+    return _numeric(d, False, True)[1]
 
 
 def sd(d: Distribution) -> float:
@@ -135,28 +166,19 @@ def gmd(d: Distribution) -> float:
 
 
 def dispersion_report(d: Distribution) -> DispersionReport:
-    """SD, GMD, their difference, the method and the summed error estimate.
-    Computed once per law and kept in its cache; a law whose report raises
-    raises again on every call."""
+    """SD, GMD, their difference, the method and the summed error estimate:
+    the closed forms the registry supplies, and the rest from one call of
+    _numeric. Computed once per law and kept in its cache; a law whose report
+    raises raises again on every call."""
     if "report" in d._cache:
         return d._cache["report"]
-    err = 0.0
-    method = CLOSED_FORM
+    sd_num, gmd_num = _numeric(d, d.closed.sd is None, d.closed.gmd is None)
+    sd_val, sd_err = sd_num or (float(d.closed.sd), 0.0)
+    gmd_val, gmd_err = gmd_num or (float(d.closed.gmd), 0.0)
     numeric_method = SUMMATION if d.is_lattice else QUADRATURE
-    if d.closed.sd is not None:
-        sd_val = float(d.closed.sd)
-    else:
-        sd_val, e = sd_numeric(d)
-        err += e
-        method = numeric_method
-    if d.closed.gmd is not None:
-        gmd_val = float(d.closed.gmd)
-    else:
-        gmd_val, e = gmd_numeric(d)
-        err += e
-        method = numeric_method
+    method = CLOSED_FORM if sd_num is None and gmd_num is None else numeric_method
     d._cache["report"] = DispersionReport(
-        sd=sd_val, gmd=gmd_val, diff=sd_val - gmd_val, method=method, err_estimate=err
+        sd=sd_val, gmd=gmd_val, diff=sd_val - gmd_val, method=method, err_estimate=sd_err + gmd_err
     )
     return d._cache["report"]
 

@@ -1,7 +1,7 @@
 """Quadrature and root-bracketing helpers shared across modules.
 
-`integrate` is a numpy port of the two QUADPACK routines (Piessens et al.,
-QUADPACK, Springer 1983) that scipy's quad runs: qagse, the 21-point
+`integrate_batch` is a numpy port of the two QUADPACK routines (Piessens et
+al., QUADPACK, Springer 1983) that scipy's quad runs: qagse, the 21-point
 Gauss-Kronrod rule, on finite ranges and qagie, the 15-point rule on
 x = a + (1 - t)/t, b - (1 - t)/t or +-(1 - t)/t with t in (0, 1], on
 infinite ones. Both bisect the interval of largest error estimate, keep
@@ -9,17 +9,14 @@ QUADPACK's error formula and extrapolate the sequence of sums by Wynn's
 epsilon-algorithm, which resolves a pole at a finite end and a heavy
 polynomial tail where plain bisection does not. Tolerances are absolute
 1e-11 and relative 1e-9 with at most 400 intervals. The one change is that
-each step evaluates the integrand once, vectorized, on the nodes of both new
-halves; integrands take and return numpy arrays.
-
-`integrate_batch` runs many such integrals in lockstep. The adaptive loop
-(`_qags`) is a generator that yields the intervals it needs ruled and
-receives their rows, every other statement as the Fortran has it, so one
-driver (`_lockstep`) gathers the intervals every unfinished integral asks
-for, calls the integrand once on all their nodes, with the index of the
-integral each node belongs to, and sends each integral its rows. Each
-integral takes the steps, and returns the numbers, it would alone;
-`integrate` is the batch of one.
+many integrals run in lockstep: the adaptive loop (`_qags`) is a generator
+that yields the intervals it needs ruled and receives their rows, every
+other statement as the Fortran has it, so one driver (`_lockstep`) gathers
+the intervals every unfinished integral asks for, calls the integrand once,
+vectorized, on all their nodes, with the index of the integral each node
+belongs to, and sends each integral its rows. Each integral takes the
+steps, and returns the numbers, it would alone. `integrate` is the batch of
+one range; it has no driver of its own.
 
 `panels` is the fixed-rule counterpart for many short intervals at once,
 each summed in one fixed order, on the nodes that `panel_nodes` places: the
@@ -101,22 +98,10 @@ _GK15 = _kronrod(
 def integrate(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
     """Integrate the vectorized fn over [lo, hi]; returns (value, error estimate).
 
-    integrate_batch's batch of one, run without owners, and raises as it
-    does: DivergentTail when the value is not finite or the 400 intervals run
-    out before the error estimate meets the tolerance.
+    integrate_batch of the one range [lo, hi], and raises as it does.
     """
-    if hi < lo:
-        val, err = integrate(fn, hi, lo)
-        return -val, err
-    lo, hi = float(lo), float(hi)
-    if math.isfinite(lo) and math.isfinite(hi):
-        g, a, b, rule = fn, lo, hi, _GK21
-    else:
-        g, a, b, rule = _unit_map(fn, lo, hi), 0.0, 1.0, _GK15
-    with np.errstate(all="ignore"):
-        val, err, ier = _alone(g, a, b, rule)
-    _check(val, ier, lo, hi)
-    return val, err
+    vals, errs = integrate_batch(lambda x, _: fn(x), [lo], [hi])
+    return float(vals[0]), float(errs[0])
 
 
 def integrate_batch(
@@ -127,8 +112,10 @@ def integrate_batch(
     fn(x, k) is vectorized, k holding for each node the index of the integral
     it belongs to. Each integral takes the steps it would take alone, and each
     step calls fn once on the nodes of every unfinished integral. The ranges
-    share one kind: finite, or infinite at the same end(s). Raises as
-    integrate does, for the first integral in order that fails.
+    share one kind: finite, or infinite at the same end(s). A range with
+    hi < lo gives minus the integral over [hi, lo]. Raises DivergentTail, for
+    the first integral in order that fails, when its value is not finite or
+    the 400 intervals run out before its error estimate meets the tolerance.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     flip = hi < lo
@@ -206,24 +193,13 @@ def _lockstep(step, a: list, b: list, rule) -> list:
     return done
 
 
-def _alone(g, a: float, b: float, rule) -> tuple[float, float, int]:
-    """_lockstep of a single run, which needs no owners: (result, abserr, ier)."""
-    run = _qags(a, b, rule)
-    ask = next(run)
-    try:
-        while True:
-            ask = run.send(_rule(g, *ask, rule))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _rule(g, a: list, b: list, rule) -> tuple[list, ...]:
     """dqk21 / dqk15i on each [a_i, b_i], one call of g on all their nodes:
     lists of (result, abserr, resabs, resasc), resabs the integral of |g|
     and resasc that of |g - mean|."""
     nodes, (wkc, wgc), pairs, outward = rule
     # centres and half-lengths in Python floats: cheaper than numpy for the
-    # one or two intervals of a lone integral, and the same arithmetic
+    # few intervals most steps rule, and the same arithmetic
     centr = [0.5 * (left + right) for left, right in zip(a, b)]
     hlgth = [0.5 * (right - left) for left, right in zip(a, b)]
     fv = np.asarray(g((np.array(centr)[:, None] + np.array(hlgth)[:, None] * nodes).ravel()), dtype=float)
