@@ -394,7 +394,7 @@ class Distribution:
             x = end + step * np.arange(1.0, n + 1)
             f = np.asarray(self.pdf(x), dtype=float)
             g = np.asarray(self.sf(x) if upper else self.cdf(x), dtype=float)
-            block = np.array([0.0, x @ f, (x * x) @ f, g.sum()])
+            block = np.array([0.0, (x * f).sum(), (x * x * f).sum(), g.sum()])
             if np.all(out + block == out):
                 return out
             out += block

@@ -96,10 +96,10 @@ def _numeric(d: Distribution, want_sd: bool, want_gmd: bool) -> tuple:
         pts, f, big_f, big_s = d.lattice_table()
         tail = d.table_tail()[1]
         if want_sd:
-            m1, m2 = float(np.dot(pts, f)) + tail[1], float(np.dot(pts * pts, f)) + tail[2]
+            m1, m2 = float((pts * f).sum()) + tail[1], float((pts * pts * f).sum()) + tail[2]
             m_err = SUM_CUT
         if want_gmd:
-            half, gmd_err = float(np.dot(big_f, big_s)) + tail[3], SUM_CUT
+            half, gmd_err = float((big_f * big_s).sum()) + tail[3], SUM_CUT
     else:
         which = np.array([0, 1] * want_sd + [2] * want_gmd)  # x f, x^2 f, F S
 
@@ -201,7 +201,7 @@ def concentration(d: Distribution) -> ConcentrationValue:
             "concentration value is undefined"
         )
     f = d.lattice_table()[1]
-    lam = float(np.dot(f, f))
+    lam = float((f * f).sum())
     return ConcentrationValue(lambda_=lam, odds_bound=(1.0 - lam) / (2.0 * lam))
 
 

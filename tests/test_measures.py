@@ -370,23 +370,27 @@ def test_geometric_curve_stays_memoryless_past_its_table():
 
 _THREAD_DIGEST = """
 import numpy as np
-from dispersion import make_distribution, mean_excess_abs_diff
+from dispersion import concentration, dispersion_report, make_distribution, mean_excess_abs_diff, mix
 c = mean_excess_abs_diff(make_distribution("zipf:alpha=2.5"), np.arange(8.0))
 print(*(v.hex() for v in (*c.m_direct, *c.m_repr)))
+for d in (make_distribution("zipf:alpha=2.5"), mix([make_distribution("zipf:alpha=2.5")] * 2, [0.5, 0.5])):
+    rep = dispersion_report(d)
+    print(*(float(v).hex() for v in (rep.sd, rep.gmd, concentration(d).lambda_)))
 """
 
 
 def test_lattice_curve_bits_do_not_depend_on_blas_threads():
-    # the lattice curves sum by numpy's own fixed-order reductions over the
-    # 41,696-point table of zipf(2.5), not by BLAS, whose blocking follows
-    # the thread count
+    # the lattice curves, SD, GMD and tie probability sum by numpy's own
+    # fixed-order reductions over the 41,696-point table of zipf(2.5), and
+    # the mixture's tail in blocks, not by BLAS, whose blocking follows the
+    # thread count
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _THREAD_DIGEST], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout.split())
-    assert len(runs[0]) == 16
+    assert len(runs[0]) == 22
     assert runs[0] == runs[1]
 
 
