@@ -83,7 +83,9 @@ class ConcentrationValue:
 # ---------------------------------------------------------------------------
 
 
-def _numeric(d: Distribution, want_sd: bool, want_gmd: bool) -> tuple:
+def _numeric(
+    d: Distribution, want_sd: bool, want_gmd: bool
+) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
     """((sd, error estimate), (gmd, error estimate)), None for a measure not
     asked for. The lattice sums x f, x^2 f and F S over lattice_table() and
     adds the sums over the tail it leaves out. A continuous law integrates
