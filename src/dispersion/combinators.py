@@ -152,8 +152,8 @@ def mix(components: list[Distribution], weights: list[float]) -> Distribution:
         mean = float(np.dot(w, means))
         sd = None
         if all(s is not None for s in sds):
-            second = float(np.dot(w, [s * s + m * m for s, m in zip(sds, means)]))
-            sd = math.sqrt(max(second - mean * mean, 0.0))
+            # about the mixture mean: the raw second moment less mean^2 cancels
+            sd = math.sqrt(float(np.dot(w, [s * s + (m - mean) ** 2 for s, m in zip(sds, means)])))
         closed = ClosedForms(mean=mean, sd=sd)
     label = "mix(" + ",".join(f"{wi:g}*{c.label}" for wi, c in zip(w, components)) + ")"
     tails = None

@@ -10,9 +10,10 @@ tables, owned by this module and built lazily on first use (Distribution
 lists them): the enumerated lattice table and the sums over the tail it
 leaves out, the one scan grid, the certified inverse table behind
 continuous quantiles and Monte Carlo draws, and the stop-loss table behind
-every mean excess. On continuous laws a read of that table between nodes
-evaluates no law; on the lattice the table is built once and read past its
-top by sf and the tail's sum of S, never extended.
+every mean excess. Each is built once and never rebuilt. On continuous laws
+the stop-loss table runs on into the tail and a read of it between nodes
+evaluates no law; on the lattice it is read past its top by sf and the
+tail's sum of S, never extended.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DivergentTail, SupportTooLarge, UnsupportedKind
-from .numerics import GL_W, GL_X, bisect_increasing, integrate, integrate_batch, panel_nodes, panels
+from .numerics import GL_W, GL_X, bisect_increasing, integrate_batch, panel_nodes, panels
 
 CONTINUOUS = "continuous-interval"
 LATTICE = "integer-lattice"
@@ -58,7 +59,9 @@ SCAN_CLIP = 1e-6
 # continuous stop-loss table: G = _ANTIDERIV @ (S at the 16 Gauss-Legendre
 # nodes of [-1, 1]) are the Legendre coefficients of int_s^1 p, p the degree-15
 # interpolant of those values (the rule is exact on the degree-30 products
-# that give p's coefficients); REACH_STEPS caps the steps past the last node
+# that give p's coefficients); past its base nodes the table runs on in blocks
+# of 32 steps of S/f, and a tail that needs more than REACH_STEPS steps to end
+# raises DivergentTail
 _ANTIDERIV = -legint(legvander(GL_X, 15).T * GL_W * (np.arange(16) + 0.5)[:, None], lbnd=1)
 REACH_STEPS = 2**14
 
@@ -154,9 +157,10 @@ class Distribution:
     refinement that quantile() reads when the law has no ppf or
     `table` is set, and one stop-loss table: excess_table() on the lattice,
     read at any integer by _excess_read(); on continuous laws the node table
-    of stop_loss() with its Legendre coefficients (_stop_loss_nodes()), its
-    extension past the last node (_stop_loss_table()) and the outer nodes and
-    weights of shifted_means() (_outer_panels()). Beside them
+    of stop_loss() with its Legendre coefficients and its extension into the
+    tail (_stop_loss_nodes()), and the outer nodes and weights of
+    shifted_means() over the nodes below that extension (_outer_panels()).
+    Beside them
     `measures.dispersion_report` keeps the law's SD/GMD report under
     "report"; no other module touches it.
     """
@@ -207,8 +211,8 @@ class Distribution:
         inside their node interval or between the support end and the end
         node, so the output joins the table's monotonically. Monte Carlo
         sets `table`, so it draws every continuous law through the certified
-        table, which reads a point many times faster than gammaincinv or
-        betaincinv do.
+        table; with its build, that beats the ppf through gammaincinv alone,
+        and is about even with betaincinv and slower than the closed forms.
         """
         p = np.asarray(p, dtype=float)
         p1 = np.atleast_1d(p)
@@ -495,75 +499,53 @@ class Distribution:
             s[past], p[past] = su[back], pu[back]
         return s, p
 
+    def _base_nodes(self) -> np.ndarray:
+        """The inverse-table nodes, the finite support ends and the breaks: the
+        stop-loss table's nodes below its extension, and the edges of the outer
+        panels of shifted_means()."""
+        lo, hi = self.support.lower, self.support.upper
+        ends = [v for v in (lo, hi, *self.breaks) if np.isfinite(v)]
+        return np.unique(np.concatenate([np.clip(self._inverse_table()[1], lo, hi), ends]))
+
     def _stop_loss_nodes(self) -> tuple[np.ndarray, ...]:
-        """(nodes, Pi at the nodes, coefficients) of a continuous law: the
-        inverse-table nodes, the finite support ends and the breaks, with Pi
-        summed from the top by _stop_loss_rows."""
+        """(nodes, Pi at the nodes, coefficients) of a continuous law, built once:
+        _base_nodes(), then an extension in blocks of 32 steps of the tail length
+        scale S/f taken at each block's start (1 where f is 0 or not finite). It
+        ends at the first block start that is the support's upper end, where S
+        is no longer a normal double, or where a step no longer moves x. Pi is
+        summed from 0 there by _stop_loss_rows, so it keeps its relative
+        accuracy far below Pi at the base's top."""
         if "stop_loss" not in self._cache:
-            lo, hi = self.support.lower, self.support.upper
-            ends = [v for v in (lo, hi, *self.breaks) if np.isfinite(v)]
-            nodes = np.unique(np.concatenate([np.clip(self._inverse_table()[1], lo, hi), ends]))
-            self._cache["stop_loss"] = self._stop_loss_rows(nodes, self._tail_stop_loss(nodes[-1]))
+            blocks = [self._base_nodes()]
+            for _ in range(REACH_STEPS // 32):
+                x = blocks[-1][-1]
+                s, f = float(self.sf(x)), float(self.pdf(x))
+                step = s / f if 0.0 < f < np.inf else 1.0
+                if x >= self.support.upper or not s >= np.finfo(float).tiny or x + step == x:
+                    break
+                blocks.append(x + step * np.arange(1.0, 33.0))
+            else:
+                raise DivergentTail(f"stop-loss table of {self.label} did not end in {REACH_STEPS} steps")
+            self._cache["stop_loss"] = self._stop_loss_rows(np.unique(np.concatenate(blocks)))
         return self._cache["stop_loss"]
 
-    def _stop_loss_rows(self, nodes: np.ndarray, top: float) -> tuple[np.ndarray, ...]:
-        """(nodes, Pi, coefficients): Pi summed from `top`, its value at the last
-        node, over one Gauss-Legendre panel of sf per node interval; column k of
-        the coefficients holds G_k, int_s^1 of the interpolant of those sf values
-        on interval k in Legendre series, so that Pi(y) = Pi(b_k) + h_k G_k(s) for
+    def _stop_loss_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(nodes, Pi, coefficients): Pi summed from 0 at the last node over one
+        Gauss-Legendre panel of sf per node interval; column k of the
+        coefficients holds G_k, int_s^1 of the interpolant of those sf values on
+        interval k in Legendre series, so that Pi(y) = Pi(b_k) + h_k G_k(s) for
         y = b_k - h_k (1 - s) with b_k its right node and h_k its half-width."""
         x, half = panel_nodes(nodes[:-1], nodes[1:])
         vals = np.asarray(self.sf(x.ravel()), dtype=float).reshape(x.shape)
-        seg = np.append((vals @ GL_W) * half, top)
+        seg = np.append((vals @ GL_W) * half, 0.0)
         return _read_only(nodes, np.cumsum(seg[::-1])[::-1], _ANTIDERIV @ vals.T)
 
-    def _stop_loss_table(self, reach: float) -> tuple[np.ndarray, ...]:
-        """The rows of _stop_loss_nodes, extended past the last node to at least
-        `reach` while Pi there is positive: nodes a step of the tail length
-        scale S/f apart, up to the first at or past `reach` or where S
-        underflows, with Pi summed from that top, so it keeps its relative
-        accuracy however far below Pi(last) it falls. One read-only table is
-        kept per law, rebuilt when a call reaches past its top."""
-        table = self._cache.get("stop_loss_reach") or self._stop_loss_nodes()
-        if reach <= table[0][-1] or table[1][-1] <= 0.0:
-            return table
-        base = self._stop_loss_nodes()
-        more = [base[0][-1]]
-        for _ in range(REACH_STEPS):
-            if more[-1] >= reach:
-                break
-            s, f = float(self.sf(more[-1])), float(self.pdf(more[-1]))
-            if not s > 0.0:
-                break
-            more.append(more[-1] + (s / f if 0.0 < f < np.inf else 1.0))
-        else:
-            raise DivergentTail(f"stop-loss table of {self.label} did not reach {reach:g} in {REACH_STEPS} steps")
-        ext = self._stop_loss_rows(np.array(more), self._tail_stop_loss(more[-1]))
-        table = _read_only(
-            np.concatenate([base[0][:-1], ext[0]]),
-            np.concatenate([base[1][:-1], ext[1]]),  # Pi(last) too is summed from the new top
-            np.concatenate([base[2], ext[2]], axis=1),
-        )
-        self._cache["stop_loss_reach"] = table
-        return table
-
-    def _tail_stop_loss(self, x: float) -> float:
-        """Pi(x) by adaptive quadrature of sf(x + c v) / sf(x) over v >= 0,
-        c = sf(x) / pdf(x) the tail's length scale: unscaled, QUADPACK's
-        absolute tolerance swamps a tail far below it, and its map of
-        [x, inf) misses a polynomial tail that starts at x = 5.6e5."""
-        s, f = float(self.sf(x)), float(self.pdf(x))
-        if s <= 0.0 or x >= self.support.upper:
-            return 0.0
-        c = s / f if 0.0 < f < np.inf else 1.0
-        return s * c * integrate(lambda v: self.sf(x + c * v) / s, 0.0, np.inf)[0]
-
     def _stop_loss_read(self, y: np.ndarray) -> np.ndarray:
-        """Pi(y) of a continuous law from _stop_loss_table(max y): Pi(b) + h G(s)
-        in y's node interval, with no call to the law; below the first node
-        one panel of sf up to it; 0 past a table whose Pi has reached 0."""
+        """Pi(y) of a continuous law from _stop_loss_nodes(): Pi(b) + h G(s) in
+        y's node interval, with no call to the law; below the first node one
+        panel of sf up to it; 0 past the last node."""
         y = np.asarray(y, dtype=float)
-        nodes, pi, coef = self._stop_loss_table(float(np.max(y, initial=-np.inf)))
+        nodes, pi, coef = self._stop_loss_nodes()
         j = np.clip(np.searchsorted(nodes, y), 1, len(nodes) - 1)
         half = 0.5 * (nodes[j] - nodes[j - 1])
         out = pi[j] + half * _legval_rows((y - nodes[j - 1]) / half - 1.0, coef, j - 1)
@@ -577,8 +559,8 @@ class Distribution:
 
         Lattice laws read Pi(k) - (x - k) S(k) at k = floor(x) by
         _excess_read(), which takes S = 1 below the table, whose omitted F is
-        below SUM_CUT. Continuous laws read the node table, extended past its
-        last node as far as x reaches (_stop_loss_read).
+        below SUM_CUT. Continuous laws read the stop-loss table, built once with
+        its extension into the tail (_stop_loss_read).
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if self.is_lattice:
@@ -590,10 +572,10 @@ class Distribution:
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def _outer_panels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, w): the panel nodes of each stop-loss node interval, one row per
-        interval, and pdf(x) times the rule's weight and half-width there."""
+        """(x, w): the panel nodes of each interval of _base_nodes(), one row
+        per interval, and pdf(x) times the rule's weight and half-width there."""
         if "outer" not in self._cache:
-            nodes = self._stop_loss_nodes()[0]
+            nodes = self._base_nodes()
             x, half = panel_nodes(nodes[:-1], nodes[1:])
             w = np.asarray(self.pdf(x), dtype=float) * (half[:, None] * GL_W)
             self._cache["outer"] = _read_only(x, w)
@@ -608,11 +590,11 @@ class Distribution:
         first - x - t, they add both heads from table_tail(). Continuous laws
         take one pass over t, dotting the pdf-weighted panel nodes of
         _outer_panels(), shifted by t, with sf and with Pi read from the
-        stop-loss table, extended once to the last node plus the largest t. A
-        node interval inside which S(x + t) kinks, at upper - t or at break -
-        t, is integrated afresh by one panel per piece. On an unbounded lower
-        end the heads below the first node run as one adaptive batch per
-        expectation, each scaled by its integrand there.
+        stop-loss table, whose extension into the tail serves any t (0 past
+        its end). A base node interval inside which S(x + t) kinks, at upper -
+        t or at break - t, is integrated afresh by one panel per piece. On an
+        unbounded lower end the heads below the first node run as one
+        adaptive batch per expectation, each scaled by its integrand there.
         """
         ts = np.asarray(ts, dtype=float)
         if self.is_lattice:
@@ -624,8 +606,7 @@ class Distribution:
             if not upper:
                 den, num = den + mass, num + (mass * (pi[0] + pts[0] - ts) - t1)
             return den, num
-        nodes = self._stop_loss_nodes()[0]
-        self._stop_loss_table(nodes[-1] + np.max(ts, initial=0.0))
+        nodes = self._base_nodes()
         gs = (self.sf, self._stop_loss_read)
         x, w = self._outer_panels()
         a, b = nodes[:-1], nodes[1:]

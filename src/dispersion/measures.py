@@ -246,13 +246,14 @@ def _m_repr_curve_continuous(d: Distribution, ts: np.ndarray) -> np.ndarray:
     change-of-measure integrands C (1/h) F f and C F f with C = F(x - t) / F(x)
     and 1/h = S / f multiplied out, so the numerator keeps its mass where f = 0
     inside the hull of a gapped support. Both are divided by the numerator's
-    largest value F(p) S(p + t) over every 32nd stop-loss node p, so QUADPACK's
-    relative tolerance, not EPSABS, ends them however far t is. All 2 len(ts)
-    integrals run as one lockstep batch, whose every step calls cdf once on all
-    its nodes, sf on the unfinished numerators' and pdf on the denominators'."""
+    largest value F(p) S(p + t) over every 32nd base node p of the stop-loss
+    table (Distribution._base_nodes), so QUADPACK's relative tolerance, not
+    EPSABS, ends them however far t is. All 2 len(ts) integrals run as one
+    lockstep batch, whose every step calls cdf once on all its nodes, sf on
+    the unfinished numerators' and pdf on the denominators'."""
     n = len(ts)
     lo, hi = d.support.lower, d.support.upper
-    probe = d._stop_loss_nodes()[0][::32]
+    probe = d._base_nodes()[::32]
     shifted = probe + ts[:, None]
     scale = np.max(d.cdf(probe) * np.asarray(d.sf(shifted.ravel()), dtype=float).reshape(shifted.shape), axis=1)
     scale = np.where((0.0 < scale) & (scale < np.inf), scale, 1.0)

@@ -1,5 +1,7 @@
 """Distribution construction, registry consistency, and combinators."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from dispersion import (
     parse_family_spec,
     truncate,
 )
-from dispersion import dist as dist_module
 from dispersion import measures as measures_module
+from dispersion import numerics as numerics_module
 from dispersion.combinators import _convolve_numeric
 from dispersion.dist import (
     CONTINUOUS,
@@ -524,7 +526,7 @@ def test_cached_tables_are_read_only():
     arrays += [*lat.lattice_table(), lat.table_tail()[1]]
     tail = make_distribution("weibull:alpha=1")
     arrays += [*cont._stop_loss_nodes(), *cont._outer_panels(), *lat.excess_table()]
-    arrays += [*tail._stop_loss_table(60.0), *tail._outer_panels()]
+    arrays += [*tail._stop_loss_nodes(), *tail._outer_panels()]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -559,17 +561,16 @@ def test_curve_evaluation_counts():
 
 def test_curve_heads_run_as_one_batch(monkeypatch):
     # below the first stop-loss node of a support unbounded below, the heads
-    # of every t run as one lockstep batch per expectation; only an extension
-    # of the stop-loss table may still integrate alone, and the SD/GMD
+    # of every t run as one lockstep batch per expectation; no integral runs
+    # alone, not even for the stop-loss table's tail, and the SD/GMD
     # quadrature of measures does not run at all
     d = make_distribution("normal")
     ts = np.linspace(0, 4.5, 32)
-    mean_excess_abs_diff(d, ts)
     calls = []
-    for module, name in ((dist_module, "integrate"), (measures_module, "_numeric")):
+    for module, name in ((numerics_module, "integrate"), (measures_module, "_numeric")):
         monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name): calls.append(a) or f(*a))
     mean_excess_abs_diff(d, ts)
-    assert len(calls) <= 1
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +666,17 @@ def test_mix_geometrics_pmf():
         [0.5, 0.5],
     )
     assert float(m.pdf(0.0)) == pytest.approx(0.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("shifts,want", [
+    *(((b, b), 1.0) for b in (0.0, 1e3, 1e7, 1e8, 1e12)),
+    ((1e8, 1e8 + 3.0), math.sqrt(3.25)),
+])
+def test_mix_closed_sd_at_large_locations(shifts, want):
+    # the closed SD sums each component's variance about the mixture mean, so
+    # the location does not cancel it away
+    m = mix([affine(make_distribution("normal"), 1.0, b) for b in shifts], [0.5, 0.5])
+    assert abs(m.closed.sd - want) <= 1e-15 * want
 
 
 def test_mix_validates_weights_and_kinds():

@@ -376,6 +376,10 @@ print(*(v.hex() for v in (*c.m_direct, *c.m_repr)))
 for d in (make_distribution("zipf:alpha=2.5"), mix([make_distribution("zipf:alpha=2.5")] * 2, [0.5, 0.5])):
     rep = dispersion_report(d)
     print(*(float(v).hex() for v in (rep.sd, rep.gmd, concentration(d).lambda_)))
+g = make_distribution("gamma:alpha=2")
+c = mean_excess_abs_diff(g, np.linspace(0, 6, 32))
+print(*(v.hex() for v in (*c.m_direct, *c.m_repr)))
+print(*(float(v).hex() for v in g.stop_loss(np.array([35.0, 80.0, 300.0]))))
 """
 
 
@@ -383,14 +387,15 @@ def test_lattice_curve_bits_do_not_depend_on_blas_threads():
     # the lattice curves, SD, GMD and tie probability sum by numpy's own
     # fixed-order reductions over the 41,696-point table of zipf(2.5), and
     # the mixture's tail in blocks, not by BLAS, whose blocking follows the
-    # thread count
+    # thread count; the continuous stop-loss table of gamma(2), 1,218 nodes
+    # with its tail, and the curve and far reads taken from it repeat too
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _THREAD_DIGEST], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout.split())
-    assert len(runs[0]) == 22
+    assert len(runs[0]) == 89
     assert runs[0] == runs[1]
 
 
@@ -545,6 +550,29 @@ def test_stop_loss_read_is_legval_bit_for_bit(spec):
     s = rng.uniform(-1.0, 1.0, len(cols))
     want = legval(s, coef[:, cols], tensor=False)
     assert np.array_equal(_legval_rows(s, coef, cols), want)
+
+
+def test_stop_loss_reads_do_not_depend_on_earlier_reads():
+    # a continuous law's stop-loss table is built once, its tail included, so
+    # a read repeats bit for bit after a read further out and the cached table
+    # stays the same object
+    d = make_distribution("normal")
+    ys = np.array([1.0, 4.5, 9.5])
+    first = [v.hex() for v in d.stop_loss(ys)]
+    table = d._stop_loss_nodes()
+    d.stop_loss(18.0)
+    assert [v.hex() for v in d.stop_loss(ys)] == first
+    assert d._stop_loss_nodes() is table
+    for spec, hi in (("gamma:alpha=2", 6.0), ("normal", 4.5)):
+        d = make_distribution(spec)
+        ts = np.linspace(0, hi, 32)
+        c = mean_excess_abs_diff(d, ts)
+        table = d._stop_loss_nodes()
+        mean_excess_abs_diff(d, np.linspace(0, 4 * hi, 32))
+        again = mean_excess_abs_diff(d, ts)
+        for got, want in ((again.m_direct, c.m_direct), (again.m_repr, c.m_repr)):
+            assert [v.hex() for v in got] == [v.hex() for v in want], spec
+        assert d._stop_loss_nodes() is table
 
 
 def test_lattice_stop_loss_is_zero_past_a_support_bounded_above():
