@@ -4,7 +4,9 @@ Truncated laws carry their parent's analytic f/F/S divided by the
 conditioning mass rather than re-quadratured values, so hazard identities
 above/below the threshold hold to closed-form accuracy. Tail-side CDFs are
 built from survival differences (and head-side survivals from CDF
-differences) to avoid catastrophic cancellation deep in a tail.
+differences) to avoid catastrophic cancellation deep in a tail. No
+combinator maps a log density: every law's is the log of its pdf, which
+`Distribution` takes.
 
 Lattice combinators map their parents' `tail_sums`: a shift moves the
 point the tail starts past, a reflection moves the tail to the other side,
@@ -57,9 +59,6 @@ def affine(d: Distribution, a: float, b: float) -> Distribution:
     )
     inv = lambda y: (np.asarray(y, float) - b) / a
     pdf = lambda y: d.pdf(inv(y)) / abs(a)
-    logpdf = None
-    if d.logpdf is not None:
-        logpdf = lambda y: d.log_pdf(inv(y)) - math.log(abs(a))
     if a > 0:
         cdf = lambda y: d.cdf(inv(y))
         sfn = lambda y: d.sf(inv(y))
@@ -69,7 +68,7 @@ def affine(d: Distribution, a: float, b: float) -> Distribution:
         sfn = lambda y: d.cdf(inv(y))
         ppf = (lambda p: a * d.ppf(1.0 - np.asarray(p, float)) + b) if d.ppf is not None else None
     return Distribution(
-        support=support, pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
+        support=support, pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
         breaks=tuple(sorted(a * v + b for v in d.breaks)),
         closed=_affine_closed(d.closed, a, b),
         label=f"affine({d.label},a={a:g},b={b:g})",
@@ -213,10 +212,6 @@ def truncate(d: Distribution, side: str, u: float) -> Distribution:
         x = np.asarray(x, float)
         return np.where(past(x), 0.0, np.clip((mass - own(x)) / mass, 0.0, 1.0))
 
-    logpdf = None
-    if d.logpdf is not None:
-        lm = math.log(mass)
-        logpdf = lambda x: np.where(kept(np.asarray(x, float)), d.log_pdf(x) - lm, -np.inf)
     ppf = None
     if not lower and d.ppf is not None and not d.is_lattice:
         ppf = lambda p: d.ppf(mass * np.asarray(p, float))
@@ -226,7 +221,7 @@ def truncate(d: Distribution, side: str, u: float) -> Distribution:
     return Distribution(
         support=Support(lo, hi, d.support.kind),
         pdf=pdf, cdf=rest if lower else scaled, sf=scaled if lower else rest,
-        logpdf=logpdf, ppf=ppf, tail_sums=tails,
+        ppf=ppf, tail_sums=tails,
         breaks=tuple(v for v in d.breaks if lo < v < hi),
         label=f"truncate({d.label},{side},u={u:g})",
         meta={"construct": "truncate", "side": side, "u": u, "parent": d.meta},

@@ -150,6 +150,7 @@ class Distribution:
     pdf is a density for continuous supports and a pmf (evaluated at
     integers, zero elsewhere) for lattice supports. cdf(x) = P(X <= x) and
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
+    The law has no second density: logpdf() is the log of pdf.
     `_cache` holds the read-only tables built on first use: lattice_table(),
     which also serves quantile(), with table_tail() beside it, the one
     probe_grid() with the pdf, cdf and sf columns of probe_values() beside
@@ -169,8 +170,7 @@ class Distribution:
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     sf: Callable[[np.ndarray], np.ndarray]
-    label: str
-    logpdf: Callable[[np.ndarray], np.ndarray] | None = None
+    label: str = ""  # registry builders leave it to make_distribution
     ppf: Callable[[np.ndarray], np.ndarray] | None = None
     closed: ClosedForms = field(default_factory=ClosedForms)
     meta: dict = field(default_factory=dict)
@@ -190,11 +190,11 @@ class Distribution:
     def is_lattice(self) -> bool:
         return self.support.is_lattice
 
-    def log_pdf(self, x):
-        """log density/pmf; falls back to log(pdf) with an underflow floor."""
-        if self.logpdf is not None:
-            return self.logpdf(x)
-        with np.errstate(divide="ignore"):
+    def logpdf(self, x):
+        """log density/pmf: log pdf, floored at 1e-320 where pdf underflows.
+        The log-concavity scans read the same values off the probe grid's
+        pdf column (`hazard.log_concavity_scan`)."""
+        with np.errstate(all="ignore"):
             return np.log(np.maximum(self.pdf(x), 1e-320))
 
     def quantile(self, p, table: bool = False):

@@ -8,11 +8,15 @@ only where a source formula exists. Survival convention in both kinds is
 P(X > x).
 
 Family-spec strings parse as ``family:name=value,name=value``, e.g.
-``gpd:alpha=0.25`` or ``normal-mix:sigma1=0.5,sigma2=2,q=0.75``.
+``gpd:alpha=0.25`` or ``normal-mix:sigma1=0.5,sigma2=2,q=0.75``. A family's
+parameter names, order and defaults are those of its builder's signature,
+and `make_distribution` labels the law it builds.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +28,6 @@ from .errors import ParamOutOfDomain, ParseError, UnknownFamily
 from .numerics import panels
 
 SQRT_PI = math.sqrt(math.pi)
-REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -76,21 +79,27 @@ def _check(family: str, name: str, value: float, ok: bool, legal: str) -> float:
     return float(value)
 
 
+@functools.cache
+def _signature(family: str):
+    """The family's parameters: its builder's, in order, with their defaults."""
+    return inspect.signature(FAMILIES[family]["build"]).parameters
+
+
 def _resolve_params(spec: FamilySpec) -> dict[str, float]:
-    info = FAMILIES[spec.family]
+    sig = _signature(spec.family)
     out: dict[str, float] = {}
-    for pname, default in info["params"].items():
+    for pname, p in sig.items():
         if pname in spec.params:
             out[pname] = spec.params[pname]
-        elif default is REQUIRED:
+        elif p.default is p.empty:
             raise ParseError(f"{spec.family}: missing required parameter {pname!r}")
         else:
-            out[pname] = default
-    unknown = set(spec.params) - set(info["params"])
+            out[pname] = p.default
+    unknown = set(spec.params) - set(sig)
     if unknown:
         raise ParseError(
             f"{spec.family}: unknown parameter(s) {sorted(unknown)}; "
-            f"expected {sorted(info['params'])}"
+            f"expected {sorted(sig)}"
         )
     return out
 
@@ -115,7 +124,9 @@ def list_families() -> list[dict]:
         {
             "family": name,
             "kind": info["kind"],
-            "params": {p: ("required" if d is REQUIRED else d) for p, d in info["params"].items()},
+            "params": {
+                p: ("required" if v.default is v.empty else v.default) for p, v in _signature(name).items()
+            },
             "domain": info["domain"],
         }
         for name, info in FAMILIES.items()
@@ -154,20 +165,14 @@ def _gamma(alpha: float) -> Distribution:
             v = np.exp((a - 1) * np.log(x) - x - special.gammaln(a))
         return np.where(x > 0, v, np.where((x == 0) & (a < 1), np.inf, 0.0))
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(all="ignore"):
-            return np.where(x > 0, (a - 1) * np.log(x) - x - special.gammaln(a), -np.inf)
-
     cdf = lambda x: special.gammainc(a, np.maximum(np.asarray(x, float), 0.0))
     sfn = lambda x: special.gammaincc(a, np.maximum(np.asarray(x, float), 0.0))
     ppf = lambda p: special.gammaincinv(a, p)
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
         # GMD = 2 Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) = 2 / B(a, 1/2)
         closed=ClosedForms(mean=a, sd=math.sqrt(a), gmd=2 * _gamma_half_ratio(a) / SQRT_PI),
-        label=f"gamma(alpha={a:g})",
     )
 
 
@@ -181,11 +186,6 @@ def _weibull(alpha: float) -> Distribution:
         edge = np.inf if a < 1 else (1.0 if a == 1 else 0.0)
         return np.where(x > 0, v, np.where(x == 0, edge, 0.0))
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(all="ignore"):
-            return np.where(x > 0, np.log(a) + (a - 1) * np.log(x) - x**a, -np.inf)
-
     def cdf(x):
         x = np.maximum(np.asarray(x, float), 0.0)
         return -np.expm1(-(x**a))
@@ -197,15 +197,17 @@ def _weibull(alpha: float) -> Distribution:
     ppf = lambda p: (-np.log1p(-np.asarray(p, float))) ** (1.0 / a)
     g1 = special.gamma(1 + 1 / a)
     g2 = special.gamma(1 + 2 / a)
+    var = float(g2) - float(g1) * float(g1)
+    if math.isfinite(var):
+        sd = math.sqrt(var)
+    else:  # below alpha = 0.0118 g2 or g1^2 overflows: sqrt(g2 (1 - g1^2 / g2)) in logs
+        l1, l2 = special.gammaln(1 + 1 / a), special.gammaln(1 + 2 / a)
+        with np.errstate(over="ignore"):
+            sd = float(np.exp(0.5 * l2) * np.sqrt(-np.expm1(2 * l1 - l2)))
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
-        closed=ClosedForms(
-            mean=g1,
-            sd=math.sqrt(g2 - g1 * g1),
-            gmd=2 * (1 - 2 ** (-1 / a)) * g1,
-        ),
-        label=f"weibull(alpha={a:g})",
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
+        closed=ClosedForms(mean=g1, sd=sd, gmd=2 * (1 - 2 ** (-1 / a)) * g1),
     )
 
 
@@ -235,12 +237,6 @@ def _gpd(alpha: float) -> Distribution:
             v = np.exp(-x) if a == 0 else np.exp(-(1 / a + 1) * np.log1p(a * x))
         return np.where(x >= 0, v, 0.0)
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(all="ignore"):
-            v = -x if a == 0 else -(1 / a + 1) * np.log1p(a * x)
-        return np.where(x >= 0, v, -np.inf)
-
     def ppf(p):
         p = np.asarray(p, float)
         if a == 0:
@@ -249,13 +245,12 @@ def _gpd(alpha: float) -> Distribution:
 
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
         closed=ClosedForms(
             mean=1 / (1 - a),
             sd=1 / ((1 - a) * math.sqrt(1 - 2 * a)),
             gmd=2 / ((1 - a) * (2 - a)),
         ),
-        label=f"gpd(alpha={alpha:g})",
     )
 
 
@@ -264,15 +259,13 @@ def _normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     m = float(mu)
     z = lambda x: (np.asarray(x, float) - m) / s
     pdf = lambda x: np.exp(-0.5 * z(x) ** 2) / (s * math.sqrt(2 * math.pi))
-    logpdf = lambda x: -0.5 * z(x) ** 2 - math.log(s * math.sqrt(2 * math.pi))
     cdf = lambda x: special.ndtr(z(x))
     sfn = lambda x: special.ndtr(-z(x))
     ppf = lambda p: m + s * special.ndtri(p)
     return Distribution(
         support=Support(-np.inf, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
         closed=ClosedForms(mean=m, sd=s, gmd=2 * s / SQRT_PI),
-        label=f"normal(mu={m:g},sigma={s:g})",
     )
 
 
@@ -289,15 +282,6 @@ def _beta(alpha: float, beta: float = 1.0) -> Distribution:
         edge = np.where(((x == 0) & (a < 1)) | ((x == 1) & (b < 1)), np.inf, 0.0)
         return np.where(inside, v, edge)
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(all="ignore"):
-            return np.where(
-                (x > 0) & (x < 1),
-                (a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - lnB,
-                -np.inf,
-            )
-
     xc = lambda x: np.clip(np.asarray(x, float), 0.0, 1.0)
     cdf = lambda x: special.betainc(a, b, xc(x))
     sfn = lambda x: special.betaincc(a, b, xc(x))
@@ -311,22 +295,19 @@ def _beta(alpha: float, beta: float = 1.0) -> Distribution:
         )
     return Distribution(
         support=Support(0.0, 1.0, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf, closed=closed,
-        label=f"beta(alpha={a:g},beta={b:g})",
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf, closed=closed,
     )
 
 
 def _logistic() -> Distribution:
     pdf = lambda x: special.expit(np.asarray(x, float)) * special.expit(-np.asarray(x, float))
-    logpdf = lambda x: -np.abs(np.asarray(x, float)) - 2 * np.log1p(np.exp(-np.abs(np.asarray(x, float))))
     cdf = lambda x: special.expit(np.asarray(x, float))
     sfn = lambda x: special.expit(-np.asarray(x, float))
     ppf = lambda p: np.log(np.asarray(p, float)) - np.log1p(-np.asarray(p, float))
     return Distribution(
         support=Support(-np.inf, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf, ppf=ppf,
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
         closed=ClosedForms(mean=0.0, sd=math.pi / math.sqrt(3), gmd=2.0),
-        label="logistic",
     )
 
 
@@ -340,20 +321,10 @@ def _erf_hazard() -> Distribution:
         x = np.asarray(x, float)
         return np.where(x >= 0, (np.exp(-np.asarray(x, float) ** 2) + 1) * sfn(x), 0.0)
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(all="ignore"):
-            return np.where(
-                x >= 0,
-                np.log1p(np.exp(-(x**2))) - 0.5 * SQRT_PI * special.erf(x) - x,
-                -np.inf,
-            )
-
     cdf = lambda x: 1.0 - sfn(x)
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf,
-        label="erf-hazard",
+        pdf=pdf, cdf=cdf, sf=sfn,
     )
 
 
@@ -387,15 +358,9 @@ def _erfi_interval() -> Distribution:
 
     sfn = _sf_by_panel(cdf, pdf, 1.0)
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        inside = (x >= -1) & (x <= 1)
-        return np.where(inside, (1.0 + x) ** 2 + math.log(2.0 / (SQRT_PI * c)), -np.inf)
-
     return Distribution(
         support=Support(-1.0, 1.0, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf,
-        label="erfi-interval",
+        pdf=pdf, cdf=cdf, sf=sfn,
     )
 
 
@@ -414,15 +379,9 @@ def _erfi_unit() -> Distribution:
 
     sfn = _sf_by_panel(cdf, pdf, 1.0)
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        inside = (x >= 0) & (x <= 1)
-        return np.where(inside, 0.25 * x**2 - math.log(SQRT_PI * c), -np.inf)
-
     return Distribution(
         support=Support(0.0, 1.0, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf,
-        label="erfi-unit",
+        pdf=pdf, cdf=cdf, sf=sfn,
     )
 
 
@@ -446,16 +405,10 @@ def _damped_hazard(theta: float) -> Distribution:
         x = np.asarray(x, float)
         return np.where(x >= 0, hazard(x) * sfn(x), 0.0)
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        with np.errstate(all="ignore"):
-            return np.where(x >= 0, np.log(hazard(x)) - cumhaz(np.maximum(x, 0.0)), -np.inf)
-
     cdf = lambda x: -np.expm1(-cumhaz(np.maximum(np.asarray(x, float), 0.0)))
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf,
-        label=f"damped-hazard(theta={t:g})",
+        pdf=pdf, cdf=cdf, sf=sfn,
     )
 
 
@@ -470,17 +423,12 @@ def _normal_mix(sigma1: float = 0.5, sigma2: float = 2.0, q: float = 0.75) -> Di
         x = np.asarray(x, float)
         return np.exp(c1 - 0.5 * (x / s1) ** 2) + np.exp(c2 - 0.5 * (x / s2) ** 2)
 
-    def logpdf(x):
-        x = np.asarray(x, float)
-        return np.logaddexp(c1 - 0.5 * (x / s1) ** 2, c2 - 0.5 * (x / s2) ** 2)
-
     cdf = lambda x: w * special.ndtr(np.asarray(x, float) / s1) + (1 - w) * special.ndtr(np.asarray(x, float) / s2)
     sfn = lambda x: w * special.ndtr(-np.asarray(x, float) / s1) + (1 - w) * special.ndtr(-np.asarray(x, float) / s2)
     return Distribution(
         support=Support(-np.inf, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, logpdf=logpdf,
+        pdf=pdf, cdf=cdf, sf=sfn,
         closed=ClosedForms(mean=0.0, sd=math.sqrt(w * s1**2 + (1 - w) * s2**2)),
-        label=f"normal-mix(sigma1={s1:g},sigma2={s2:g},q={w:g})",
     )
 
 
@@ -526,7 +474,6 @@ def _geometric(p: float) -> Distribution:
             sd=math.sqrt(1 - pp) / pp,
             gmd=2 * (1 - pp) / (pp * (2 - pp)),
         ),
-        label=f"geometric(p={pp:g})",
     )
 
 
@@ -558,7 +505,6 @@ def _zipf(alpha: float) -> Distribution:
         support=Support(1, np.inf, LATTICE),
         pdf=_lattice_pmf(1, pmf_int), cdf=cdf, sf=sfn,
         tail_sums=tail_sums,
-        label=f"zipf(alpha={a:g})",
     )
 
 
@@ -579,7 +525,6 @@ def _poisson(theta: float) -> Distribution:
     return Distribution(
         support=Support(0, np.inf, LATTICE),
         pdf=_lattice_pmf(0, pmf_int), cdf=cdf, sf=sfn,
-        label=f"poisson(theta={t:g})",
     )
 
 
@@ -612,70 +557,24 @@ def _negbinomial(r: float, p: float) -> Distribution:
             sd=math.sqrt(rr * (1 - pp)) / pp,
             gmd=gmd,
         ),
-        label=f"negbinomial(r={rr:g},p={pp:g})",
     )
 
 
+# each family's parameter names, order and defaults are its builder's signature
 FAMILIES: dict[str, dict] = {
-    "gamma": {
-        "build": _gamma, "kind": CONTINUOUS,
-        "params": {"alpha": REQUIRED}, "domain": "alpha > 0",
-    },
-    "weibull": {
-        "build": _weibull, "kind": CONTINUOUS,
-        "params": {"alpha": REQUIRED}, "domain": "alpha > 0",
-    },
-    "gpd": {
-        "build": _gpd, "kind": CONTINUOUS,
-        "params": {"alpha": REQUIRED}, "domain": "0 <= alpha < 1/2",
-    },
-    "normal": {
-        "build": _normal, "kind": CONTINUOUS,
-        "params": {"mu": 0.0, "sigma": 1.0}, "domain": "sigma > 0",
-    },
-    "beta": {
-        "build": _beta, "kind": CONTINUOUS,
-        "params": {"alpha": REQUIRED, "beta": 1.0}, "domain": "alpha > 0, beta > 0",
-    },
-    "logistic": {
-        "build": _logistic, "kind": CONTINUOUS,
-        "params": {}, "domain": "none",
-    },
-    "erf-hazard": {
-        "build": _erf_hazard, "kind": CONTINUOUS,
-        "params": {}, "domain": "none",
-    },
-    "erfi-interval": {
-        "build": _erfi_interval, "kind": CONTINUOUS,
-        "params": {}, "domain": "none",
-    },
-    "erfi-unit": {
-        "build": _erfi_unit, "kind": CONTINUOUS,
-        "params": {}, "domain": "none",
-    },
-    "damped-hazard": {
-        "build": _damped_hazard, "kind": CONTINUOUS,
-        "params": {"theta": REQUIRED}, "domain": "theta > 0",
-    },
-    "normal-mix": {
-        "build": _normal_mix, "kind": CONTINUOUS,
-        "params": {"sigma1": 0.5, "sigma2": 2.0, "q": 0.75},
-        "domain": "sigma1 > 0, sigma2 > 0, 0 < q < 1",
-    },
-    "geometric": {
-        "build": _geometric, "kind": LATTICE,
-        "params": {"p": REQUIRED}, "domain": "0 < p < 1",
-    },
-    "zipf": {
-        "build": _zipf, "kind": LATTICE,
-        "params": {"alpha": REQUIRED}, "domain": "alpha > 2",
-    },
-    "poisson": {
-        "build": _poisson, "kind": LATTICE,
-        "params": {"theta": REQUIRED}, "domain": "theta > 0",
-    },
-    "negbinomial": {
-        "build": _negbinomial, "kind": LATTICE,
-        "params": {"r": REQUIRED, "p": REQUIRED}, "domain": "r > 0, 0 < p < 1",
-    },
+    "gamma": {"build": _gamma, "kind": CONTINUOUS, "domain": "alpha > 0"},
+    "weibull": {"build": _weibull, "kind": CONTINUOUS, "domain": "alpha > 0"},
+    "gpd": {"build": _gpd, "kind": CONTINUOUS, "domain": "0 <= alpha < 1/2"},
+    "normal": {"build": _normal, "kind": CONTINUOUS, "domain": "sigma > 0"},
+    "beta": {"build": _beta, "kind": CONTINUOUS, "domain": "alpha > 0, beta > 0"},
+    "logistic": {"build": _logistic, "kind": CONTINUOUS, "domain": "none"},
+    "erf-hazard": {"build": _erf_hazard, "kind": CONTINUOUS, "domain": "none"},
+    "erfi-interval": {"build": _erfi_interval, "kind": CONTINUOUS, "domain": "none"},
+    "erfi-unit": {"build": _erfi_unit, "kind": CONTINUOUS, "domain": "none"},
+    "damped-hazard": {"build": _damped_hazard, "kind": CONTINUOUS, "domain": "theta > 0"},
+    "normal-mix": {"build": _normal_mix, "kind": CONTINUOUS, "domain": "sigma1 > 0, sigma2 > 0, 0 < q < 1"},
+    "geometric": {"build": _geometric, "kind": LATTICE, "domain": "0 < p < 1"},
+    "zipf": {"build": _zipf, "kind": LATTICE, "domain": "alpha > 2"},
+    "poisson": {"build": _poisson, "kind": LATTICE, "domain": "theta > 0"},
+    "negbinomial": {"build": _negbinomial, "kind": LATTICE, "domain": "r > 0, 0 < p < 1"},
 }

@@ -13,6 +13,10 @@ relative tolerance, `SLACK` = 1e-9, and each verdict records the grid
 (`Distribution.stop_loss`), the one behind the mean excess of |X - X'|, which
 holds past the end of a lattice table too.
 
+Log-concavity of a continuous law is read from secant slopes of the log of
+those columns, floored at 1e-320, so a scan evaluates no law past them; log
+pdf there is what `Distribution.logpdf` returns.
+
 `equivalence_audit` scans h and r and classifies log pdf, cdf and sf at once;
 its cross-check of those verdicts, the residual spot checks included, runs
 only when its flag or a record is read (`HazardReport.equivalence_audit_pass`).
@@ -286,12 +290,10 @@ def log_concavity_scan(d: Distribution, target: str) -> str:
 
 
 def _log_target(d: Distribution, target: str) -> tuple[np.ndarray, np.ndarray]:
-    """(scan grid, log pdf, cdf or sf on it)."""
+    """(scan grid, log of its pdf, cdf or sf column floored at 1e-320): on the
+    pdf column, the values `Distribution.logpdf` returns there."""
+    xs, vals = d.probe_values(target)
     with np.errstate(all="ignore"):
-        if target == "pdf":
-            xs = d.probe_grid()
-            return xs, np.asarray(d.log_pdf(xs), float)
-        xs, vals = d.probe_values(target)
         return xs, np.log(np.maximum(vals, 1e-320))
 
 

@@ -153,30 +153,39 @@ def gmd_numeric(d: Distribution) -> tuple[float, float]:
     return _numeric(d, False, True)[1]
 
 
+def _closed(d: Distribution, name: str) -> float:
+    """The law's closed-form SD or GMD; one that is not finite raises."""
+    v = float(getattr(d.closed, name))
+    if not math.isfinite(v):
+        raise DivergentMoment(f"closed-form {name.upper()} of {d.label} is {v}, not a finite number")
+    return v
+
+
 def sd(d: Distribution) -> float:
     """Standard deviation; closed form when the registry supplies one."""
     if d.closed.sd is not None:
-        return float(d.closed.sd)
+        return _closed(d, "sd")
     return sd_numeric(d)[0]
 
 
 def gmd(d: Distribution) -> float:
     """Gini mean difference E|X - X'|; closed form when known."""
     if d.closed.gmd is not None:
-        return float(d.closed.gmd)
+        return _closed(d, "gmd")
     return gmd_numeric(d)[0]
 
 
 def dispersion_report(d: Distribution) -> DispersionReport:
     """SD, GMD, their difference, the method and the summed error estimate:
     the closed forms the registry supplies, and the rest from one call of
-    _numeric. Computed once per law and kept in its cache; a law whose report
-    raises raises again on every call."""
+    _numeric. A closed form that is not finite raises DivergentMoment.
+    Computed once per law and kept in its cache; a law whose report raises
+    raises again on every call."""
     if "report" in d._cache:
         return d._cache["report"]
     sd_num, gmd_num = _numeric(d, d.closed.sd is None, d.closed.gmd is None)
-    sd_val, sd_err = sd_num or (float(d.closed.sd), 0.0)
-    gmd_val, gmd_err = gmd_num or (float(d.closed.gmd), 0.0)
+    sd_val, sd_err = sd_num or (_closed(d, "sd"), 0.0)
+    gmd_val, gmd_err = gmd_num or (_closed(d, "gmd"), 0.0)
     numeric_method = SUMMATION if d.is_lattice else QUADRATURE
     method = CLOSED_FORM if sd_num is None and gmd_num is None else numeric_method
     d._cache["report"] = DispersionReport(

@@ -122,6 +122,57 @@ def test_list_families_json(capsys):
     assert {f["family"] for f in fams} >= {"gamma", "zipf", "erfi-interval"}
 
 
+# every family's parameters in order, with their defaults
+PARAMETER_TABLE = {
+    "gamma": {"alpha": "required"},
+    "weibull": {"alpha": "required"},
+    "gpd": {"alpha": "required"},
+    "normal": {"mu": 0.0, "sigma": 1.0},
+    "beta": {"alpha": "required", "beta": 1.0},
+    "logistic": {},
+    "erf-hazard": {},
+    "erfi-interval": {},
+    "erfi-unit": {},
+    "damped-hazard": {"theta": "required"},
+    "normal-mix": {"sigma1": 0.5, "sigma2": 2.0, "q": 0.75},
+    "geometric": {"p": "required"},
+    "zipf": {"alpha": "required"},
+    "poisson": {"theta": "required"},
+    "negbinomial": {"r": "required", "p": "required"},
+}
+
+
+def test_list_families_json_parameter_table(capsys):
+    code, out, _ = run_cli(["list-families", "--output", "json"], capsys)
+    assert code == 0
+    fams = json.loads(out)
+    assert {f["family"]: f["params"] for f in fams} == PARAMETER_TABLE
+    # the text table keeps the order
+    code, out, _ = run_cli(["list-families"], capsys)
+    lines = {line.split()[0]: line.split("] ", 1)[1].split(";")[0] for line in out.splitlines()}
+    assert list(lines) == list(PARAMETER_TABLE)
+    for family, params in PARAMETER_TABLE.items():
+        want = ", ".join(f"{k}=<required>" if v == "required" else f"{k}={v}" for k, v in params.items())
+        assert lines[family] == (want or "(no parameters)")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("gamma", "ParseError: gamma: missing required parameter 'alpha'"),
+        ("beta:beta=2", "ParseError: beta: missing required parameter 'alpha'"),
+        ("negbinomial:p=0.5,q=1", "ParseError: negbinomial: missing required parameter 'r'"),
+        ("gamma:alpha=1,beta=2", "ParseError: gamma: unknown parameter(s) ['beta']; expected ['alpha']"),
+        ("logistic:x=1", "ParseError: logistic: unknown parameter(s) ['x']; expected []"),
+        ("normal:zz=3,sigma=2,aa=1", "ParseError: normal: unknown parameter(s) ['aa', 'zz']; expected ['mu', 'sigma']"),
+    ],
+)
+def test_parameter_error_messages(spec, message, capsys):
+    code, _, err = run_cli(["analyze", "--dist", spec], capsys)
+    assert code == 2
+    assert err.strip() == message
+
+
 def test_exit_code_unknown_family(capsys):
     code, _, err = run_cli(["analyze", "--dist", "nope:x=1"], capsys)
     assert code == 2

@@ -480,6 +480,40 @@ def test_classify_inverts_one_scan_grid(spec, monkeypatch):
     assert sum(points) == SCAN_POINTS + 2
 
 
+@pytest.mark.parametrize("spec", ["normal", "logistic", "gpd:alpha=0.25"])
+def test_classify_evaluates_each_scan_column_once(spec):
+    # pdf, cdf and sf once each on the scan grid; log-concavity of the density
+    # reads the log of the pdf column, so logpdf does not run
+    d = make_distribution(spec)
+    points = dict.fromkeys(("pdf", "cdf", "sf", "logpdf"), 0)
+    for name in points:
+        fn = getattr(d, name)
+
+        def counted(x, fn=fn, name=name):
+            points[name] += np.size(x)
+            return fn(x)
+
+        setattr(d, name, counted)
+    classify(d)
+    assert points == {"pdf": SCAN_POINTS, "cdf": SCAN_POINTS, "sf": SCAN_POINTS, "logpdf": 0}
+
+
+def test_logpdf_is_the_floored_log_of_pdf_on_every_law():
+    n = make_distribution("normal")
+    m = mix([n, affine(n, 1.0, 3.0)], [0.5, 0.5])
+    xs = np.array([-2.0, 0.0, 1.5, 4.0])
+    want = np.log(0.5 * (np.exp(-0.5 * xs**2) + np.exp(-0.5 * (xs - 3.0) ** 2)) / math.sqrt(2 * math.pi))
+    np.testing.assert_allclose(m.logpdf(xs), want, rtol=1e-14)
+    # where the density underflows, the floor
+    assert m.logpdf(60.0) == math.log(1e-320)
+    c = convolve(make_distribution("logistic"), n)
+    assert c.meta["construct"] == "convolve"  # the numeric rule, not a registry closed form
+    xs = np.linspace(-6.0, 6.0, 25)
+    got = c.logpdf(xs)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, np.log(c.pdf(xs)))
+
+
 def _count_cuts(monkeypatch) -> list[float]:
     cuts = []
     lattice_points = Distribution.lattice_points

@@ -225,7 +225,7 @@ def test_log_concavity_erf_hazard_signature():
 def test_erf_hazard_log_density_curvature_flip_location():
     d = make_distribution("erf-hazard")
     xs = np.linspace(0.01, 1.2, 2000)
-    lf = np.asarray(d.log_pdf(xs), float)
+    lf = np.asarray(d.logpdf(xs), float)
     slopes = np.diff(lf) / np.diff(xs)
     curv = np.diff(slopes) / np.diff(0.5 * (xs[:-1] + xs[1:]))
     flip = float(xs[1:-1][np.argmax(curv > 0)])

@@ -70,6 +70,20 @@ def test_gmd_geometric():
     assert gmd(d) == pytest.approx(4 / 3, rel=1e-14)
 
 
+def test_weibull_closed_forms_past_gamma_overflow():
+    # at alpha = 0.01 Gamma(1 + 2/alpha) and Gamma(1 + 1/alpha)^2 overflow;
+    # reference values from 40-digit mpmath
+    rep = dispersion_report(make_distribution("weibull:alpha=0.01"))
+    assert rep.sd == pytest.approx(2.8083053027845646e187, rel=1e-12)
+    assert rep.gmd == pytest.approx(1.8665243088788831e158, rel=1e-12)
+    assert rep.method == "closed-form"
+    # where the SD itself overflows the law's report refuses, naming it
+    d = make_distribution("weibull:alpha=0.005")
+    for fn in (dispersion_report, sd, gmd):
+        with pytest.raises(errors.DivergentMoment, match=r"weibull\(alpha=0\.005\)"):
+            fn(d)
+
+
 @pytest.mark.parametrize("a", [*np.logspace(-8, 6, 57), *np.linspace(5, 13, 17)])
 def test_gamma_gmd_matches_mpmath(a):
     # 2 Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) from a = 1e-8 to 1e6, across the
