@@ -387,23 +387,28 @@ class Distribution:
         """(mass, sum x f, sum x^2 f, sum S) over x > m if `upper`, else (mass,
         sum x f, sum x^2 f, sum F) over x < m: from tail_sums where the law
         carries them, else mass from sf or cdf and the sums in blocks from m
-        outward, each twice the last, until a block adds nothing. Raises
-        SupportTooLarge past LATTICE_LIMIT points."""
+        outward, each twice the last, until a block adds nothing or its f and
+        S (or F) are all 0. Raises SupportTooLarge once it has summed more than
+        LATTICE_LIMIT points, counted (far out x + 1 == x, so the distance from
+        m stops growing)."""
         if self.tail_sums is not None:
             return np.array(self.tail_sums(m), dtype=float)
         step = 1.0 if upper else -1.0
         out = np.array([float(self.sf(m) if upper else self.cdf(m - 1)), 0.0, 0.0, 0.0])
-        end, n = float(m), TAIL_BLOCK
+        end, n, count = float(m), TAIL_BLOCK, 0
         while True:
             x = end + step * np.arange(1.0, n + 1)
             f = np.asarray(self.pdf(x), dtype=float)
             g = np.asarray(self.sf(x) if upper else self.cdf(x), dtype=float)
+            # a block of zeros ends the sum also where x * x * f is inf * 0
+            if not (f.any() or g.any()):
+                return out
             block = np.array([0.0, (x * f).sum(), (x * x * f).sum(), g.sum()])
             if np.all(out + block == out):
                 return out
             out += block
-            end, n = x[-1], 2 * n
-            if abs(end - m) > LATTICE_LIMIT:
+            end, count, n = x[-1], count + n, 2 * n
+            if count > LATTICE_LIMIT:
                 raise SupportTooLarge(f"tail of {self.label} past {m} exceeds {LATTICE_LIMIT} points")
 
     def table_tail(self) -> tuple[bool, np.ndarray]:
@@ -485,8 +490,8 @@ class Distribution:
         a support bounded above, else S from sf and Pi by the tail rule, summed
         from the top of each run of consecutive k after one lattice_tail call there."""
         pts, _, _, sf, pi = self.excess_table()
-        i = (k - pts[0]).astype(np.intp)
-        s, p = sf.take(i, mode="clip"), pi.take(i, mode="clip")
+        i = np.clip(k - pts[0], 0, len(pts) - 1).astype(np.intp)
+        s, p = sf.take(i), pi.take(i)
         below, past = k < pts[0], k > pts[-1]
         s[below], p[below] = 1.0, p[below] + (pts[0] - k[below])
         s[past] = p[past] = 0.0
@@ -541,17 +546,29 @@ class Distribution:
         return _read_only(nodes, np.cumsum(seg[::-1])[::-1], _ANTIDERIV @ vals.T)
 
     def _stop_loss_read(self, y: np.ndarray) -> np.ndarray:
-        """Pi(y) of a continuous law from _stop_loss_nodes(): Pi(b) + h G(s) in
-        y's node interval, with no call to the law; below the first node one
-        panel of sf up to it; 0 past the last node."""
+        """Pi(y) of a continuous law from _stop_loss_nodes(): inside [first
+        node, last node], Pi(b) + h G(s) in y's node interval, with no call to
+        the law; below the first node one panel of sf up to it; 0 past the last
+        node; NaN at NaN. The node intervals of sorted inside points, as the
+        panel nodes plus t of shifted_means() arrive, come from one merge of
+        the nodes into them; unsorted ones are searched point by point."""
         y = np.asarray(y, dtype=float)
         nodes, pi, coef = self._stop_loss_nodes()
-        j = np.clip(np.searchsorted(nodes, y), 1, len(nodes) - 1)
-        half = 0.5 * (nodes[j] - nodes[j - 1])
-        out = pi[j] + half * _legval_rows((y - nodes[j - 1]) / half - 1.0, coef, j - 1)
+        out = np.zeros(y.shape)
         below = y < nodes[0]
-        out[below] = pi[0] + panels(self.sf, y[below], nodes[0])
-        out[y > nodes[-1]] = 0.0
+        if below.any():
+            out[below] = pi[0] + panels(self.sf, y[below], nodes[0])
+        inside = ~below & ~(y > nodes[-1])
+        z = y[inside]
+        if (z[1:] >= z[:-1]).all():
+            # nodes below each z: the count of merge positions at or before it
+            j = np.bincount(np.searchsorted(z, nodes, side="right"), minlength=len(z) + 1).cumsum()[: len(z)]
+        else:
+            j = np.searchsorted(nodes, z)
+        i = np.clip(j, 1, len(nodes) - 1) - 1
+        left = nodes[i]
+        half = 0.5 * (nodes[i + 1] - left)
+        out[inside] = pi[i + 1] + half * _legval_rows((z - left) / half - 1.0, coef, i)
         return np.maximum(out, 0.0)
 
     def stop_loss(self, x):
@@ -560,15 +577,19 @@ class Distribution:
         Lattice laws read Pi(k) - (x - k) S(k) at k = floor(x) by
         _excess_read(), which takes S = 1 below the table, whose omitted F is
         below SUM_CUT. Continuous laws read the stop-loss table, built once with
-        its extension into the tail (_stop_loss_read).
+        its extension into the tail (_stop_loss_read). On both kinds Pi(-inf)
+        is inf, Pi(inf) is 0 and Pi(nan) is nan.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.where(xs < 0, np.inf, 0.0)
+        out[np.isnan(xs)] = np.nan
+        finite = np.isfinite(xs)
         if self.is_lattice:
-            k = np.floor(xs)
+            k = np.floor(xs[finite])
             s, p = self._excess_read(k)
-            out = p - (xs - k) * s
+            out[finite] = p - (xs[finite] - k) * s
         else:
-            out = self._stop_loss_read(xs)
+            out[finite] = self._stop_loss_read(xs[finite])
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def _outer_panels(self) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,10 @@ other statement as the Fortran has it, so one driver (`_lockstep`) gathers
 the intervals every unfinished integral asks for, calls the integrand once,
 vectorized, on all their nodes, with the index of the integral each node
 belongs to, and sends each integral its rows. Each integral takes the
-steps, and returns the numbers, it would alone. `integrate` is the batch of
+steps, and returns the numbers, it would alone. `_rule` sums the
+Gauss-Kronrod rule over all intervals of a step as columns of one block,
+each of QUADPACK's sums added left to right in the Fortran's order, so a
+wide step costs little more than a narrow one. `integrate` is the batch of
 one range; it has no driver of its own.
 
 `panels` is the fixed-rule counterpart for many short intervals at once,
@@ -50,15 +53,24 @@ GL_X, GL_W = np.polynomial.legendre.leggauss(16)
 def _kronrod(xgk, wgk, wg, order):
     """A Gauss-Kronrod rule from QUADPACK's half tables, which list the
     positive nodes from the outside in and the centre last (wg is zero off
-    the Gauss nodes): the nodes on [-1, 1] from left to right, the centre's
-    (Kronrod, Gauss) weights, and (left column, right column, Kronrod weight,
-    Gauss weight) per node pair in the order the Fortran adds them to the
-    rule's sums and in the order it adds them to resasc, which keeps every
-    sum bit-identical to it."""
+    the Gauss nodes). Returns:
+    - the nodes on [-1, 1] from left to right;
+    - for resk, resg and resabs, the (left, right) columns of each term in a
+      row holding the values at the nodes, a -0.0 pad, their absolute values
+      and a second pad, in the order the Fortran adds the terms: the centre
+      first, whose right column is a pad (x + -0.0 is x), then the node pairs;
+    - the (Kronrod, Gauss, Kronrod) weights of those terms;
+    - the columns and Kronrod weights of resasc's terms, whose pairs the
+      Fortran adds in a second order, from the outside in.
+    Adding each sum's terms in that order keeps it bit-identical to the
+    Fortran's."""
     h = len(xgk) - 1
     nodes = np.concatenate([-np.array(xgk[:-1]), np.array(xgk[::-1])])
-    pairs = [(j, 2 * h - j, wgk[j], wg[j]) for j in order]
-    return nodes, (wgk[h], wg[h]), pairs, sorted(pairs)
+    wgk, wg, width = np.array(wgk), np.array(wg), 2 * h + 2
+    rule = np.array([[h, *order], [width - 1, *(2 * h - np.array(order))]])
+    asc = np.array([[h, *range(h)], [width - 1, *range(2 * h, h, -1)]])
+    sums = np.stack([rule, rule, rule + width], axis=1)
+    return nodes, sums, np.stack([wgk[rule[0]], wg[rule[0]], wgk[rule[0]]]), asc, wgk[asc[0]]
 
 
 # dqk21: the 10-point Gauss rule and its 21-point Kronrod extension
@@ -196,36 +208,37 @@ def _lockstep(step, a: list, b: list, rule) -> list:
 def _rule(g, a: list, b: list, rule) -> tuple[list, ...]:
     """dqk21 / dqk15i on each [a_i, b_i], one call of g on all their nodes:
     lists of (result, abserr, resabs, resasc), resabs the integral of |g|
-    and resasc that of |g - mean|."""
-    nodes, (wkc, wgc), pairs, outward = rule
-    # centres and half-lengths in Python floats: cheaper than numpy for the
-    # few intervals most steps rule, and the same arithmetic
-    centr = [0.5 * (left + right) for left, right in zip(a, b)]
-    hlgth = [0.5 * (right - left) for left, right in zip(a, b)]
-    fv = np.asarray(g((np.array(centr)[:, None] + np.array(hlgth)[:, None] * nodes).ravel()), dtype=float)
-    out = [], [], [], []
-    for f, hl in zip(fv.reshape(len(a), len(nodes)).tolist(), hlgth):
-        fc = f[len(pairs)]
-        resk, resg = wkc * fc, wgc * fc
-        resabs = abs(resk)
-        for jl, jr, wk, wg in pairs:
-            f1, f2 = f[jl], f[jr]
-            resg += wg * (f1 + f2)
-            resk += wk * (f1 + f2)
-            resabs += wk * (abs(f1) + abs(f2))
-        reskh = resk * 0.5
-        resasc = wkc * abs(fc - reskh)
-        for jl, jr, wk, _ in outward:
-            resasc += wk * (abs(f[jl] - reskh) + abs(f[jr] - reskh))
-        resabs, resasc = resabs * abs(hl), resasc * abs(hl)
-        abserr = abs((resk - resg) * hl)
-        if resasc != 0 and abserr != 0:
-            abserr = resasc * min(1.0, (200 * abserr / resasc) ** 1.5)
-        if resabs > _UFLOW / (50 * _EPMACH):
-            abserr = max(50 * _EPMACH * resabs, abserr)
-        for column, v in zip(out, (resk * hl, abserr, resabs, resasc)):
-            column.append(v)
-    return out
+    and resasc that of |g - mean|. Each of the Fortran's four sums is a row
+    of terms per interval, added left to right by cumsum, so every interval
+    gets the bits of the Fortran's loop; only the `** 1.5` of the error
+    scaling runs per interval, in Python floats, to keep pow's rounding and
+    min's NaN order (min(1.0, nan) is 1.0)."""
+    nodes, sums, weights, asc, asc_weights = rule
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    f = np.asarray(g((centr[:, None] + hlgth[:, None] * nodes).ravel()), dtype=float).reshape(len(a), len(nodes))
+    # rows of the values, then of their absolute values, each with its pad
+    padded = np.empty((len(a), 2, len(nodes) + 1))
+    padded[:, 0, :-1] = f
+    np.abs(f, out=padded[:, 1, :-1])
+    padded[:, :, -1] = -0.0
+    terms = padded.reshape(len(a), -1).take(sums, axis=1)
+    resk, resg, resabs = ((terms[:, 0] + terms[:, 1]) * weights).cumsum(axis=-1)[:, :, -1].T
+    # |f - resk / 2| with a pad of +0.0, which adds nothing to these
+    np.subtract(f, 0.5 * resk[:, None], out=padded[:, 0, :-1])
+    terms = np.abs(padded[:, 0], out=padded[:, 0]).take(asc, axis=1)
+    resasc = ((terms[:, 0] + terms[:, 1]) * asc_weights).cumsum(axis=-1)[:, -1]
+    resabs, resasc = resabs * np.abs(hlgth), resasc * np.abs(hlgth)
+    abserr = np.abs((resk - resg) * hlgth)
+    # where resasc or abserr is 0 the ratio is 0, inf or NaN, whose pow is
+    # harmless, and the scaled error is not taken
+    ratios = (200 * abserr / resasc).tolist()
+    scaled = resasc * np.array([min(1.0, r**1.5) for r in ratios])
+    abserr = np.where(np.logical_and(resasc, abserr), scaled, abserr)
+    # max(floor, abserr) as Python takes it: the floor where abserr is NaN
+    capped = np.fmax(50 * _EPMACH * resabs, abserr)
+    abserr = np.where(resabs > _UFLOW / (50 * _EPMACH), capped, abserr)
+    return (resk * hlgth).tolist(), abserr.tolist(), resabs.tolist(), resasc.tolist()
 
 
 def _qags(a: float, b: float, rule):

@@ -3,7 +3,8 @@
 Monte Carlo estimation of SD, GMD and the tie probability with batch-means
 confidence intervals, plus exact pair enumeration for lattice laws. The
 generator is counter-based (Philox) and keyed by the seed alone: batch b
-draws from Philox(seed).jumped(b), so estimates are bit-reproducible and
+draws from the state Philox(seed).jumped(b) holds, counter [0, 0, b, 0],
+its X and then its X' from one call, so estimates are bit-reproducible and
 the batch partition could be farmed out to workers and merged in any
 order.
 
@@ -81,14 +82,16 @@ def mc_estimate(d: Distribution, n: int, seed: int) -> OracleEstimate:
     sq_means = np.empty(N_BATCHES)
     tie_freqs = np.empty(N_BATCHES)
     for b in range(N_BATCHES):
-        gen = Generator(Philox(key=seed).jumped(b))
+        # the state Philox(seed).jumped(b) starts from, built directly
+        gen = Generator(Philox(key=seed, counter=[0, 0, b, 0]))
         m = int(sizes[b])
-        x = _sample(d, gen, m)
-        x2 = _sample(d, gen, m)
+        # X then X' from one stream: random(2m) is random(m) twice
+        x, x2 = np.split(_sample(d, gen, 2 * m), [m])
         delta = x - x2
         abs_means[b] = float(np.mean(np.abs(delta)))
         sq_means[b] = float(np.mean(delta * delta))
-        tie_freqs[b] = float(np.mean(delta == 0.0))
+        if d.is_lattice:
+            tie_freqs[b] = float(np.mean(delta == 0.0))
     w = sizes / n
     gmd_hat = float(np.dot(w, abs_means))
     m2_hat = float(np.dot(w, sq_means))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -31,7 +32,7 @@ from dispersion import (
 from dispersion.dist import _legval_rows
 from dispersion.hazard import hazard_scan
 from dispersion.measures import gmd_numeric, sd_numeric
-from dispersion.numerics import integrate
+from dispersion.numerics import integrate, panels
 
 from conftest import STANDARD_INSTANCES
 
@@ -564,6 +565,107 @@ def test_stop_loss_read_is_legval_bit_for_bit(spec):
     s = rng.uniform(-1.0, 1.0, len(cols))
     want = legval(s, coef[:, cols], tensor=False)
     assert np.array_equal(_legval_rows(s, coef, cols), want)
+
+
+def _searched_read(d, ys):
+    """Pi at ys as the table read searched each point alone: legval on the
+    node interval searchsorted(nodes, y) names, a panel of sf below the
+    first node, 0 past the last."""
+    nodes, pi, coef = d._stop_loss_nodes()
+    j = np.clip(np.searchsorted(nodes, ys), 1, len(nodes) - 1)
+    half = 0.5 * (nodes[j] - nodes[j - 1])
+    with np.errstate(all="ignore"):
+        out = pi[j] + half * legval((ys - nodes[j - 1]) / half - 1.0, coef[:, j - 1], tensor=False)
+    below = ys < nodes[0]
+    out[below] = pi[0] + panels(d.sf, ys[below], nodes[0])
+    out[ys > nodes[-1]] = 0.0
+    return np.maximum(out, 0.0)
+
+
+@pytest.mark.parametrize("spec", list(_STOP_LOSS))
+def test_merged_interval_search_is_legval_on_searched_intervals(spec):
+    # sorted reads find their node intervals by one merge of the nodes into
+    # them; with duplicates, values equal to nodes, points below and past the
+    # table, and NaN (which takes the point-by-point search), sorted or not,
+    # each read is legval on the interval searchsorted(nodes, y) finds
+    d = make_distribution(spec)
+    nodes = d._stop_loss_nodes()[0]
+    rng = np.random.default_rng(13)
+    span = nodes[-1] - nodes[0]
+    ys = np.concatenate([
+        rng.uniform(nodes[0], nodes[-1], 3000), rng.uniform(nodes[0], nodes[0] + 0.01 * span, 500),
+        nodes, nodes[::5], nodes[0] - span * rng.random(20), nodes[-1] + span * rng.random(20),
+    ])
+    ys = np.sort(np.concatenate([ys, ys[::7]]))
+    assert np.array_equal(d._stop_loss_read(ys), _searched_read(d, ys))
+    mixed = rng.permutation(np.append(ys, np.nan))
+    assert np.array_equal(d._stop_loss_read(mixed), _searched_read(d, mixed), equal_nan=True)
+    assert np.array_equal(d._stop_loss_read(np.append(ys, np.nan))[:-1], d._stop_loss_read(ys))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_distribution("normal"), lambda: make_distribution("weibull:alpha=0.5"),
+     lambda: make_distribution("beta:alpha=2"), lambda: make_distribution("poisson:theta=2"),
+     lambda: make_distribution("zipf:alpha=3"), lambda: affine(make_distribution("zipf:alpha=2.5"), -1.0, 0.0)],
+    ids=["normal", "weibull", "beta", "poisson", "zipf", "reflected-zipf"],
+)
+def test_stop_loss_edge_reads_agree_on_both_kinds(build):
+    # Pi(-inf) = inf, Pi(inf) = 0 and Pi(nan) = nan, in arrays and as scalars
+    d = build()
+    got = d.stop_loss(np.array([np.inf, -np.inf, np.nan, 0.5]))
+    assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
+    assert got[3] == d.stop_loss(0.5)
+    assert d.stop_loss(np.inf) == 0.0 and d.stop_loss(-np.inf) == np.inf and math.isnan(d.stop_loss(np.nan))
+
+
+def test_stop_loss_below_the_table_reads_no_clenshaw_overflow():
+    # weibull(0.5) has mean 2: Pi(-50) = 52, read by a panel of sf below the
+    # table without running the Legendre read far outside [-1, 1]
+    d = make_distribution("weibull:alpha=0.5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.stop_loss(-50.0) == 52.0
+
+
+_FAR_LATTICE_READS = """
+import resource
+import warnings
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+import numpy as np
+from dispersion import Distribution, Support, errors, make_distribution
+from dispersion.dist import LATTICE
+d = make_distribution("poisson:theta=2")
+with warnings.catch_warnings():
+    warnings.simplefilter("error")
+    print(*(d.stop_loss(x) for x in (1e150, 1.3e154, 1e160, 1e300)))
+
+# S(k) = e^-k + 1e-200 (k + 2)^-0.1 on k >= 0, without tail sums: its table
+# holds k = 0 to 28, and far out f is 0 where S is not and sum S diverges
+def sf(x):
+    k = np.floor(np.asarray(x, dtype=float))
+    return np.where(k < 0, 1.0, np.exp(-k) + 1e-200 * (np.maximum(k, 0.0) + 2.0) ** -0.1)
+def pdf(x):
+    x = np.asarray(x, dtype=float)
+    return np.where((x >= 0) & (x == np.floor(x)), sf(x - 1.0) - sf(x), 0.0)
+slow = Distribution(support=Support(0, np.inf, LATTICE), pdf=pdf, cdf=lambda x: 1.0 - sf(x), sf=sf, label="slow")
+print(len(slow.lattice_table()[0]), slow.stop_loss(10.0) > 0)
+try:
+    slow.stop_loss(1e160)
+except errors.SupportTooLarge:
+    print("SupportTooLarge")
+"""
+
+
+def test_lattice_stop_loss_far_past_the_table_ends():
+    # past x = 1.3e154 the tail block holds x * x * f = inf * 0 = NaN; the sum
+    # ends, without a warning, at a block of zero f and S, and a sum of S that
+    # does not end raises once 2^19 points are counted, under a 3 GB
+    # address-space cap and a timeout in a child process
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FAR_LATTICE_READS], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0.0"] * 4 + ["29", "True", "SupportTooLarge"]
 
 
 def test_stop_loss_reads_do_not_depend_on_earlier_reads():

@@ -4,7 +4,9 @@ Each value must lie within its own error estimate, or within the requested
 tolerance, of an exact value or a 30-digit mpmath value; on the registry's
 continuous laws the moment and GMD integrals must agree with scipy's quad,
 and fed the same integrand values the port must return quad's value and
-error bit for bit, alone and as a member of a lockstep batch.
+error bit for bit, alone and as a member of a lockstep batch. The column
+form of the Gauss-Kronrod rule must give the bits of the per-interval loop
+it replaced, which is kept here as its oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy.integrate import quad
 
 from dispersion import affine, make_distribution, mix
 from dispersion.errors import DivergentTail
-from dispersion.numerics import EPSABS, EPSREL, LIMIT, integrate, integrate_batch
+from dispersion.numerics import _EPMACH, _GK15, _GK21, _UFLOW, EPSABS, EPSREL, LIMIT, _rule, integrate, integrate_batch
 
 from conftest import STANDARD_INSTANCES
 
@@ -148,3 +150,92 @@ def test_parity_with_scipy_quad(spec, instances):
         val, err = integrate(fn, lo, hi)
         ref, ref_err = quad(lambda x: float(fn(x)), lo, hi, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT)
         assert abs(val - ref) <= err + ref_err
+
+
+def _loop_rule(g, a, b, rule):
+    """The per-interval Gauss-Kronrod loop `_rule` replaced: each interval's
+    four sums added in Python floats in the Fortran's order."""
+    nodes, sums, weights, _, _ = rule
+    (_, *jl), (_, *jr) = sums[:, 0].tolist()
+    (wkc, *wk), (wgc, *wg), _ = weights.tolist()
+    pairs = list(zip(jl, jr, wk, wg))
+    centr = [0.5 * (left + right) for left, right in zip(a, b)]
+    hlgth = [0.5 * (right - left) for left, right in zip(a, b)]
+    fv = np.asarray(g((np.array(centr)[:, None] + np.array(hlgth)[:, None] * nodes).ravel()), dtype=float)
+    out = [], [], [], []
+    for f, hl in zip(fv.reshape(len(a), len(nodes)).tolist(), hlgth):
+        fc = f[len(pairs)]
+        resk, resg = wkc * fc, wgc * fc
+        resabs = abs(resk)
+        for jl, jr, wk, wg in pairs:
+            f1, f2 = f[jl], f[jr]
+            resg += wg * (f1 + f2)
+            resk += wk * (f1 + f2)
+            resabs += wk * (abs(f1) + abs(f2))
+        reskh = resk * 0.5
+        resasc = wkc * abs(fc - reskh)
+        for jl, jr, wk, _ in sorted(pairs):
+            resasc += wk * (abs(f[jl] - reskh) + abs(f[jr] - reskh))
+        resabs, resasc = resabs * abs(hl), resasc * abs(hl)
+        abserr = abs((resk - resg) * hl)
+        if resasc != 0 and abserr != 0:
+            abserr = resasc * min(1.0, (200 * abserr / resasc) ** 1.5)
+        if resabs > _UFLOW / (50 * _EPMACH):
+            abserr = max(50 * _EPMACH * resabs, abserr)
+        for column, v in zip(out, (resk * hl, abserr, resabs, resasc)):
+            column.append(v)
+    return out
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e-310, 1e300, -1e300]
+
+
+def _rows(rng, width, n_nodes):
+    """Integrand rows: smooth, rough and constant rows, sprinkled with zeros
+    of both signs, infinities, NaN, subnormals and 1e300."""
+    smooth = np.exp(-np.linspace(0, 3, n_nodes)) * rng.uniform(-2, 2, (width, 1))
+    f = np.where(rng.random((width, 1)) < 0.3, rng.standard_normal((width, n_nodes)), smooth)
+    f[rng.random(width) < 0.1] = rng.choice([1.0, 1e300, 5e-324, 0.0, -0.0])
+    spots = rng.random((width, n_nodes)) < 0.05
+    f[spots] = rng.choice(_SPECIAL, size=int(spots.sum()))
+    return f
+
+
+def _outcome(fn):
+    """Each column's bits (every NaN as one: IEEE 754 leaves the sign and
+    payload of a NaN to the order the hardware takes an add's operands in), or
+    the exception raised."""
+    try:
+        return [np.where(np.isnan(column), np.nan, column).view(np.int64).tolist() for column in fn()]
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+def _near_overflow(rule):
+    """Rows of +-M, M near half the largest double, -M on the Gauss nodes:
+    for some M, resabs is finite while resasc and abserr overflow, so the
+    error scaling takes min(1.0, nan), from inf / inf, and then max(floor,
+    inf)."""
+    nodes, sums, weights, _, _ = rule
+    gauss = np.zeros(len(nodes) + 1, dtype=bool)
+    gauss[sums[:, 0, weights[1] > 0]] = True
+    gauss = gauss[: len(nodes)]
+    return np.linspace(8.8e307, 9e307, 300)[:, None] * np.where(gauss, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("rule", [_GK21, _GK15], ids=["gk21", "gk15"])
+def test_column_rule_is_the_per_interval_loop_bit_for_bit(rule):
+    rng = np.random.default_rng(2024)
+    n_nodes = len(rule[0])
+    batches = []
+    for width in range(1, 301):
+        a = rng.uniform(-5, 5, width).tolist()
+        b = (np.array(a) + rng.choice([1.0, -1.0, 0.0, 1e-300, 1e200], width) * rng.random(width)).tolist()
+        batches.append((_rows(rng, width, n_nodes), a, b))
+    batches.append((_near_overflow(rule), [0.0] * 300, [2.0] * 300))
+    for f, a, b in batches:
+        g = lambda x: f.ravel()
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: _loop_rule(g, a, b, rule))
+            got = _outcome(lambda: _rule(g, a, b, rule))
+        assert got == want, len(a)

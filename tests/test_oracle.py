@@ -1,10 +1,12 @@
 """Monte Carlo and brute-force oracle behavior."""
 
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from dispersion import (
     Distribution,
@@ -15,6 +17,7 @@ from dispersion import (
     mc_estimate,
 )
 from dispersion.dist import LATTICE
+from dispersion.oracle import N_BATCHES, OracleEstimate, _batch_ci, _sample
 from dispersion.measures import gmd_numeric, sd_numeric
 
 
@@ -188,3 +191,53 @@ def test_mc_reflected_lattice_law():
     assert est.gmd_hat == pytest.approx(2 * 0.6 / (0.4 * 1.6), abs=0.03)
     ex = brute_force_lattice(refl)
     assert ex.gmd == pytest.approx(2 * 0.6 / (0.4 * 1.6), abs=1e-9)
+
+
+def _mc_two_draws(d, n, seed):
+    """mc_estimate as it drew before: each batch from Philox(seed).jumped(b),
+    X and X' by two calls, tie frequencies on every law."""
+    sizes = np.full(N_BATCHES, n // N_BATCHES, dtype=int)
+    sizes[: n % N_BATCHES] += 1
+    abs_means, sq_means, tie_freqs = np.empty(N_BATCHES), np.empty(N_BATCHES), np.empty(N_BATCHES)
+    for b in range(N_BATCHES):
+        gen = Generator(Philox(key=seed).jumped(b))
+        m = int(sizes[b])
+        x = _sample(d, gen, m)
+        x2 = _sample(d, gen, m)
+        delta = x - x2
+        abs_means[b] = float(np.mean(np.abs(delta)))
+        sq_means[b] = float(np.mean(delta * delta))
+        tie_freqs[b] = float(np.mean(delta == 0.0))
+    w = sizes / n
+    sd_hat = math.sqrt(float(np.dot(w, sq_means)) / 2.0)
+    ci_m2 = _batch_ci(sq_means)
+    lattice = d.is_lattice
+    return OracleEstimate(
+        sd_hat=sd_hat, gmd_hat=float(np.dot(w, abs_means)),
+        lambda_hat=float(np.dot(w, tie_freqs)) if lattice else None,
+        ci_sd=ci_m2 / (4.0 * sd_hat) if sd_hat > 0 else ci_m2, ci_gmd=_batch_ci(abs_means),
+        ci_lambda=_batch_ci(tie_freqs) if lattice else None, n=n, seed=seed,
+    )
+
+
+@pytest.mark.parametrize("n", [20_000, 20_021, 10_007])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_distribution("gamma:alpha=2"), lambda: make_distribution("poisson:theta=2"),
+     lambda: __import__("dispersion").truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0)],
+    ids=["gamma", "poisson", "truncate"],
+)
+def test_mc_batches_are_the_two_draw_loop_bit_for_bit(build, n):
+    # one draw of 2m split into X and X', from the counter-built state, is
+    # the two draws of m from the jumped state, odd m and n % 32 != 0 included
+    assert mc_estimate(build(), n, 31) == _mc_two_draws(build(), n, 31)
+
+
+@pytest.mark.parametrize("key", [0, 1, 7, 123456789, 2**64 + 5, 2**127 - 1])
+def test_philox_counter_is_the_jumped_state(key):
+    for b in range(N_BATCHES):
+        built, jumped = Philox(key=key, counter=[0, 0, b, 0]), Philox(key=key).jumped(b)
+        for part in ("counter", "key"):
+            assert np.array_equal(built.state["state"][part], jumped.state["state"][part])
+        assert built.state["buffer_pos"] == jumped.state["buffer_pos"]
+        assert np.array_equal(Generator(built).random(37), Generator(jumped).random(37))
