@@ -7,6 +7,12 @@ Gauss-Legendre panel of the density), with closed-form moments attached
 only where a source formula exists. Survival convention in both kinds is
 P(X > x).
 
+A family states its law once. Three builders turn that statement into the
+columns: `_survival_pair` takes the cumulative hazard of the laws defined
+through their hazard (weibull, gpd, erf-hazard, damped-hazard),
+`_lattice_columns` the pmf, cdf and sf at the integers of a lattice family,
+and `_erfi_law` the affine argument of both erfi laws.
+
 Family-spec strings parse as ``family:name=value,name=value``, e.g.
 ``gpd:alpha=0.25`` or ``normal-mix:sigma1=0.5,sigma2=2,q=0.75``. A family's
 parameter names, order and defaults are those of its builder's signature,
@@ -176,8 +182,25 @@ def _gamma(alpha: float) -> Distribution:
     )
 
 
+def _survival_pair(cumhaz):
+    """(cdf, sf) = (-expm1(-H), exp(-H)) of the law on [0, inf) with
+    cumulative hazard H, each taken at max(x, 0)."""
+    cdf = lambda x: -np.expm1(-cumhaz(np.maximum(np.asarray(x, float), 0.0)))
+    sf = lambda x: np.exp(-cumhaz(np.maximum(np.asarray(x, float), 0.0)))
+    return cdf, sf
+
+
+# d = 2 log Gamma(1 + e) - log Gamma(1 + 2 e) = e^2 sum_(k>=2) c_k e^(k-2), with
+# c_k = (-1)^k zeta(k) (2 - 2^k) / k: the linear terms cancel exactly. 85 terms
+# reach 2e-16 at e = 1/3. Above shape 3, sqrt(Gamma(1 + 2/a) - Gamma(1 + 1/a)^2)
+# cancels (1e-15 relative at 4, 1e-13 at 50, NaN at 1e8), and 1 - 2^(-1/a) too
+_WEIBULL_LOG_RATIO = np.array([(-1) ** k * special.zeta(k) * (2 - 2.0**k) / k for k in range(2, 87)])
+_WEIBULL_SERIES_SHAPE = 3.0
+
+
 def _weibull(alpha: float) -> Distribution:
     a = _check("weibull", "alpha", alpha, alpha > 0, "alpha > 0")
+    eps = 1 / a
 
     def pdf(x):
         x = np.asarray(x, float)
@@ -186,28 +209,26 @@ def _weibull(alpha: float) -> Distribution:
         edge = np.inf if a < 1 else (1.0 if a == 1 else 0.0)
         return np.where(x > 0, v, np.where(x == 0, edge, 0.0))
 
-    def cdf(x):
-        x = np.maximum(np.asarray(x, float), 0.0)
-        return -np.expm1(-(x**a))
-
-    def sfn(x):
-        x = np.maximum(np.asarray(x, float), 0.0)
-        return np.exp(-(x**a))
-
+    cdf, sfn = _survival_pair(lambda x: x**a)
     ppf = lambda p: (-np.log1p(-np.asarray(p, float))) ** (1.0 / a)
-    g1 = special.gamma(1 + 1 / a)
-    g2 = special.gamma(1 + 2 / a)
-    var = float(g2) - float(g1) * float(g1)
-    if math.isfinite(var):
+    g1, g2 = special.gamma(1 + eps), float(special.gamma(1 + 2 * eps))
+    var, gmd = g2 - float(g1) * float(g1), 2 * (1 - 2**-eps) * g1
+    if a > _WEIBULL_SERIES_SHAPE:
+        # Var = -g2 expm1(d) with d = e^2 p, e and p kept apart so d may underflow
+        p = float(np.polynomial.polynomial.polyval(eps, _WEIBULL_LOG_RATIO))
+        d = p * eps * eps
+        sd = eps * math.sqrt(-g2 * p * (math.expm1(d) / d if d else 1.0))
+        gmd = -2 * math.expm1(-eps * math.log(2)) * g1
+    elif math.isfinite(var):
         sd = math.sqrt(var)
     else:  # below alpha = 0.0118 g2 or g1^2 overflows: sqrt(g2 (1 - g1^2 / g2)) in logs
-        l1, l2 = special.gammaln(1 + 1 / a), special.gammaln(1 + 2 / a)
+        l1, l2 = special.gammaln(1 + eps), special.gammaln(1 + 2 * eps)
         with np.errstate(over="ignore"):
             sd = float(np.exp(0.5 * l2) * np.sqrt(-np.expm1(2 * l1 - l2)))
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
         pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
-        closed=ClosedForms(mean=g1, sd=sd, gmd=2 * (1 - 2 ** (-1 / a)) * g1),
+        closed=ClosedForms(mean=g1, sd=sd, gmd=gmd),
     )
 
 
@@ -218,18 +239,7 @@ def _gpd(alpha: float) -> Distribution:
     # subnormal a: evaluate such a law as the exponential it equals
     if a < 1e-20:
         a = 0.0
-
-    def sfn(x):
-        x = np.maximum(np.asarray(x, float), 0.0)
-        if a == 0:
-            return np.exp(-x)
-        return np.exp(-np.log1p(a * x) / a)
-
-    def cdf(x):
-        x = np.maximum(np.asarray(x, float), 0.0)
-        if a == 0:
-            return -np.expm1(-x)
-        return -np.expm1(-np.log1p(a * x) / a)
+    cdf, sfn = _survival_pair((lambda x: x) if a == 0 else (lambda x: np.log1p(a * x) / a))
 
     def pdf(x):
         x = np.asarray(x, float)
@@ -312,20 +322,14 @@ def _logistic() -> Distribution:
 
 
 def _erf_hazard() -> Distribution:
-    # survival exp(-sqrt(pi)/2 * erf(x) - x) on [0, inf); hazard exp(-x^2) + 1
-    def sfn(x):
-        x = np.maximum(np.asarray(x, float), 0.0)
-        return np.exp(-0.5 * SQRT_PI * special.erf(x) - x)
+    # cumulative hazard sqrt(pi)/2 * erf(x) + x on [0, inf); hazard exp(-x^2) + 1
+    cdf, sfn = _survival_pair(lambda x: 0.5 * SQRT_PI * special.erf(x) + x)
 
     def pdf(x):
         x = np.asarray(x, float)
-        return np.where(x >= 0, (np.exp(-np.asarray(x, float) ** 2) + 1) * sfn(x), 0.0)
+        return np.where(x >= 0, (np.exp(-x**2) + 1) * sfn(x), 0.0)
 
-    cdf = lambda x: 1.0 - sfn(x)
-    return Distribution(
-        support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn,
-    )
+    return Distribution(support=Support(0.0, np.inf, CONTINUOUS), pdf=pdf, cdf=cdf, sf=sfn)
 
 
 def _sf_by_panel(cdf, pdf, upper: float):
@@ -343,73 +347,45 @@ def _sf_by_panel(cdf, pdf, upper: float):
     return sfn
 
 
-def _erfi_interval() -> Distribution:
-    # CDF erfi(1+x)/erfi(2) on [-1, 1]
-    c = float(special.erfi(2.0))
+def _erfi_law(a: float, b: float, lo: float, hi: float) -> Distribution:
+    """The law on [lo, hi], a + b lo = 0, with CDF erfi(a + b x) / erfi(a + b hi)
+    and density 2 b / (sqrt(pi) erfi(a + b hi)) exp((a + b x)^2)."""
+    c = float(special.erfi(a + b * hi))
+    const = 2.0 * b / (SQRT_PI * c)
 
     def cdf(x):
-        x = np.clip(np.asarray(x, float), -1.0, 1.0)
-        return np.clip(special.erfi(1.0 + x) / c, 0.0, 1.0)
+        x = np.clip(np.asarray(x, float), lo, hi)
+        return np.clip(special.erfi(a + b * x) / c, 0.0, 1.0)
 
     def pdf(x):
         x = np.asarray(x, float)
-        inside = (x >= -1) & (x <= 1)
-        return np.where(inside, 2.0 / (SQRT_PI * c) * np.exp((1.0 + x) ** 2), 0.0)
+        return np.where((x >= lo) & (x <= hi), const * np.exp((a + b * x) ** 2), 0.0)
 
-    sfn = _sf_by_panel(cdf, pdf, 1.0)
+    return Distribution(support=Support(lo, hi, CONTINUOUS), pdf=pdf, cdf=cdf, sf=_sf_by_panel(cdf, pdf, hi))
 
-    return Distribution(
-        support=Support(-1.0, 1.0, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn,
-    )
+
+def _erfi_interval() -> Distribution:
+    # CDF erfi(1+x)/erfi(2) on [-1, 1]
+    return _erfi_law(1.0, 1.0, -1.0, 1.0)
 
 
 def _erfi_unit() -> Distribution:
     # CDF erfi(x/2)/erfi(1/2) on [0, 1]; log-density x^2/4 + const (convex)
-    c = float(special.erfi(0.5))
-
-    def cdf(x):
-        x = np.clip(np.asarray(x, float), 0.0, 1.0)
-        return np.clip(special.erfi(0.5 * x) / c, 0.0, 1.0)
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        inside = (x >= 0) & (x <= 1)
-        return np.where(inside, np.exp(0.25 * x**2) / (SQRT_PI * c), 0.0)
-
-    sfn = _sf_by_panel(cdf, pdf, 1.0)
-
-    return Distribution(
-        support=Support(0.0, 1.0, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn,
-    )
+    return _erfi_law(0.0, 0.5, 0.0, 1.0)
 
 
 def _damped_hazard(theta: float) -> Distribution:
     # survival exp(-x - (1 - (theta x + 1) exp(-theta x)) / theta^2);
     # hazard x exp(-theta x) + 1, increasing on [0, 1/theta], decreasing after
     t = _check("damped-hazard", "theta", theta, theta > 0, "theta > 0")
-
-    def cumhaz(x):
-        # 1 - (y + 1) e^-y is P(2, y), which gammainc keeps accurate for small y
-        return x + special.gammainc(2.0, t * x) / (t * t)
-
-    def sfn(x):
-        x = np.maximum(np.asarray(x, float), 0.0)
-        return np.exp(-cumhaz(x))
-
-    def hazard(x):
-        return x * np.exp(-t * np.asarray(x, float)) + 1.0
+    # 1 - (y + 1) e^-y is P(2, y), which gammainc keeps accurate for small y
+    cdf, sfn = _survival_pair(lambda x: x + special.gammainc(2.0, t * x) / (t * t))
 
     def pdf(x):
         x = np.asarray(x, float)
-        return np.where(x >= 0, hazard(x) * sfn(x), 0.0)
+        return np.where(x >= 0, (x * np.exp(-t * x) + 1.0) * sfn(x), 0.0)
 
-    cdf = lambda x: -np.expm1(-cumhaz(np.maximum(np.asarray(x, float), 0.0)))
-    return Distribution(
-        support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn,
-    )
+    return Distribution(support=Support(0.0, np.inf, CONTINUOUS), pdf=pdf, cdf=cdf, sf=sfn)
 
 
 def _normal_mix(sigma1: float = 0.5, sigma2: float = 2.0, q: float = 0.75) -> Distribution:
@@ -437,8 +413,10 @@ def _normal_mix(sigma1: float = 0.5, sigma2: float = 2.0, q: float = 0.75) -> Di
 # ---------------------------------------------------------------------------
 
 
-def _lattice_pmf(lower: float, pmf_int):
-    """Wrap an integer-argument pmf to vanish off the lattice."""
+def _lattice_columns(lower: float, pmf_int, cdf_int, sf_int):
+    """(pdf, cdf, sf) of the lattice law on the integers k >= lower whose pmf,
+    cdf and sf at those integers are given: pdf vanishes off the lattice,
+    cdf and sf read floor(x) and are 0 and 1 below the support."""
 
     def pdf(x):
         x = np.asarray(x, float)
@@ -449,26 +427,25 @@ def _lattice_pmf(lower: float, pmf_int):
             v = pmf_int(kk)
         return np.where(on, v, 0.0)
 
-    return pdf
+    def floor_read(fn, below):
+        def col(x):
+            k = np.floor(np.asarray(x, float))
+            return np.where(k < lower, below, fn(np.maximum(k, lower)))
+
+        return col
+
+    return pdf, floor_read(cdf_int, 0.0), floor_read(sf_int, 1.0)
 
 
 def _geometric(p: float) -> Distribution:
     pp = _check("geometric", "p", p, 0 < p < 1, "0 < p < 1")
     lq = math.log1p(-pp)
-
-    pmf_int = lambda k: pp * np.exp(k * lq)
-
-    def sfn(x):
-        k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 1.0, np.exp((np.maximum(k, 0) + 1) * lq))
-
-    def cdf(x):
-        k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 0.0, -np.expm1((np.maximum(k, 0) + 1) * lq))
-
+    pdf, cdf, sfn = _lattice_columns(
+        0, lambda k: pp * np.exp(k * lq), lambda k: -np.expm1((k + 1) * lq), lambda k: np.exp((k + 1) * lq)
+    )
     return Distribution(
         support=Support(0, np.inf, LATTICE),
-        pdf=_lattice_pmf(0, pmf_int), cdf=cdf, sf=sfn,
+        pdf=pdf, cdf=cdf, sf=sfn,
         closed=ClosedForms(
             mean=(1 - pp) / pp,
             sd=math.sqrt(1 - pp) / pp,
@@ -481,14 +458,8 @@ def _zipf(alpha: float) -> Distribution:
     a = _check("zipf", "alpha", alpha, alpha > 2, "alpha > 2 (finite SD)")
     s = a + 1.0
     z = float(special.zeta(s))
-
-    pmf_int = lambda k: np.where(k >= 1, k ** (-s) / z, 0.0)
-
-    def sfn(x):
-        k = np.floor(np.asarray(x, float))
-        return np.where(k < 1, 1.0, special.zeta(s, np.maximum(k, 1) + 1) / z)
-
-    cdf = lambda x: 1.0 - sfn(x)
+    sf_int = lambda k: special.zeta(s, k + 1) / z
+    pdf, cdf, sfn = _lattice_columns(1, lambda k: k ** (-s) / z, lambda k: 1.0 - sf_int(k), sf_int)
 
     def tail_sums(m: int) -> tuple[float, float, float, float]:
         # Hurwitz zeta sums over x > m: the polynomial tail would otherwise
@@ -503,7 +474,7 @@ def _zipf(alpha: float) -> Distribution:
 
     return Distribution(
         support=Support(1, np.inf, LATTICE),
-        pdf=_lattice_pmf(1, pmf_int), cdf=cdf, sf=sfn,
+        pdf=pdf, cdf=cdf, sf=sfn,
         tail_sums=tail_sums,
     )
 
@@ -511,21 +482,11 @@ def _zipf(alpha: float) -> Distribution:
 def _poisson(theta: float) -> Distribution:
     t = _check("poisson", "theta", theta, theta > 0, "theta > 0")
     lt = math.log(t)
-
     pmf_int = lambda k: np.exp(k * lt - t - special.gammaln(k + 1))
-
-    def cdf(x):
-        k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 0.0, special.gammaincc(np.maximum(k, 0) + 1, t))
-
-    def sfn(x):
-        k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 1.0, special.gammainc(np.maximum(k, 0) + 1, t))
-
-    return Distribution(
-        support=Support(0, np.inf, LATTICE),
-        pdf=_lattice_pmf(0, pmf_int), cdf=cdf, sf=sfn,
+    pdf, cdf, sfn = _lattice_columns(
+        0, pmf_int, lambda k: special.gammaincc(k + 1, t), lambda k: special.gammainc(k + 1, t)
     )
+    return Distribution(support=Support(0, np.inf, LATTICE), pdf=pdf, cdf=cdf, sf=sfn)
 
 
 def _negbinomial(r: float, p: float) -> Distribution:
@@ -533,25 +494,18 @@ def _negbinomial(r: float, p: float) -> Distribution:
     pp = _check("negbinomial", "p", p, 0 < p < 1, "0 < p < 1")
     lp, lq = math.log(pp), math.log1p(-pp)
 
-    def pmf_int(k):
-        return np.exp(
-            special.gammaln(k + rr) - special.gammaln(rr) - special.gammaln(k + 1) + rr * lp + k * lq
-        )
-
-    def cdf(x):
-        k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 0.0, special.betainc(rr, np.maximum(k, 0) + 1, pp))
-
-    def sfn(x):
-        k = np.floor(np.asarray(x, float))
-        return np.where(k < 0, 1.0, special.betaincc(rr, np.maximum(k, 0) + 1, pp))
-
+    pmf_int = lambda k: np.exp(
+        special.gammaln(k + rr) - special.gammaln(rr) - special.gammaln(k + 1) + rr * lp + k * lq
+    )
+    pdf, cdf, sfn = _lattice_columns(
+        0, pmf_int, lambda k: special.betainc(rr, k + 1, pp), lambda k: special.betaincc(rr, k + 1, pp)
+    )
     gmd = None
     if rr == 2.0:
         gmd = 4 * (1 - pp) * (3 - (3 - pp) * pp) / (pp * (2 - pp) ** 3)
     return Distribution(
         support=Support(0, np.inf, LATTICE),
-        pdf=_lattice_pmf(0, pmf_int), cdf=cdf, sf=sfn,
+        pdf=pdf, cdf=cdf, sf=sfn,
         closed=ClosedForms(
             mean=rr * (1 - pp) / pp,
             sd=math.sqrt(rr * (1 - pp)) / pp,

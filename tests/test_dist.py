@@ -424,8 +424,26 @@ def test_damped_hazard_matches_mpmath(theta):
             t, xm = mp.mpf(theta), mp.mpf(x)
             cumhaz = xm + (1 - (t * xm + 1) * mp.exp(-t * xm)) / t**2
             cdf, sf = float(-mp.expm1(-cumhaz)), float(mp.exp(-cumhaz))
-        assert float(d.cdf(x)) == pytest.approx(cdf, rel=1e-13)
-        assert float(d.sf(x)) == pytest.approx(sf, rel=1e-13)
+        assert float(d.cdf(x)) == pytest.approx(cdf, rel=1e-13, abs=0)
+        assert float(d.sf(x)) == pytest.approx(sf, rel=1e-13, abs=0)
+
+
+def test_erf_hazard_matches_mpmath():
+    # near 0, 1 - sf cancels: such a cdf was 2.2e-5 off at 1e-12 and put
+    # q(1e-15) 4.2% high
+    d = make_distribution("erf-hazard")
+    cumhaz = lambda x: mp.sqrt(mp.pi) / 2 * mp.erf(x) + x
+    for x in (1e-13, 1e-12, 1e-8, 1e-4, 0.5, 5.0):
+        with mp.workdps(50):
+            h = cumhaz(mp.mpf(x))
+            cdf, sf = float(-mp.expm1(-h)), float(mp.exp(-h))
+        assert float(d.cdf(x)) == pytest.approx(cdf, rel=1e-13, abs=0)
+        assert float(d.sf(x)) == pytest.approx(sf, rel=1e-13, abs=0)
+    for p in (1e-15, 1e-12):
+        with mp.workdps(50):
+            # the hazard is 2 at 0, so the root lies near p / 2
+            want = float(mp.findroot(lambda x: -mp.expm1(-cumhaz(x)) - p, mp.mpf(p) / 2))
+        assert float(d.quantile(p)) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # erfi CDFs at 40 digits; lower support end

@@ -1,5 +1,7 @@
 """Hazard-rate structure: op examples, scans, and the equivalence audit."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -204,6 +206,25 @@ def test_monotonicity_scan_generic_fn():
     d = make_distribution("gamma:alpha=2")
     v = monotonicity_scan(lambda x: np.asarray(x) ** 2, d)
     assert v.direction == INCREASING
+
+
+def test_monotonicity_scan_maps_a_scalar_only_fn():
+    # math functions refuse an array, so the scan maps them pointwise and
+    # reaches the verdict of their vectorized twins
+    d = make_distribution("gamma:alpha=2")
+    pairs = [
+        (lambda x: -math.log1p(x), lambda x: -np.log1p(x)),
+        (lambda x: x * math.exp(-x), lambda x: x * np.exp(-x)),
+    ]
+    for scalar_fn, vector_fn in pairs:
+        with pytest.raises(TypeError):
+            scalar_fn(d.probe_grid())
+        scalar, vector = monotonicity_scan(scalar_fn, d), monotonicity_scan(vector_fn, d)
+        assert scalar.direction == vector.direction
+        assert scalar.grid == vector.grid
+        if vector.witness is not None:
+            assert scalar.witness[:2] == vector.witness[:2]
+    assert [monotonicity_scan(s, d).direction for s, _ in pairs] == [DECREASING, NON_MONOTONE]
 
 
 def test_log_concavity_poisson_pmf():

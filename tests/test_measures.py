@@ -85,6 +85,20 @@ def test_weibull_closed_forms_past_gamma_overflow():
             fn(d)
 
 
+@pytest.mark.parametrize("a", [3.25, 10, 1e2, 1e3, 1e5, 1e7, 1e8, 1e9])
+def test_weibull_closed_forms_match_mpmath_at_large_shape(a):
+    # sqrt(Gamma(1 + 2/a) - Gamma(1 + 1/a)^2) and 1 - 2^(-1/a) cancel as a
+    # grows: that SD was 0.39% low at 1e7, a math domain error at 1e8 and 0.0
+    # at 1e9, each as an exact closed form
+    closed = make_distribution(f"weibull:alpha={a!r}").closed
+    with mp.workdps(50):
+        e = 1 / mp.mpf(a)
+        g1, g2 = mp.gamma(1 + e), mp.gamma(1 + 2 * e)
+        want_sd, want_gmd = float(mp.sqrt(g2 - g1**2)), float(2 * (1 - mp.power(2, -e)) * g1)
+    assert closed.sd == pytest.approx(want_sd, rel=1e-13, abs=0)
+    assert closed.gmd == pytest.approx(want_gmd, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("a", [*np.logspace(-8, 6, 57), *np.linspace(5, 13, 17)])
 def test_gamma_gmd_matches_mpmath(a):
     # 2 Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) from a = 1e-8 to 1e6, across the

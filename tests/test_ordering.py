@@ -13,9 +13,11 @@ from dispersion import (
     threshold_scan,
     truncate,
 )
+from dispersion.hazard import CONSTANT
 from dispersion.ordering import (
     GMD_DOMINATES,
     INCONCLUSIVE,
+    NO_BASIS,
     PROP_LOGCONCAVE,
     SD_DOMINATES,
     TAIL_HAZARD,
@@ -117,6 +119,34 @@ def test_classify_attaches_concentration_for_lattice():
     v = classify(make_distribution("geometric:p=0.5"))
     assert v.evidence.concentration is not None
     assert v.evidence.concentration.lambda_ == pytest.approx(1 / 3, rel=1e-12)
+
+
+def test_classify_withholds_the_hazard_certificate_on_a_lattice_bounded_above():
+    # the truncated geometric keeps its constant hazard, which would certify
+    # thm-sd-discrete, but a nonincreasing hazard rules out a support end above
+    d = truncate(make_distribution("geometric:p=0.5"), "upper", 60.0)
+    v = classify(d)
+    assert v.evidence.hazard.h_verdict.direction == CONSTANT
+    assert (v.verdict, v.basis) == (INCONCLUSIVE, NO_BASIS)
+    assert v.evidence.note == (
+        "hazard scanned non-strictly decreasing but the lattice is bounded above, "
+        "which that hypothesis rules out; certificate withheld"
+    )
+    assert v.numeric_diff == pytest.approx(0.0809, abs=1e-4)
+
+
+def test_classify_withholds_the_reverse_hazard_certificate_on_a_lattice_bounded_below():
+    # the reflection of the law above: constant reverse hazard, support
+    # bounded below
+    d = affine(truncate(make_distribution("geometric:p=0.5"), "upper", 60.0), -1, 0)
+    v = classify(d)
+    assert v.evidence.hazard.r_verdict.direction == CONSTANT
+    assert (v.verdict, v.basis) == (INCONCLUSIVE, NO_BASIS)
+    assert v.evidence.note == (
+        "reverse hazard scanned non-strictly increasing but the lattice is bounded below, "
+        "which that hypothesis rules out; certificate withheld"
+    )
+    assert v.numeric_diff == pytest.approx(0.0809, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
