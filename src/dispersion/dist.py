@@ -7,13 +7,13 @@ survival convention is P(X > x) in both kinds, so cdf + sf = 1 pointwise.
 Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache of read-only
 tables, owned by this module and built lazily on first use (Distribution
-lists them): the enumerated lattice table and the sums over the tail it
-leaves out, the one scan grid, the certified inverse table behind
-continuous quantiles and Monte Carlo draws, and the stop-loss table behind
-every mean excess. Each is built once and never rebuilt. On continuous laws
-the stop-loss table runs on into the tail and a read of it between nodes
-evaluates no law; on the lattice it is read past its top by sf and the
-tail's sum of S, never extended.
+lists them): the enumerated lattice table, its guide table for quantiles
+and the sums over the tail it leaves out, the one scan grid, the certified
+inverse table behind continuous quantiles and Monte Carlo draws, and the
+stop-loss table behind every mean excess. Each is built once and never
+rebuilt. On continuous laws the stop-loss table runs on into the tail and a
+read of it between nodes evaluates no law; on the lattice it is read past
+its top by sf and the tail's sum of S, never extended.
 """
 
 from __future__ import annotations
@@ -26,23 +26,31 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .errors import DivergentTail, SupportTooLarge, UnsupportedKind
-from .numerics import GL_W, GL_X, bisect_increasing, integrate_batch, panel_nodes, panels
+from .numerics import GL_W, GL_X, bisect_increasing, integrate_batch, narrow_increasing, panel_nodes, panels
 
 CONTINUOUS = "continuous-interval"
 LATTICE = "integer-lattice"
 
-# inverse table of continuous laws without a ppf: nodes evenly spaced in logit(u)
+# inverse table of continuous laws: nodes evenly spaced in logit(u)
 # over [1e-12, 1 - 1e-12], each interval halved up to INV_LEVELS times until its
 # cubic Hermite inverse is within INV_TOL in probability
 INV_NODES = 513
 INV_LOGIT = math.log((1.0 - 1e-12) / 1e-12)
 INV_LEVELS = 6
 INV_TOL = 1e-12
+# inverse-table nodes of a law without a ppf: NEWTON_START halvings, then at
+# most NEWTON_STEPS Newton steps, a node done once its step or bracket is below
+# NEWTON_TOL of the width its bracket started the steps with
+NEWTON_START = 8
+NEWTON_STEPS = 6
+NEWTON_TOL = 1e-7
 
 # lattice mass cut: a lattice law is enumerated once, until the omitted tail
 # mass is below SUM_CUT; every lattice sum adds the sums over the tail that
 # table leaves out on the open side of the support (lattice_tail)
 SUM_CUT = 1e-12
+# buckets of the guide table that indexes lattice quantiles by p alone
+GUIDE = 4096
 # most points one lattice enumeration, or one tail summed in blocks, may hold
 LATTICE_LIMIT = 2**19
 # points in the first block of a tail summed past a table; each next block doubles
@@ -150,17 +158,17 @@ class Distribution:
     pdf is a density for continuous supports and a pmf (evaluated at
     integers, zero elsewhere) for lattice supports. cdf(x) = P(X <= x) and
     sf(x) = P(X > x). All three accept and return numpy arrays or floats.
-    The law has no second density: logpdf() is the log of pdf.
-    `_cache` holds the read-only tables built on first use: lattice_table(),
-    which also serves quantile(), with table_tail() beside it, the one
-    probe_grid() with the pdf, cdf and sf columns of probe_values() beside
-    it, the continuous inverse table (stop_loss() takes its nodes) and its
-    refinement that quantile() reads when the law has no ppf or
-    `table` is set, and one stop-loss table: excess_table() on the lattice,
-    read at any integer by _excess_read(); on continuous laws the node table
-    of stop_loss() with its Legendre coefficients and its extension into the
-    tail (_stop_loss_nodes()), and the outer nodes and weights of
-    shifted_means() over the nodes below that extension (_outer_panels()).
+    The law has no second density: logpdf() is the log of pdf. `_cache` holds
+    the read-only tables built on first use: lattice_table(), which also serves
+    quantile() through _lattice_guide(), with table_tail() beside it, the one
+    probe_grid() with the pdf, cdf and sf columns of probe_values() beside it,
+    the continuous inverse table (stop_loss() takes its nodes) and its
+    refinement that quantile() reads when the law has no ppf or `table` is set,
+    and one stop-loss table: excess_table() on the lattice, read at any integer
+    by _excess_read(); on continuous laws the node table of stop_loss() with
+    its Legendre coefficients and its extension into the tail
+    (_stop_loss_nodes()), and the outer nodes and weights of shifted_means()
+    over the nodes below that extension (_outer_panels()).
     Beside them
     `measures.dispersion_report` keeps the law's SD/GMD report under
     "report"; no other module touches it.
@@ -199,29 +207,34 @@ class Distribution:
 
     def quantile(self, p, table: bool = False):
         """Smallest x with cdf(x) >= p, to 1e-12 in probability; NaN where p is
-        NaN or outside [0, 1].
+        NaN or outside [0, 1]. On a continuous law p = 0 and p = 1 give the
+        support's lower and upper end, with no ppf call or table.
 
         A closed-form ppf is used when the law has one, unless `table` is set
         on a continuous law. Otherwise both kinds solve on cdf for p <= 1/2
-        and on sf against 1 - p above: lattice laws exactly, by a search of
-        the lattice table; continuous laws by one cubic of _hermite_table,
-        certified to 1e-12 when it is built. Targets the cubics leave out, in
-        a sub-interval the table could not certify or beyond its end nodes,
-        go to the ppf where the law has one; without one they are bisected,
-        inside their node interval or between the support end and the end
-        node, so the output joins the table's monotonically. Monte Carlo
-        sets `table`, so it draws every continuous law through the certified
-        table; with its build, that beats the ppf through gammaincinv alone,
-        and is about even with betaincinv and slower than the closed forms.
+        and on sf against 1 - p above: lattice laws exactly, through the guide
+        table of _lattice_guide, which answers most targets by one lookup, and
+        a search of the lattice table for the rest; continuous laws by one
+        cubic of _hermite_table, certified to 1e-12 when it is built. Targets
+        the cubics leave out, in a sub-interval the table could not certify or
+        beyond its end nodes, go to the ppf where the law has one; without one
+        they are bisected, inside their node interval or between the support
+        end and the end node, so the output joins the table's monotonically.
+        Monte Carlo sets `table`, so it draws every continuous law through the
+        certified table, whose nodes are ppf(u) on a law with a ppf.
         """
         p = np.asarray(p, dtype=float)
         p1 = np.atleast_1d(p)
-        ok = (p1 >= 0.0) & (p1 <= 1.0)  # False at NaN
+        # False at NaN; a continuous law answers 0 and 1 by its support ends
+        ok = (p1 >= 0.0) & (p1 <= 1.0) if self.is_lattice else (p1 > 0.0) & (p1 < 1.0)
         if ok.all():
             out = self._solve(p1, table)
         else:
             out = np.full(p1.shape, np.nan)
-            out[ok] = self._solve(p1[ok], table)
+            if ok.any():
+                out[ok] = self._solve(p1[ok], table)
+            if not self.is_lattice:
+                out[p1 == 0.0], out[p1 == 1.0] = self.support.lower, self.support.upper
         return float(out[0]) if p.ndim == 0 else out
 
     def _solve(self, p: np.ndarray, table: bool) -> np.ndarray:
@@ -230,18 +243,57 @@ class Distribution:
         return self._lattice_quantile(p) if self.is_lattice else self._invert(p)
 
     def _lattice_quantile(self, p: np.ndarray) -> np.ndarray:
-        pts, _, cum, sf = self.lattice_table()
-        # the nudges keep rounding in either column from skipping a point
-        idx = np.where(
+        pts = self.lattice_table()[0]
+        # building the guide searches its GUIDE + 1 edges: a smaller call
+        # searches its own targets, unless the guide is built already
+        if len(p) >= GUIDE or "guide" in self._cache:
+            guide, floor = self._lattice_guide()
+            idx = guide.take(np.minimum((p * GUIDE).astype(np.intp), GUIDE - 1))
+            miss = np.flatnonzero(idx < 0)
+            if not miss.size:
+                return pts.take(idx)
+        else:
+            floor = float(self.cdf(pts[0] - 1.0))
+            idx, miss = np.empty(len(p), dtype=np.intp), np.arange(len(p))
+        q = p[miss]
+        j = self._lattice_search(q)
+        # downward enumerations omit mass below the table
+        inside = (q > floor) & (j < len(pts))
+        idx[miss] = np.where(inside, j, 0)
+        out = pts.take(idx)
+        out[miss[~inside]] = self._beyond(q[~inside], pts[0], pts[-1])
+        return out
+
+    def _lattice_search(self, p: np.ndarray) -> np.ndarray:
+        """Index of each target's quantile in lattice_table(): a search of the
+        cdf column for p <= 1/2 and of the negated sf column above; the nudges
+        keep rounding in either column from skipping a point."""
+        _, _, cum, sf = self.lattice_table()
+        return np.where(
             p > 0.5,
             np.searchsorted(-sf, -(1.0 - p) * (1 + 1e-15)),
             np.searchsorted(cum, p * (1 - 1e-15)),
         )
-        # downward enumerations omit mass below the table
-        inside = (p > float(self.cdf(pts[0] - 1.0))) & (idx < len(pts))
-        out = pts[np.where(inside, idx, 0)]
-        out[~inside] = self._beyond(p[~inside], pts[0], pts[-1])
-        return out
+
+    def _lattice_guide(self) -> tuple[np.ndarray, float]:
+        """(guide, floor): guide[b] is the index _lattice_search gives every p in
+        [b, b + 1] / GUIDE, or -1 where it may give two or leaves the table;
+        floor is cdf below the table's first point (Chen & Asau, AIIE Trans.
+        6(2), 1974). The search does not decrease as p grows on either side of
+        1/2 when both columns are sorted, as searchsorted needs, so a bucket
+        whose two ends agree on one side resolves. The bucket starting at 1/2
+        spans both sides and stays -1, as do buckets reaching down to floor
+        and every bucket of a table with an unsorted column. Read-only."""
+        if "guide" not in self._cache:
+            pts, _, cum, sf = self.lattice_table()
+            floor = float(self.cdf(pts[0] - 1.0))
+            edges = np.arange(GUIDE + 1) / GUIDE
+            ends = self._lattice_search(edges)  # 1/2 is searched on cdf, as the low buckets below it are
+            ok = (ends[:-1] == ends[1:]) & (ends[1:] < len(pts)) & (edges[:-1] > floor)
+            ok &= bool((np.diff(cum) >= 0).all() and (np.diff(sf) <= 0).all())
+            ok[GUIDE // 2] = False
+            self._cache["guide"] = (_read_only(np.where(ok, ends[1:], -1))[0], floor)
+        return self._cache["guide"]
 
     def _sides(self, p: np.ndarray):
         """(mask, nondecreasing fn, target) for p <= 1/2, solved on cdf, and for
@@ -260,23 +312,78 @@ class Distribution:
     def _inverse_table(self):
         """(node probabilities, x, pdf at x), level 0 of _hermite_table.
 
-        The upper half is solved on sf against the exact 1 - u, so a cdf
-        that saturates short of 1 does not spoil it. A half with a finite
-        support end bisects in y = log|x - end|: nodes beside a density pole
-        there need far finer steps than a bisection in x reaches.
+        A law with a ppf takes ppf(u), clipped to the support; a law without
+        one solves each node by a short bisection and Newton steps
+        (_solve_nodes). Every node is then checked as the table checks its
+        other points, cdf against u up to 1/2 and sf against the exact 1 - u
+        above, so a cdf that saturates short of 1 does not spoil it: a node
+        that misses by more than INV_TOL, is not finite or breaks the order of
+        its neighbours is bisected in full, and only those nodes are.
         """
         if "inverse" not in self._cache:
             u = 1.0 / (1.0 + np.exp(-np.linspace(-INV_LOGIT, INV_LOGIT, INV_NODES)))
-            lo, hi = self.support.lower, self.support.upper
-            x, span = np.empty_like(u), np.log(hi - lo)
-            for (sel, fn, target), end, sign in zip(self._sides(u), (lo, hi), (1.0, -1.0)):
-                if np.isfinite(end):  # increasing in y: cdf(lo + e^y), sf(hi - e^y)
-                    y = bisect_increasing(lambda y: sign * fn(end + sign * np.exp(y)), sign * target[sel], -np.inf, span)
-                    x[sel] = end + sign * np.exp(y)
+            with np.errstate(all="ignore"):
+                if self.ppf is not None:
+                    x = np.clip(np.asarray(self.ppf(u), dtype=float), self.support.lower, self.support.upper)
                 else:
-                    x[sel] = bisect_increasing(fn, target[sel], lo, hi)
+                    x = self._solve_nodes(u, newton=True)
+                r = np.empty_like(u)
+                for sel, fn, target in self._sides(u):
+                    r[sel] = fn(x[sel]) - target[sel]
+                bad = ~(np.abs(r) <= INV_TOL) | ~np.isfinite(x)
+                down = np.diff(x) < 0
+                bad[1:] |= down
+                bad[:-1] |= down
+                if bad.any():
+                    x[bad] = self._solve_nodes(u[bad], newton=False)
             self._cache["inverse"] = _read_only(u, x, np.asarray(self.pdf(x), dtype=float))
         return self._cache["inverse"]
+
+    def _solve_nodes(self, u: np.ndarray, newton: bool) -> np.ndarray:
+        """x at probabilities u, on cdf up to 1/2 and on sf above (_sides). A
+        half with a finite support end solves in y = log|x - end|, since nodes
+        beside a density pole there need far finer steps than x reaches; the
+        other half solves in x. Without `newton`, a 72-step bisection; with
+        it, NEWTON_START halvings, then Newton steps on log cdf (log sf above)
+        inside the bracket they leave, a step that leaves it replaced by the
+        bracket's midpoint. A node is done once its step or its bracket is
+        below NEWTON_TOL of the bracket's first width, or its step no longer
+        moves x, and after NEWTON_STEPS steps at most."""
+        lo, hi = self.support.lower, self.support.upper
+        x, span = np.empty_like(u), np.log(hi - lo)
+        for (sel, fn, target), end, sign in zip(self._sides(u), (lo, hi), (1.0, -1.0)):
+            if not sel.any():
+                continue
+            if np.isfinite(end):  # increasing in y: cdf(lo + e^y), sf(hi - e^y)
+                to_x, dx = (lambda y: end + sign * np.exp(y)), np.exp
+                g, t, a, b = (lambda y: sign * fn(to_x(y))), sign * target[sel], -np.inf, span
+            else:
+                to_x, dx = (lambda z: z), np.ones_like
+                g, t, a, b = fn, target[sel], lo, hi
+            if not newton:
+                x[sel] = to_x(bisect_increasing(g, t, a, b))
+                continue
+            za, zb = (np.array(v) for v in narrow_increasing(g, t, a, b, NEWTON_START))
+            z, tol = 0.5 * (za + zb), NEWTON_TOL * (zb - za)
+            # |g| and |t| are probabilities: g is -sf against t = -(1 - u) on an open upper end
+            live, log_t = np.arange(len(z)), np.log(np.abs(t))
+            for _ in range(NEWTON_STEPS):
+                zk = z[live]
+                gz, slope = g(zk), self.pdf(to_x(zk)) * dx(zk)
+                below = gz < t[live]
+                a, b = np.where(below, zk, za[live]), np.where(below, zb[live], zk)
+                za[live], zb[live] = a, b
+                step = (log_t[live] - np.log(np.abs(gz))) * gz / slope
+                # a step past the bracket by less than tol is rounding: it stops at the bracket's end
+                new = np.clip(zk + step, a, b)
+                taken = np.abs(zk + step - new) <= tol[live]  # False at NaN
+                z[live] = np.where(taken, new, 0.5 * (a + b))
+                done = (taken & ((np.abs(step) <= tol[live]) | (to_x(new) == to_x(zk)))) | (b - a <= tol[live])
+                live = live[~done]
+                if not live.size:
+                    break
+            x[sel] = to_x(z)
+        return x
 
     def _hermite_table(self):
         """(sizes, offsets, scale, coefficients): node interval k of the inverse

@@ -509,13 +509,26 @@ def bisect_increasing(
     bracket below 1e-21 of its initial width, far past the 1e-12
     in-probability tolerance used for inverse-CDF sampling.
 
-    Distribution.quantile uses it to build each law's inverse table (also
-    on laws with a ppf, whose Monte Carlo draws read that table), and, on
-    laws without a ppf, for targets in a node interval that the table's
-    cubic refinement leaves uncertified and for targets beyond a lattice or
-    inverse table; Distribution.lattice_points uses it to find the end of
-    each lattice enumeration.
+    Distribution.quantile uses it for inverse-table nodes that neither a ppf
+    nor the Newton steps of their build solve to 1e-12, and, on laws without
+    a ppf, for targets in a node interval that the table's cubic refinement
+    leaves uncertified and for targets beyond a lattice or inverse table;
+    Distribution.lattice_points uses it to find the end of each lattice
+    enumeration.
     """
+    los, his = narrow_increasing(fn, targets, lo, hi, iters)
+    return 0.5 * (los + his)
+
+
+def narrow_increasing(
+    fn: Callable[[np.ndarray], np.ndarray],
+    targets: np.ndarray,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
+    iters: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(los, his): each target's bracket after `iters` halvings, the one
+    whose midpoint bisect_increasing returns."""
     targets = np.asarray(targets, dtype=float)
     if np.ndim(lo) == 0 and np.ndim(hi) == 0:
         lo, hi = _bracket(fn, targets, lo, hi)
@@ -526,7 +539,7 @@ def bisect_increasing(
         below = fn(mid) < targets
         los = np.where(below, mid, los)
         his = np.where(below, his, mid)
-    return 0.5 * (los + his)
+    return los, his
 
 
 def _bracket(fn, targets: np.ndarray, lo: float, hi: float) -> tuple[float, float]:

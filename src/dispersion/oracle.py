@@ -9,11 +9,12 @@ the batch partition could be farmed out to workers and merged in any
 order.
 
 Draws invert the CDF through Distribution.quantile(u, table=True): the
-lattice table on lattice laws, and on every continuous law, closed-form
-ppf or not, the certified cubic Hermite inverse table, within 1e-12 in
-probability. Inside a sub-interval the table could not certify, and
-beyond its end nodes, the law's ppf answers where it has one and a
-bisection otherwise.
+lattice table on lattice laws, read through its guide table, and on every
+continuous law, closed-form ppf or not, the certified cubic Hermite inverse
+table, within 1e-12 in probability, whose nodes are the law's ppf where it
+has one. Inside a sub-interval the table could not certify, and beyond its
+end nodes, the law's ppf answers where it has one and a bisection
+otherwise.
 """
 
 from __future__ import annotations

@@ -93,8 +93,8 @@ def test_truncate_sweep_schema(capsys):
     assert lines[0] == "u,sd,gmd,diff"
     for line in lines[1:]:
         sd_val, gmd_val = map(float, line.split(",")[1:3])
-        assert sd_val == pytest.approx(1.0, rel=1e-8)  # memoryless
-        assert gmd_val == pytest.approx(1.0, rel=1e-8)
+        assert sd_val == pytest.approx(1.0, rel=1e-8, abs=0)  # memoryless
+        assert gmd_val == pytest.approx(1.0, rel=1e-8, abs=0)
 
 
 def test_verify_json(capsys):
@@ -105,7 +105,7 @@ def test_verify_json(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["agreement"]["sd"] and rec["agreement"]["gmd"] and rec["agreement"]["lambda"]
-    assert rec["analytic"]["lambda"] == pytest.approx(1 / 3, rel=1e-9)
+    assert rec["analytic"]["lambda"] == pytest.approx(1 / 3, rel=1e-9, abs=0)
     assert rec["oracle"]["n"] == 50000 and rec["oracle"]["seed"] == 3
 
 
@@ -240,7 +240,7 @@ def test_mean_excess_csv_byte_identical(tmp_path, capsys):
     for i, row in enumerate(rows[1:]):
         t = 0.5 * i
         assert float(row[0]) == t
-        assert float(row[1]) == pytest.approx((3 + t) / (2 + t), rel=1e-10)
+        assert float(row[1]) == pytest.approx((3 + t) / (2 + t), rel=1e-10, abs=0)
         assert row[3] == "1.5"
 
 

@@ -27,6 +27,7 @@ from dispersion import numerics as numerics_module
 from dispersion.combinators import _convolve_numeric
 from dispersion.dist import (
     CONTINUOUS,
+    GUIDE,
     LATTICE,
     LATTICE_LIMIT,
     SCAN_POINTS,
@@ -260,6 +261,128 @@ def test_table_draws_are_certified_on_ppf_laws(name):
     assert _max_residual(d, Generator(Philox(key=2024)).random(200_000), table=True) <= 1e-12
 
 
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("name", list(_TABLE_LAWS) + list(_PPF_LAWS))
+def test_quantile_ends_are_support_ends(name, table):
+    # p = 0 and p = 1 answer the support ends without a ppf call or a table
+    d = (_TABLE_LAWS.get(name) or _PPF_LAWS[name])()
+    if d.ppf is not None:
+        d.ppf = lambda p: pytest.fail("ppf called at p = 0 or 1")
+    lo, hi = d.support.lower, d.support.upper
+    assert d.quantile(0.0, table=table) == lo
+    assert d.quantile(1.0, table=table) == hi
+    got = d.quantile(np.array([1.0, np.nan, 0.0, 0.0]), table=table)
+    assert got[0] == hi and np.isnan(got[1]) and (got[2:] == lo).all()
+    assert "inverse" not in d._cache
+
+
+@pytest.mark.parametrize("name", list(_PPF_LAWS))
+def test_inverse_table_of_a_ppf_law_is_one_ppf_call(name, monkeypatch):
+    # nodes are ppf(u), checked and kept: no node is bisected or stepped
+    d = _PPF_LAWS[name]()
+    calls = []
+    ppf = d.ppf
+    d.ppf = lambda p: calls.append(np.size(p)) or ppf(p)
+    for fn in ("bisect_increasing", "narrow_increasing"):
+        monkeypatch.setattr(f"dispersion.dist.{fn}", lambda *a, **k: pytest.fail("node solved by bisection"))
+    u, x, _ = d._inverse_table()
+    assert calls == [len(u)]
+    lo, hi = d.support.lower, d.support.upper
+    assert np.array_equal(x, np.clip(ppf(u), lo, hi))
+
+
+@pytest.mark.parametrize("spec", [s for s in STANDARD_INSTANCES if make_distribution(s).ppf is None
+                                  and not make_distribution(s).is_lattice])
+def test_inverse_table_nodes_take_few_law_calls(spec, monkeypatch):
+    # eight halvings and Newton steps per half: no node falls back to a full
+    # bisection, whose 72 halvings per half alone make 144 calls
+    d = make_distribution(spec)
+    calls = []
+    for name in ("pdf", "cdf", "sf"):
+        fn = getattr(d, name)
+        setattr(d, name, lambda x, fn=fn: calls.append(np.size(x)) or fn(x))
+    monkeypatch.setattr("dispersion.dist.bisect_increasing", lambda *a, **k: pytest.fail("node bisected"))
+    u, x, _ = d._inverse_table()
+    assert len(calls) < 72
+    low = u <= 0.5
+    assert np.abs(d.cdf(x[low]) - u[low]).max() <= 1e-12
+    assert np.abs(d.sf(x[~low]) - (1 - u[~low])).max() <= 1e-12
+    assert np.all(np.diff(x) >= 0)
+
+
+def _two_sided_search(d, p):
+    # the lattice quantile as one search per side over every target
+    pts, _, cum, sf = d.lattice_table()
+    idx = np.where(
+        p > 0.5,
+        np.searchsorted(-sf, -(1.0 - p) * (1 + 1e-15)),
+        np.searchsorted(cum, p * (1 - 1e-15)),
+    )
+    inside = (p > float(d.cdf(pts[0] - 1.0))) & (idx < len(pts))
+    out = pts[np.where(inside, idx, 0)]
+    out[~inside] = d._beyond(p[~inside], pts[0], pts[-1])
+    return out
+
+
+_GUIDE_LAWS = {
+    **{s: lambda s=s: make_distribution(s) for s in STANDARD_INSTANCES if make_distribution(s).is_lattice},
+    "mix(zipf:alpha=2.5,poisson:theta=2)":
+        lambda: mix([make_distribution("zipf:alpha=2.5"), make_distribution("poisson:theta=2")], [0.5, 0.5]),
+    "affine(zipf:alpha=2.5,-1,0)": lambda: affine(make_distribution("zipf:alpha=2.5"), -1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_GUIDE_LAWS))
+def test_lattice_guide_matches_the_two_sided_search(name):
+    d = _GUIDE_LAWS[name]()
+    edges = np.arange(GUIDE + 1) / GUIDE
+    half = np.array([0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1)])
+    p = np.concatenate([
+        Generator(Philox(key=2024)).random(200_000),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, 1), half, [0.0, 1e-15, 1 - 1e-15],
+    ])
+    p = p[(p >= 0) & (p <= 1)]
+    assert np.array_equal(d.quantile(p), _two_sided_search(d, p))
+    assert "guide" in d._cache
+    # a resolved bucket holds the search's index at both of its ends
+    guide = d._lattice_guide()[0]
+    b = np.flatnonzero(guide >= 0)
+    assert b.size > GUIDE // 2
+    pts = d.lattice_table()[0]
+    assert np.array_equal(pts[guide[b]], _two_sided_search(d, edges[b]))
+    assert np.array_equal(pts[guide[b]], _two_sided_search(d, np.nextafter(edges[b + 1], 0)))
+
+
+def _lattice_law(lower, cdf, sf):
+    # a lattice law on [lower, 3] from its cdf and sf at the integers
+    def col(fn):
+        return lambda x: np.asarray(fn(np.floor(np.asarray(x, float))), float)
+
+    pmf = lambda x: np.where(np.asarray(x) == np.floor(x), cdf(x) - cdf(np.asarray(x) - 1.0), 0.0)
+    return Distribution(support=Support(lower, 3.0, LATTICE), pdf=pmf, cdf=col(cdf), sf=col(sf), label="odd")
+
+
+def test_lattice_guide_keeps_the_search_beside_half_and_floor():
+    # columns whose cdf and sf disagree at 1/2, where the search changes
+    # column inside the bucket starting there
+    cum, surv = np.array([0.2, 0.4999, 0.7, 1.0]), np.array([0.8, 0.5, 0.3, 0.0])
+    pick = lambda v, lo, hi: lambda k: np.where(k < 0, lo, np.where(k >= 3, hi, v[np.clip(k, 0, 3).astype(int)]))
+    half = _lattice_law(0.0, pick(cum, 0.0, 1.0), pick(surv, 1.0, 0.0))
+    half._lattice_guide()  # a call with fewer than GUIDE targets reads the guide once it is built
+    p = np.array([0.5, np.nextafter(0.5, 1), 0.5 + 1 / (2 * GUIDE)])
+    assert half.quantile(p).tolist() == [2.0, 1.0, 2.0]
+    # a downward enumeration whose first point holds mass > 1 / GUIDE: its
+    # first bucket reaches down to cdf below the table
+    body = pick(np.array([0.3, 0.5, 0.8, 1.0]), 0.0, 1.0)
+    head = lambda k: np.where(k < 0, 1e-13 * np.exp2(np.minimum(k, 0) + 1), body(k))
+    floor = _lattice_law(-np.inf, head, lambda k: 1.0 - head(k))
+    assert floor.lattice_table()[0][0] == 0.0
+    floor._lattice_guide()
+    p = np.array([0.0, 1e-14, 1e-13, 2e-13, 1 / GUIDE])
+    assert np.array_equal(floor.quantile(p), _two_sided_search(floor, p))
+    assert floor.quantile(1e-14) < 0.0
+
+
 @pytest.mark.parametrize(
     "name", list(_TABLE_LAWS) + [s for s in STANDARD_INSTANCES if make_distribution(s).is_lattice]
 )
@@ -393,18 +516,18 @@ def test_gpd_negligible_shape_is_exponential(alpha):
     xs = np.array([0.0, 0.5, 2.0, 30.0])
     assert np.allclose(d.sf(xs), np.exp(-xs), rtol=1e-14)
     assert np.allclose(d.pdf(xs), np.exp(-xs), rtol=1e-14)
-    assert float(d.quantile(0.5)) == pytest.approx(np.log(2), rel=1e-13)
+    assert float(d.quantile(0.5)) == pytest.approx(np.log(2), rel=1e-13, abs=0)
 
 
 def test_weibull_alpha_one_is_exponential():
     d = make_distribution("weibull:alpha=1")
-    assert float(d.sf(1.0)) == pytest.approx(np.exp(-1), rel=1e-14)
-    assert float(d.cdf(1.0)) == pytest.approx(1 - np.exp(-1), rel=1e-14)
+    assert float(d.sf(1.0)) == pytest.approx(np.exp(-1), rel=1e-14, abs=0)
+    assert float(d.cdf(1.0)) == pytest.approx(1 - np.exp(-1), rel=1e-14, abs=0)
 
 
 def test_zipf_normalization():
     d = make_distribution("zipf:alpha=3")
-    assert float(d.pdf(1.0)) == pytest.approx(90 / np.pi**4, rel=1e-12)
+    assert float(d.pdf(1.0)) == pytest.approx(90 / np.pi**4, rel=1e-12, abs=0)
     pts = d.lattice_points(1e-12).astype(float)
     assert float(np.sum(d.pdf(pts))) == pytest.approx(1.0, abs=1e-9)
 
@@ -461,7 +584,7 @@ def test_erfi_survival_matches_mpmath(spec):
     for x in (1 - 1e-6, 1 - 3e-10):
         with mp.workdps(40):
             want = float(1 - cdf(mp.mpf(x)))
-        assert float(d.sf(x)) == pytest.approx(want, rel=1e-14)
+        assert float(d.sf(x)) == pytest.approx(want, rel=1e-14, abs=0)
     xs = np.concatenate([np.linspace(lower, 1.0, 201), [1 - 1e-6, 1 - 3e-10]])
     assert float(np.max(np.abs(d.cdf(xs) + d.sf(xs) - 1.0))) <= 1e-15
 
@@ -575,7 +698,7 @@ def test_cached_tables_are_read_only():
     lat = make_distribution("poisson:theta=2")
     arrays = [*cont.probe_values("pdf", "cdf", "sf"), *cont._inverse_table(), *cont._hermite_table()]
     arrays += lat.probe_values("pdf", "cdf", "sf")
-    arrays += [*lat.lattice_table(), lat.table_tail()[1]]
+    arrays += [*lat.lattice_table(), lat.table_tail()[1], lat._lattice_guide()[0]]
     tail = make_distribution("weibull:alpha=1")
     arrays += [*cont._stop_loss_nodes(), *cont._outer_panels(), *lat.excess_table()]
     arrays += [*tail._stop_loss_nodes(), *tail._outer_panels()]
@@ -638,13 +761,13 @@ def test_affine_normal_shift():
 def test_affine_reflected_exponential():
     d = affine(make_distribution("weibull:alpha=1"), -1.0, 0.0)
     assert d.support.lower == -np.inf and d.support.upper == 0.0
-    assert float(d.sf(-1.0)) == pytest.approx(1 - np.exp(-1), rel=1e-12)
+    assert float(d.sf(-1.0)) == pytest.approx(1 - np.exp(-1), rel=1e-12, abs=0)
 
 
 def test_affine_scales_closed_sd():
     d = make_distribution("gpd:alpha=0.25")
     scaled = affine(d, 3.0, 0.0)
-    assert scaled.closed.sd == pytest.approx(3 * d.closed.sd, rel=1e-15)
+    assert scaled.closed.sd == pytest.approx(3 * d.closed.sd, rel=1e-15, abs=0)
 
 
 def test_affine_roundtrip_reproduces_cdf(instances):
@@ -675,7 +798,7 @@ def test_reflection_identity():
             for x in (-0.5, -1.2, -3.0):
                 r_val = float(refl.pdf(x)) / float(refl.cdf(x))
                 h_val = float(d.pdf(c - x)) / float(d.sf(c - x))
-                assert r_val == pytest.approx(h_val, rel=1e-9)
+                assert r_val == pytest.approx(h_val, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +828,7 @@ def test_mix_normal_density_at_zero():
         [0.75, 0.25],
     )
     expected = 0.75 / (0.5 * np.sqrt(2 * np.pi)) + 0.25 / (2 * np.sqrt(2 * np.pi))
-    assert float(m.pdf(0.0)) == pytest.approx(expected, rel=1e-14)
+    assert float(m.pdf(0.0)) == pytest.approx(expected, rel=1e-14, abs=0)
     # the normal-mix registry family agrees with the generic combinator
     fam = make_distribution("normal-mix:sigma1=0.5,sigma2=2,q=0.75")
     xs = np.linspace(-6, 6, 41)
@@ -717,7 +840,7 @@ def test_mix_geometrics_pmf():
         [make_distribution("geometric:p=0.3"), make_distribution("geometric:p=0.7")],
         [0.5, 0.5],
     )
-    assert float(m.pdf(0.0)) == pytest.approx(0.5, rel=1e-14)
+    assert float(m.pdf(0.0)) == pytest.approx(0.5, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("shifts,want", [
@@ -789,18 +912,18 @@ def test_truncate_cdf_is_renormalized():
 def test_convolve_gamma_closed_form():
     c = convolve(make_distribution("gamma:alpha=2"), make_distribution("gamma:alpha=3"))
     g5 = make_distribution("gamma:alpha=5")
-    assert float(c.pdf(1.0)) == pytest.approx(float(g5.pdf(1.0)), rel=1e-14)
+    assert float(c.pdf(1.0)) == pytest.approx(float(g5.pdf(1.0)), rel=1e-14, abs=0)
     # the numeric route must agree with the Gamma formula too
     num = _convolve_numeric(
         make_distribution("gamma:alpha=2"), make_distribution("gamma:alpha=3")
     )
-    assert float(num.pdf(1.0)) == pytest.approx(float(g5.pdf(1.0)), rel=1e-8)
-    assert float(num.cdf(2.0)) == pytest.approx(float(g5.cdf(2.0)), rel=1e-8)
+    assert float(num.pdf(1.0)) == pytest.approx(float(g5.pdf(1.0)), rel=1e-8, abs=0)
+    assert float(num.cdf(2.0)) == pytest.approx(float(g5.cdf(2.0)), rel=1e-8, abs=0)
 
 
 def test_convolve_normal_closed_form():
     c = convolve(make_distribution("normal"), make_distribution("normal"))
-    assert c.closed.sd == pytest.approx(np.sqrt(2), rel=1e-14)
+    assert c.closed.sd == pytest.approx(np.sqrt(2), rel=1e-14, abs=0)
     assert float(c.cdf(0.0)) == pytest.approx(0.5, abs=1e-14)
 
 

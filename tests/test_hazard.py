@@ -43,18 +43,18 @@ from conftest import STANDARD_INSTANCES
 
 def test_hazard_weibull_power_law():
     d = make_distribution("weibull:alpha=0.5")
-    assert hazard_rate(d, 4.0) == pytest.approx(0.25, rel=1e-12)
+    assert hazard_rate(d, 4.0) == pytest.approx(0.25, rel=1e-12, abs=0)
 
 
 def test_hazard_geometric_constant():
     d = make_distribution("geometric:p=0.3")
-    assert hazard_rate(d, 7.0) == pytest.approx(0.3, rel=1e-12)
-    assert hazard_rate(d, 0.0) == pytest.approx(0.3, rel=1e-12)
+    assert hazard_rate(d, 7.0) == pytest.approx(0.3, rel=1e-12, abs=0)
+    assert hazard_rate(d, 0.0) == pytest.approx(0.3, rel=1e-12, abs=0)
 
 
 def test_hazard_erf_family_at_zero():
     d = make_distribution("erf-hazard")
-    assert hazard_rate(d, 0.0) == pytest.approx(2.0, rel=1e-12)
+    assert hazard_rate(d, 0.0) == pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 def test_hazard_outside_support_raises():
@@ -77,24 +77,24 @@ def test_reverse_hazard_head_exhausted():
 
 def test_reverse_hazard_exponential_far_tail():
     d = make_distribution("weibull:alpha=1")
-    assert reverse_hazard_rate(d, 40.0) == pytest.approx(np.exp(-40.0), rel=1e-9)
+    assert reverse_hazard_rate(d, 40.0) == pytest.approx(np.exp(-40.0), rel=1e-9, abs=0)
 
 
 def test_reverse_hazard_erfi_interval():
     d = make_distribution("erfi-interval")
     expected = 2 / np.sqrt(np.pi) * np.exp(2.25) / float(special.erfi(1.5))
-    assert reverse_hazard_rate(d, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert reverse_hazard_rate(d, 0.5) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_reverse_hazard_uniform():
     d = make_distribution("beta:alpha=1")
-    assert reverse_hazard_rate(d, 0.5) == pytest.approx(2.0, rel=1e-12)
+    assert reverse_hazard_rate(d, 0.5) == pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 def test_residual_functions_basic():
     d = make_distribution("weibull:alpha=1")
     big_d, big_c = residual_functions(d, 1.0, 2.0)
-    assert big_d == pytest.approx(np.exp(-2.0), rel=1e-12)
+    assert big_d == pytest.approx(np.exp(-2.0), rel=1e-12, abs=0)
     assert big_c == 0.0  # F(-1) = 0 below the support
     big_d, big_c = residual_functions(d, 1.0, 0.0)
     assert (big_d, big_c) == (1.0, 1.0)
@@ -103,24 +103,24 @@ def test_residual_functions_basic():
 def test_residual_gpd_value():
     d = make_distribution("gpd:alpha=0.25")
     big_d, _ = residual_functions(d, 1.0, 1.0)
-    assert big_d == pytest.approx((1.5 / 1.25) ** -4, rel=1e-12)
+    assert big_d == pytest.approx((1.5 / 1.25) ** -4, rel=1e-12, abs=0)
     assert big_d == pytest.approx(0.4823, abs=5e-5)
 
 
 def test_mean_excess_exponential_memoryless():
     d = make_distribution("weibull:alpha=1")
     for t in (0.0, 1.0, 5.0):
-        assert mean_excess(d, t) == pytest.approx(1.0, rel=1e-9)
+        assert mean_excess(d, t) == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 def test_mean_excess_gpd_mean():
     d = make_distribution("gpd:alpha=0.25")
-    assert mean_excess(d, 0.0) == pytest.approx(4 / 3, rel=1e-9)
+    assert mean_excess(d, 0.0) == pytest.approx(4 / 3, rel=1e-9, abs=0)
 
 
 def test_mean_excess_geometric():
     d = make_distribution("geometric:p=0.5")
-    assert mean_excess(d, 0.0) == pytest.approx(2.0, rel=1e-9)
+    assert mean_excess(d, 0.0) == pytest.approx(2.0, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
@@ -132,7 +132,7 @@ def test_zipf_mean_excess_matches_hurwitz(alpha):
     for t in (1, 22, 125, 701, 5000, 600_000):
         s = special.zeta(alpha + 1, t + 1)
         want = (special.zeta(alpha, t + 1) - t * s) / s
-        assert mean_excess(d, float(t)) == pytest.approx(want, rel=1e-13), t
+        assert mean_excess(d, float(t)) == pytest.approx(want, rel=1e-13, abs=0), t
 
 
 def test_geometric_mean_excess_is_memoryless_past_the_table():
@@ -141,7 +141,7 @@ def test_geometric_mean_excess_is_memoryless_past_the_table():
     q = float(d.quantile(1 - 1e-12))
     assert q == d.lattice_table()[0][-1]
     for t in q + np.array([0.0, 1.0, 20.0, 100.0, 300.0]):
-        assert mean_excess(d, t) == pytest.approx(1 / 0.3, rel=1e-13), t
+        assert mean_excess(d, t) == pytest.approx(1 / 0.3, rel=1e-13, abs=0), t
 
 
 def _mp_mean_excess(pmf, ts, n=400):
@@ -161,7 +161,7 @@ def test_lattice_mean_excess_matches_mpmath_sums(spec, pmf, ts):
     # the lattice table ends at 16 (poisson) and 36 (negbinomial)
     d = make_distribution(spec)
     for t, want in zip(ts, _mp_mean_excess(pmf, ts)):
-        assert mean_excess(d, float(t)) == pytest.approx(want, rel=1e-13), t
+        assert mean_excess(d, float(t)) == pytest.approx(want, rel=1e-13, abs=0), t
 
 
 @pytest.mark.parametrize(

@@ -45,38 +45,38 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def test_sd_gamma():
-    assert sd(make_distribution("gamma:alpha=2")) == pytest.approx(math.sqrt(2), rel=1e-14)
+    assert sd(make_distribution("gamma:alpha=2")) == pytest.approx(math.sqrt(2), rel=1e-14, abs=0)
 
 
 def test_sd_logistic():
-    assert sd(make_distribution("logistic")) == pytest.approx(math.pi / math.sqrt(3), rel=1e-14)
+    assert sd(make_distribution("logistic")) == pytest.approx(math.pi / math.sqrt(3), rel=1e-14, abs=0)
 
 
 def test_sd_negbinomial():
     d = make_distribution("negbinomial:r=2,p=0.5")
-    assert sd(d) == pytest.approx(2.0, rel=1e-14)
+    assert sd(d) == pytest.approx(2.0, rel=1e-14, abs=0)
 
 
 def test_gmd_normal():
-    assert gmd(make_distribution("normal")) == pytest.approx(2 / SQRT_PI, rel=1e-14)
+    assert gmd(make_distribution("normal")) == pytest.approx(2 / SQRT_PI, rel=1e-14, abs=0)
 
 
 def test_gmd_gpd():
     d = make_distribution("gpd:alpha=0.25")
-    assert gmd(d) == pytest.approx(2 / (0.75 * 1.75), rel=1e-14)
+    assert gmd(d) == pytest.approx(2 / (0.75 * 1.75), rel=1e-14, abs=0)
 
 
 def test_gmd_geometric():
     d = make_distribution("geometric:p=0.5")
-    assert gmd(d) == pytest.approx(4 / 3, rel=1e-14)
+    assert gmd(d) == pytest.approx(4 / 3, rel=1e-14, abs=0)
 
 
 def test_weibull_closed_forms_past_gamma_overflow():
     # at alpha = 0.01 Gamma(1 + 2/alpha) and Gamma(1 + 1/alpha)^2 overflow;
     # reference values from 40-digit mpmath
     rep = dispersion_report(make_distribution("weibull:alpha=0.01"))
-    assert rep.sd == pytest.approx(2.8083053027845646e187, rel=1e-12)
-    assert rep.gmd == pytest.approx(1.8665243088788831e158, rel=1e-12)
+    assert rep.sd == pytest.approx(2.8083053027845646e187, rel=1e-12, abs=0)
+    assert rep.gmd == pytest.approx(1.8665243088788831e158, rel=1e-12, abs=0)
     assert rep.method == "closed-form"
     # where the SD itself overflows the law's report refuses, naming it
     d = make_distribution("weibull:alpha=0.005")
@@ -249,15 +249,15 @@ def test_affine_equivariance_continuous(a, b):
         y = affine(d, a, b)
         sd1, _ = sd_numeric(y)
         gmd1, _ = gmd_numeric(y)
-        assert sd1 == pytest.approx(abs(a) * sd0, rel=1e-9)
-        assert gmd1 == pytest.approx(abs(a) * gmd0, rel=1e-9)
+        assert sd1 == pytest.approx(abs(a) * sd0, rel=1e-9, abs=0)
+        assert gmd1 == pytest.approx(abs(a) * gmd0, rel=1e-9, abs=0)
 
 
 def test_affine_equivariance_lattice_reflection():
     d = make_distribution("geometric:p=0.4")
     y = affine(d, -1.0, 3.0)
-    assert sd_numeric(y)[0] == pytest.approx(sd_numeric(d)[0], rel=1e-10)
-    assert gmd_numeric(y)[0] == pytest.approx(gmd_numeric(d)[0], rel=1e-10)
+    assert sd_numeric(y)[0] == pytest.approx(sd_numeric(d)[0], rel=1e-10, abs=0)
+    assert gmd_numeric(y)[0] == pytest.approx(gmd_numeric(d)[0], rel=1e-10, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +276,17 @@ def test_curve_exponential_is_unit():
 def test_curve_baseline_continuous_is_gmd():
     d = make_distribution("normal")
     curve = mean_excess_abs_diff(d, np.array([0.0]))
-    assert curve.baseline == pytest.approx(2 / SQRT_PI, rel=1e-12)
-    assert curve.m_direct[0] == pytest.approx(2 / SQRT_PI, rel=1e-8)
+    assert curve.baseline == pytest.approx(2 / SQRT_PI, rel=1e-12, abs=0)
+    assert curve.m_direct[0] == pytest.approx(2 / SQRT_PI, rel=1e-8, abs=0)
 
 
 def test_curve_baseline_lattice_shifted_half():
     d = make_distribution("geometric:p=0.5")
     curve = mean_excess_abs_diff(d, np.arange(4))
-    assert curve.baseline == pytest.approx(4 / 3 + 0.5, rel=1e-12)
+    assert curve.baseline == pytest.approx(4 / 3 + 0.5, rel=1e-12, abs=0)
     # m_Y(0) = E[Y] / S_Y(0) = gmd / (1 - Lambda) = 2 for p = 1/2
-    assert curve.m_direct[0] == pytest.approx(2.0, rel=1e-9)
-    assert curve.m_repr[0] == pytest.approx(2.0, rel=1e-9)
+    assert curve.m_direct[0] == pytest.approx(2.0, rel=1e-9, abs=0)
+    assert curve.m_repr[0] == pytest.approx(2.0, rel=1e-9, abs=0)
 
 
 _REPR_GRIDS = [
@@ -446,8 +446,8 @@ def test_lattice_invariance_under_combinators(spec, name):
     e = _INVARIANT_MAPS[name](make_distribution(spec))
     ts = np.arange(8, dtype=float)
     c, ce = mean_excess_abs_diff(d, ts), mean_excess_abs_diff(e, ts)
-    assert sd_numeric(e)[0] == pytest.approx(sd_numeric(d)[0], rel=1e-9)
-    assert gmd_numeric(e)[0] == pytest.approx(gmd_numeric(d)[0], rel=1e-9)
+    assert sd_numeric(e)[0] == pytest.approx(sd_numeric(d)[0], rel=1e-9, abs=0)
+    assert gmd_numeric(e)[0] == pytest.approx(gmd_numeric(d)[0], rel=1e-9, abs=0)
     assert np.allclose(ce.m_direct, c.m_direct, rtol=1e-9, atol=0)
     assert np.allclose(ce.m_repr, c.m_repr, rtol=1e-9, atol=0)
 
@@ -710,7 +710,7 @@ def test_lattice_stop_loss_is_zero_past_a_support_bounded_above():
     # however far past the table's top x is
     d = affine(make_distribution("zipf:alpha=2.5"), -1.0, 0.0)
     got = d.stop_loss(np.array([-1.5, -1.0, -0.5, 0.5, 5.0, 1e3, 1e7]))
-    assert got[0] == pytest.approx(0.5 * float(d.pdf(-1.0)), rel=1e-15)
+    assert got[0] == pytest.approx(0.5 * float(d.pdf(-1.0)), rel=1e-15, abs=0)
     assert np.all(got[1:] == 0.0)
 
 
@@ -815,13 +815,13 @@ def test_degenerate_t_raises():
 
 def test_concentration_geometric_half():
     c = concentration(make_distribution("geometric:p=0.5"))
-    assert c.lambda_ == pytest.approx(1 / 3, rel=1e-12)
-    assert c.odds_bound == pytest.approx(1.0, rel=1e-12)
+    assert c.lambda_ == pytest.approx(1 / 3, rel=1e-12, abs=0)
+    assert c.odds_bound == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_concentration_geometric_near_one():
     c = concentration(make_distribution("geometric:p=0.999"))
-    assert c.lambda_ == pytest.approx(0.999 / (2 - 0.999), rel=1e-12)
+    assert c.lambda_ == pytest.approx(0.999 / (2 - 0.999), rel=1e-12, abs=0)
     assert c.lambda_ == pytest.approx(0.998, abs=5e-4)
 
 
@@ -829,8 +829,8 @@ def test_concentration_negbinomial_bound_formula():
     p = 0.5
     c = concentration(make_distribution(f"negbinomial:r=2,p={p}"))
     expected = 2 / p - 1 / (2 - (2 - p) * p) - 1
-    assert c.odds_bound == pytest.approx(expected, rel=1e-10)
-    assert c.odds_bound == pytest.approx(2.2, rel=1e-10)
+    assert c.odds_bound == pytest.approx(expected, rel=1e-10, abs=0)
+    assert c.odds_bound == pytest.approx(2.2, rel=1e-10, abs=0)
 
 
 def test_concentration_rejects_continuous():
@@ -891,16 +891,16 @@ def test_sqrt3_half_bound_nonnegative_support(spec, instances):
 def test_tail_dispersion_exponential_memoryless():
     d = make_distribution("weibull:alpha=1")
     rep = tail_dispersion(d, "lower", 5.0)
-    assert rep.sd == pytest.approx(1.0, rel=1e-8)
-    assert rep.gmd == pytest.approx(1.0, rel=1e-8)
+    assert rep.sd == pytest.approx(1.0, rel=1e-8, abs=0)
+    assert rep.gmd == pytest.approx(1.0, rel=1e-8, abs=0)
 
 
 def test_tail_dispersion_matches_composition():
     d = make_distribution("gamma:alpha=2")
     rep = tail_dispersion(d, "lower", 1.5)
     t = truncate(d, "lower", 1.5)
-    assert rep.sd == pytest.approx(sd_numeric(t)[0], rel=1e-12)
-    assert rep.gmd == pytest.approx(gmd_numeric(t)[0], rel=1e-12)
+    assert rep.sd == pytest.approx(sd_numeric(t)[0], rel=1e-12, abs=0)
+    assert rep.gmd == pytest.approx(gmd_numeric(t)[0], rel=1e-12, abs=0)
 
 
 def test_gmd_that_quadrature_misses_is_an_error():
@@ -921,7 +921,7 @@ def test_tail_dispersion_zipf_keeps_tail_correction():
     m1 = zeta(3, 11) / zeta(4) / mass
     m2 = zeta(2, 11) / zeta(4) / mass
     expected_sd = math.sqrt(m2 - m1 * m1)
-    assert sd_numeric(trunc)[0] == pytest.approx(expected_sd, rel=1e-10)
+    assert sd_numeric(trunc)[0] == pytest.approx(expected_sd, rel=1e-10, abs=0)
 
 
 def test_tail_dispersion_damped_hazard_sign():

@@ -63,10 +63,31 @@ def test_mc_geometric_lambda():
     assert abs(est.lambda_hat - 1 / 3) <= 4 * est.ci_lambda
 
 
+# mc_estimate(law, 20_000, 7) of the lattice representatives: (sd, gmd, tie
+# probability) as float hex, as the two-sided table search of every draw gives
+# them; here every draw reads the guide table, built first
+_LATTICE_MC_BITS = {
+    "geometric:p=0.5": ("0x1.69fe50665e37ep+0", "0x1.5305532617c1cp+0", "0x1.58fc504816f00p-2"),
+    "zipf:alpha=3": ("0x1.147de9fc7f316p-1", "0x1.adfa43fe5c91dp-3", "0x1.b72b020c49ba5p-1"),
+    "poisson:theta=2": ("0x1.69ac9786441c8p+0", "0x1.89758e219652cp+0", "0x1.ad288ce703afcp-3"),
+    "negbinomial:r=2,p=0.5": ("0x1.fffd21fd2023dp+0", "0x1.0801a36e2eb1cp+1", "0x1.81205bc01a36ep-3"),
+}
+
+
+@pytest.mark.parametrize("spec", list(_LATTICE_MC_BITS))
+def test_mc_lattice_estimates_are_pinned(spec):
+    d = make_distribution(spec)
+    d._lattice_guide()
+    e = mc_estimate(d, 20_000, 7)
+    assert (e.sd_hat.hex(), e.gmd_hat.hex(), e.lambda_hat.hex()) == _LATTICE_MC_BITS[spec]
+
+
 def test_mc_draws_a_ppf_law_through_its_table():
     # every continuous law draws through its certified inverse table; gamma(2)
-    # has no uncertified sub-interval, so its closed-form ppf is never called
+    # has no uncertified sub-interval, so once the table is built (its nodes
+    # are ppf(u)) its closed-form ppf is never called
     d = make_distribution("gamma:alpha=2")
+    d._hermite_table()
     calls = []
     ppf = d.ppf
     d.ppf = lambda p: calls.append(np.size(p)) or ppf(p)
@@ -161,7 +182,7 @@ def test_brute_force_zipf_full_within_tail_bound():
 
 def test_brute_force_mean_excess_grid():
     ex = brute_force_lattice(make_distribution("geometric:p=0.5"), mass_cut=1e-14)
-    assert ex.m_values[0] == pytest.approx(2.0, rel=1e-10)
+    assert ex.m_values[0] == pytest.approx(2.0, rel=1e-10, abs=0)
     assert ex.m_ts[0] == 0.0
 
 

@@ -41,7 +41,7 @@ def test_classify_gpd():
     assert v.verdict == SD_DOMINATES
     assert v.basis == THM_SD_CONT
     expected = 1 / (0.75 * np.sqrt(0.5)) - 2 / (0.75 * 1.75)
-    assert v.numeric_diff == pytest.approx(expected, rel=1e-12)
+    assert v.numeric_diff == pytest.approx(expected, rel=1e-12, abs=0)
     assert v.numeric_diff == pytest.approx(0.362, abs=5e-4)
 
 
@@ -61,14 +61,14 @@ def test_classify_certifies_gamma_of_large_shape(alpha):
     # GMD = 2 Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha)) ~ 2 sqrt(alpha / pi) > SD = sqrt(alpha)
     v = classify(make_distribution(f"gamma:alpha={alpha}"))
     assert (v.verdict, v.basis) == (GMD_DOMINATES, PROP_LOGCONCAVE)
-    assert v.report.gmd == pytest.approx(2 * np.sqrt(alpha / np.pi), rel=1 / alpha)
+    assert v.report.gmd == pytest.approx(2 * np.sqrt(alpha / np.pi), rel=1 / alpha, abs=0)
 
 
 def test_classify_logistic():
     v = classify(make_distribution("logistic"))
     assert v.verdict == GMD_DOMINATES
     assert v.basis == PROP_LOGCONCAVE
-    assert v.numeric_diff == pytest.approx(np.pi / np.sqrt(3) - 2, rel=1e-12)
+    assert v.numeric_diff == pytest.approx(np.pi / np.sqrt(3) - 2, rel=1e-12, abs=0)
 
 
 def test_classify_erfi_interval_inconclusive():
@@ -118,7 +118,7 @@ def test_classify_geometric_discrete_strict():
 def test_classify_attaches_concentration_for_lattice():
     v = classify(make_distribution("geometric:p=0.5"))
     assert v.evidence.concentration is not None
-    assert v.evidence.concentration.lambda_ == pytest.approx(1 / 3, rel=1e-12)
+    assert v.evidence.concentration.lambda_ == pytest.approx(1 / 3, rel=1e-12, abs=0)
 
 
 def test_classify_withholds_the_hazard_certificate_on_a_lattice_bounded_above():
