@@ -42,6 +42,8 @@ def _parse_range(text: str) -> np.ndarray:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise ParseError(f"--range must be start:stop:step, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParseError(f"--range start, stop and step must be finite, got {text!r}")
     if step <= 0:
         raise ParseError(f"--range step must be positive, got {step}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -121,7 +123,10 @@ def cmd_mean_excess(args) -> str:
 def cmd_verify(args) -> str:
     d = make_distribution(parse_family_spec(args.dist))
     disp = dispersion_report(d)
-    est = mc_estimate(d, args.mc_n, args.seed)
+    try:
+        est = mc_estimate(d, args.mc_n, args.seed)
+    except ValueError as exc:  # n below the batch-means minimum
+        raise ParseError(f"--mc-n {args.mc_n}: {exc}") from None
     analytic = {"sd": disp.sd, "gmd": disp.gmd, "method": disp.method}
     agreement = {
         "sd": bool(abs(est.sd_hat - disp.sd) <= 4 * est.ci_sd),

@@ -46,30 +46,31 @@ def affine(d: Distribution, a: float, b: float) -> Distribution:
         raise DegenerateScale("affine scale a must be nonzero")
     a = float(a)
     b = float(b)
-    if d.is_lattice:
-        if abs(a) != 1 or b != round(b):
-            raise UnsupportedKind(
-                "lattice affine maps are limited to |a| = 1 with integer b "
-                "(unit spacing must be preserved)"
-            )
-        return _affine_lattice(d, int(a), int(b))
-    lo, hi = d.support.lower, d.support.upper
-    support = Support(a * lo + b, a * hi + b, CONTINUOUS) if a > 0 else Support(
-        a * hi + b, a * lo + b, CONTINUOUS
-    )
+    if d.is_lattice and (abs(a) != 1 or b != round(b)):
+        raise UnsupportedKind(
+            "lattice affine maps are limited to |a| = 1 with integer b "
+            "(unit spacing must be preserved)"
+        )
+    lo, hi = sorted((a * d.support.lower + b, a * d.support.upper + b))
     inv = lambda y: (np.asarray(y, float) - b) / a
     pdf = lambda y: d.pdf(inv(y)) / abs(a)
     if a > 0:
         cdf = lambda y: d.cdf(inv(y))
         sfn = lambda y: d.sf(inv(y))
         ppf = (lambda p: a * d.ppf(p) + b) if d.ppf is not None else None
+    elif d.is_lattice:
+        # P(b - X <= y) = P(X >= b - floor(y)) = S(b - floor(y) - 1)
+        cdf = lambda y: d.sf(inv(np.floor(np.asarray(y, float)) + 1))
+        sfn = lambda y: d.cdf(inv(np.floor(np.asarray(y, float)) + 1))
+        ppf = None
     else:
         cdf = lambda y: d.sf(inv(y))
         sfn = lambda y: d.cdf(inv(y))
         ppf = (lambda p: a * d.ppf(1.0 - np.asarray(p, float)) + b) if d.ppf is not None else None
     return Distribution(
-        support=support, pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
+        support=Support(lo, hi, d.support.kind), pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
         breaks=tuple(sorted(a * v + b for v in d.breaks)),
+        tail_sums=_affine_tails(d, int(a), int(b)) if d.is_lattice else None,
         closed=_affine_closed(d.closed, a, b),
         label=f"affine({d.label},a={a:g},b={b:g})",
         meta={"construct": "affine", "a": a, "b": b, "parent": d.meta},
@@ -84,35 +85,21 @@ def _affine_closed(c: ClosedForms, a: float, b: float) -> ClosedForms:
     )
 
 
-def _affine_lattice(d: Distribution, a: int, b: int) -> Distribution:
-    if a == 1:
-        support = Support(d.support.lower + b, d.support.upper + b, LATTICE)
-        pdf = lambda y: d.pdf(np.asarray(y, float) - b)
-        cdf = lambda y: d.cdf(np.asarray(y, float) - b)
-        sfn = lambda y: d.sf(np.asarray(y, float) - b)
-    else:  # a == -1: P(b - X <= y) = P(X >= b - floor(y)) = S(b - floor(y) - 1)
-        support = Support(b - d.support.upper, b - d.support.lower, LATTICE)
-        pdf = lambda y: d.pdf(b - np.asarray(y, float))
-        cdf = lambda y: d.sf(b - np.floor(np.asarray(y, float)) - 1)
-        sfn = lambda y: d.cdf(b - np.floor(np.asarray(y, float)) - 1)
-    tails = None
-    if d.tail_sums is not None:
-        upper = bool(np.isinf(d.support.upper))
+def _affine_tails(d: Distribution, a: int, b: int):
+    """tail_sums of the lattice law a X + b, a = +-1, from the parent's."""
+    if d.tail_sums is None:
+        return None
+    upper = bool(np.isinf(d.support.upper))
 
-        def tails(m: int) -> tuple[float, float, float, float]:
-            # a X + b passes m where X passes a (m - b); reflected, the sum of
-            # S past that point becomes the sum of F before m, which also
-            # counts F at m - 1, the mass past the point
-            mass, t1, t2, t_s = d.tail_sums(a * (m - b))
-            edge = 0.0 if a == 1 else (mass if upper else -mass)
-            return mass, a * t1 + b * mass, t2 + 2 * a * b * t1 + b * b * mass, t_s + edge
+    def tails(m: int) -> tuple[float, float, float, float]:
+        # a X + b passes m where X passes a (m - b); reflected, the sum of
+        # S past that point becomes the sum of F before m, which also
+        # counts F at m - 1, the mass past the point
+        mass, t1, t2, t_s = d.tail_sums(a * (m - b))
+        edge = 0.0 if a == 1 else (mass if upper else -mass)
+        return mass, a * t1 + b * mass, t2 + 2 * a * b * t1 + b * b * mass, t_s + edge
 
-    return Distribution(
-        support=support, pdf=pdf, cdf=cdf, sf=sfn, tail_sums=tails,
-        closed=_affine_closed(d.closed, a, b),
-        label=f"affine({d.label},a={a:g},b={b:g})",
-        meta={"construct": "affine", "a": a, "b": b, "parent": d.meta},
-    )
+    return tails
 
 
 def mix(components: list[Distribution], weights: list[float]) -> Distribution:

@@ -11,7 +11,10 @@ A family states its law once. Three builders turn that statement into the
 columns: `_survival_pair` takes the cumulative hazard of the laws defined
 through their hazard (weibull, gpd, erf-hazard, damped-hazard),
 `_lattice_columns` the pmf, cdf and sf at the integers of a lattice family,
-and `_erfi_law` the affine argument of both erfi laws.
+and `_erfi_law` the affine argument of both erfi laws. Two families are
+built by others' builders: normal-mix is `combinators.mix` of two
+`_normal` laws, and gpd below shape 1e-20 is `_weibull(1)`, the
+exponential it equals.
 
 Family-spec strings parse as ``family:name=value,name=value``, e.g.
 ``gpd:alpha=0.25`` or ``normal-mix:sigma1=0.5,sigma2=2,q=0.75``. A family's
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .combinators import mix
 from .dist import CONTINUOUS, LATTICE, ClosedForms, Distribution, Support
 from .errors import ParamOutOfDomain, ParseError, UnknownFamily
 from .numerics import panels
@@ -67,6 +71,8 @@ def parse_family_spec(text: str, allow_placeholder: bool = False) -> FamilySpec:
             val = val.strip()
             if not eq or not key or not val:
                 raise ParseError(f"malformed parameter assignment {item!r}")
+            if key in params:
+                raise ParseError(f"parameter {key!r} is given twice in {text!r}")
             if val == "_":
                 if not allow_placeholder:
                     raise ParseError("placeholder '_' is only valid in sweep specs")
@@ -236,23 +242,18 @@ def _gpd(alpha: float) -> Distribution:
     a = _check("gpd", "alpha", alpha, 0 <= alpha < 0.5, "0 <= alpha < 1/2 (finite SD)")
     # below 1e-20 the shape term a*x/2 of the log-survival is under half an
     # ulp wherever the tail has not underflowed, while 1/a overflows for
-    # subnormal a: evaluate such a law as the exponential it equals
+    # subnormal a: build such a law as the exponential it equals
     if a < 1e-20:
-        a = 0.0
-    cdf, sfn = _survival_pair((lambda x: x) if a == 0 else (lambda x: np.log1p(a * x) / a))
+        return _weibull(1.0)
+    cdf, sfn = _survival_pair(lambda x: np.log1p(a * x) / a)
 
     def pdf(x):
         x = np.asarray(x, float)
         with np.errstate(all="ignore"):
-            v = np.exp(-x) if a == 0 else np.exp(-(1 / a + 1) * np.log1p(a * x))
+            v = np.exp(-(1 / a + 1) * np.log1p(a * x))
         return np.where(x >= 0, v, 0.0)
 
-    def ppf(p):
-        p = np.asarray(p, float)
-        if a == 0:
-            return -np.log1p(-p)
-        return np.expm1(-a * np.log1p(-p)) / a
-
+    ppf = lambda p: np.expm1(-a * np.log1p(-np.asarray(p, float))) / a
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
         pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
@@ -392,20 +393,7 @@ def _normal_mix(sigma1: float = 0.5, sigma2: float = 2.0, q: float = 0.75) -> Di
     s1 = _check("normal-mix", "sigma1", sigma1, sigma1 > 0, "sigma1 > 0")
     s2 = _check("normal-mix", "sigma2", sigma2, sigma2 > 0, "sigma2 > 0")
     w = _check("normal-mix", "q", q, 0 < q < 1, "0 < q < 1")
-    c1 = math.log(w / (s1 * math.sqrt(2 * math.pi)))
-    c2 = math.log((1 - w) / (s2 * math.sqrt(2 * math.pi)))
-
-    def pdf(x):
-        x = np.asarray(x, float)
-        return np.exp(c1 - 0.5 * (x / s1) ** 2) + np.exp(c2 - 0.5 * (x / s2) ** 2)
-
-    cdf = lambda x: w * special.ndtr(np.asarray(x, float) / s1) + (1 - w) * special.ndtr(np.asarray(x, float) / s2)
-    sfn = lambda x: w * special.ndtr(-np.asarray(x, float) / s1) + (1 - w) * special.ndtr(-np.asarray(x, float) / s2)
-    return Distribution(
-        support=Support(-np.inf, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn,
-        closed=ClosedForms(mean=0.0, sd=math.sqrt(w * s1**2 + (1 - w) * s2**2)),
-    )
+    return mix([_normal(0.0, s1), _normal(0.0, s2)], [w, 1 - w])
 
 
 # ---------------------------------------------------------------------------

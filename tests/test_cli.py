@@ -165,6 +165,7 @@ def test_list_families_json_parameter_table(capsys):
         ("gamma:alpha=1,beta=2", "ParseError: gamma: unknown parameter(s) ['beta']; expected ['alpha']"),
         ("logistic:x=1", "ParseError: logistic: unknown parameter(s) ['x']; expected []"),
         ("normal:zz=3,sigma=2,aa=1", "ParseError: normal: unknown parameter(s) ['aa', 'zz']; expected ['mu', 'sigma']"),
+        ("gamma:alpha=1,alpha=2", "ParseError: parameter 'alpha' is given twice in 'gamma:alpha=1,alpha=2'"),
     ],
 )
 def test_parameter_error_messages(spec, message, capsys):
@@ -301,3 +302,18 @@ def test_output_format_the_command_does_not_write_is_parse_error(args, capsys):
     assert code == 2
     assert out == ""
     assert "--output" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--dist", "normal", "--mc-n", "100"],
+    ["verify", "--dist", "normal", "--mc-n", "-5"],
+    ["sweep", "--dist", "gamma:alpha=_", "--range", "nan:1:0.1"],
+    ["sweep", "--dist", "gamma:alpha=_", "--range", "0.1:inf:0.1"],
+    ["truncate-sweep", "--dist", "normal", "--side", "lower", "--range", "0:nan:1"],
+])
+def test_malformed_count_or_range_is_parse_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ParseError: ") and err.count("\n") == 1
+    assert "Traceback" not in err

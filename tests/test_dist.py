@@ -519,6 +519,17 @@ def test_gpd_negligible_shape_is_exponential(alpha):
     assert float(d.quantile(0.5)) == pytest.approx(np.log(2), rel=1e-13, abs=0)
 
 
+def test_gpd_zero_shape_is_the_weibull_exponential_bit_for_bit():
+    g, w = make_distribution("gpd:alpha=1e-25"), make_distribution("weibull:alpha=1")
+    xs = np.concatenate([[-np.inf, -1.0, 0.0, np.inf], np.geomspace(1e-300, 800.0, 401)])
+    for name in ("pdf", "cdf", "sf"):
+        assert np.array_equal(getattr(g, name)(xs), getattr(w, name)(xs)), name
+    ps = np.concatenate([[0.0, 1e-300, 1.0], np.linspace(0.0, 1.0, 257), -np.expm1(-np.geomspace(1e-3, 700, 64))])
+    with np.errstate(divide="ignore"):  # ppf(1) = inf
+        assert np.array_equal(g.ppf(ps), w.ppf(ps))
+    assert g.closed == w.closed and g.support == w.support
+
+
 def test_weibull_alpha_one_is_exponential():
     d = make_distribution("weibull:alpha=1")
     assert float(d.sf(1.0)) == pytest.approx(np.exp(-1), rel=1e-14, abs=0)
@@ -753,6 +764,44 @@ def test_curve_heads_run_as_one_batch(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _parent_affine_columns(d, a, b, y):
+    """pdf, cdf and sf of affine(d, a, b) at y, by the formulas the lattice and
+    continuous kinds once used apart: a lattice shift reads d at y - b, a
+    lattice reflection S and F at b - floor(y) - 1 with integer a and b."""
+    if d.is_lattice:
+        a, b = int(a), int(b)
+        if a == 1:
+            return d.pdf(y - b), d.cdf(y - b), d.sf(y - b)
+        return d.pdf(b - y), d.sf(b - np.floor(y) - 1), d.cdf(b - np.floor(y) - 1)
+    inv = (y - b) / a
+    pdf = d.pdf(inv) / abs(a)
+    return (pdf, d.cdf(inv), d.sf(inv)) if a > 0 else (pdf, d.sf(inv), d.cdf(inv))
+
+
+_ZIPF_REFLECTED = affine(make_distribution("zipf:alpha=2.5"), -1.0, 0.0)
+
+
+@pytest.mark.parametrize("d, a, b", [
+    (make_distribution("zipf:alpha=2.5"), 1.0, 3.0),
+    (make_distribution("zipf:alpha=2.5"), -1.0, 2.0),
+    (make_distribution("poisson:theta=2"), 1.0, -4.0),
+    (make_distribution("poisson:theta=2"), -1.0, 5.0),
+    (_ZIPF_REFLECTED, -1.0, 3.0),  # a reflection of a lower-open lattice law
+    (_ZIPF_REFLECTED, 1.0, -2.0),
+    (make_distribution("gamma:alpha=2"), -2.0, 1.5),
+    (make_distribution("gpd:alpha=0.25"), -2.0, 0.0),
+    (make_distribution("normal-mix"), 3.0, -1.0),
+], ids=lambda v: getattr(v, "label", None) or f"{v:g}")
+def test_affine_columns_are_the_parent_formulas_bit_for_bit(d, a, b):
+    y = np.concatenate([np.arange(-60, 61) * 0.25, [-1e6 - 0.5, -1e6, 1e6, 1e6 + 0.5, -np.inf, np.inf]])
+    law = affine(d, a, b)
+    for name, got, want in zip(("pdf", "cdf", "sf"), (law.pdf(y), law.cdf(y), law.sf(y)),
+                               _parent_affine_columns(d, a, b, y)):
+        assert np.array_equal(got, want, equal_nan=True), name
+    ends = sorted((a * d.support.lower + b, a * d.support.upper + b))
+    assert (law.support.lower, law.support.upper, law.support.kind) == (*ends, d.support.kind)
+
+
 def test_affine_normal_shift():
     d = affine(make_distribution("normal"), 2.0, 5.0)
     assert float(d.cdf(5.0)) == pytest.approx(0.5, abs=1e-14)
@@ -829,10 +878,10 @@ def test_mix_normal_density_at_zero():
     )
     expected = 0.75 / (0.5 * np.sqrt(2 * np.pi)) + 0.25 / (2 * np.sqrt(2 * np.pi))
     assert float(m.pdf(0.0)) == pytest.approx(expected, rel=1e-14, abs=0)
-    # the normal-mix registry family agrees with the generic combinator
+    # the normal-mix registry family is the generic combinator
     fam = make_distribution("normal-mix:sigma1=0.5,sigma2=2,q=0.75")
     xs = np.linspace(-6, 6, 41)
-    assert np.allclose(fam.pdf(xs), m.pdf(xs), rtol=1e-12)
+    assert np.array_equal(fam.pdf(xs), m.pdf(xs))
 
 
 def test_mix_geometrics_pmf():
