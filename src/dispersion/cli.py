@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DispersionError, ParseError
 from .families import FamilySpec, list_families, make_distribution, parse_family_spec
 from .measures import concentration, dispersion_report, mean_excess_abs_diff, tail_dispersion
-from .oracle import mc_estimate
+from .oracle import SEED_LIMIT, mc_estimate
 from .ordering import classify
 
 
@@ -121,6 +121,8 @@ def cmd_mean_excess(args) -> str:
 
 
 def cmd_verify(args) -> str:
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ParseError(f"--seed {args.seed}: the seed must be at least 0 and below 2**128")
     d = make_distribution(parse_family_spec(args.dist))
     disp = dispersion_report(d)
     try:

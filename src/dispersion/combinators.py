@@ -15,10 +15,12 @@ tail on the side it leaves open, divided by the conditioning mass.
 
 A combinator passes on its parent's ppf only where the composed map is
 exact to rounding: an affine map, and an upper truncation, whose quantile
-is the parent's at mass * p. A lower truncation's would be the parent's at
-1 - mass * (1 - p), which keeps no digit of p once the mass falls below
-1e-16, so its quantiles, scan grids and Monte Carlo draws read the
-certified inverse table, as do mixtures and convolutions.
+is the parent's at mass * p. With it goes the parent's `ppf_iterative`, so
+Monte Carlo draws the composed law by the same inverse as its parent. A
+lower truncation's would be the parent's at 1 - mass * (1 - p), which keeps
+no digit of p once the mass falls below 1e-16, so its quantiles, scan grids
+and Monte Carlo draws read the certified inverse table, as do mixtures and
+convolutions.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def affine(d: Distribution, a: float, b: float) -> Distribution:
         sfn = lambda y: d.cdf(inv(y))
         ppf = (lambda p: a * d.ppf(1.0 - np.asarray(p, float)) + b) if d.ppf is not None else None
     return Distribution(
-        support=Support(lo, hi, d.support.kind), pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
+        support=Support(lo, hi, d.support.kind), pdf=pdf, cdf=cdf, sf=sfn,
+        ppf=ppf, ppf_iterative=d.ppf_iterative,
         breaks=tuple(sorted(a * v + b for v in d.breaks)),
         tail_sums=_affine_tails(d, int(a), int(b)) if d.is_lattice else None,
         closed=_affine_closed(d.closed, a, b),
@@ -208,7 +211,7 @@ def truncate(d: Distribution, side: str, u: float) -> Distribution:
     return Distribution(
         support=Support(lo, hi, d.support.kind),
         pdf=pdf, cdf=rest if lower else scaled, sf=scaled if lower else rest,
-        ppf=ppf, tail_sums=tails,
+        ppf=ppf, ppf_iterative=ppf is not None and d.ppf_iterative, tail_sums=tails,
         breaks=tuple(v for v in d.breaks if lo < v < hi),
         label=f"truncate({d.label},{side},u={u:g})",
         meta={"construct": "truncate", "side": side, "u": u, "parent": d.meta},

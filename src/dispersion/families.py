@@ -182,7 +182,7 @@ def _gamma(alpha: float) -> Distribution:
     ppf = lambda p: special.gammaincinv(a, p)
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf,
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf, ppf_iterative=True,
         # GMD = 2 Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) = 2 / B(a, 1/2)
         closed=ClosedForms(mean=a, sd=math.sqrt(a), gmd=2 * _gamma_half_ratio(a) / SQRT_PI),
     )
@@ -306,7 +306,7 @@ def _beta(alpha: float, beta: float = 1.0) -> Distribution:
         )
     return Distribution(
         support=Support(0.0, 1.0, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf, closed=closed,
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf, ppf_iterative=True, closed=closed,
     )
 
 

@@ -8,13 +8,18 @@ its X and then its X' from one call, so estimates are bit-reproducible and
 the batch partition could be farmed out to workers and merged in any
 order.
 
-Draws invert the CDF through Distribution.quantile(u, table=True): the
-lattice table on lattice laws, read through its guide table, and on every
-continuous law, closed-form ppf or not, the certified cubic Hermite inverse
-table, within 1e-12 in probability, whose nodes are the law's ppf where it
-has one. Inside a sub-interval the table could not certify, and beyond its
-end nodes, the law's ppf answers where it has one and a bisection
-otherwise.
+Draws invert the CDF by each law's cheapest exact inverse
+(Devroye 1986, Non-Uniform Random Variate Generation, sec. II.2). A
+continuous law whose ppf is a direct formula (weibull, gpd, normal,
+logistic, and the affine maps and upper truncations of them) draws by
+ppf(u) and builds no inverse table. Every other law reads its table
+through Distribution.quantile(u, table=True): the lattice table on lattice
+laws, through its guide table, and on continuous laws the certified cubic
+Hermite inverse table, within 1e-12 in probability. Those are the laws
+whose ppf is an iterative special-function inverse (gamma's gammaincinv,
+beta's betaincinv; `Distribution.ppf_iterative`) and the laws without one.
+Inside a sub-interval the table could not certify, and beyond its end
+nodes, the law's ppf answers where it has one and a bisection otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .dist import Distribution
 from .errors import SamplingUnavailable
 
 N_BATCHES = 32
+# Philox keys are 128-bit: a seed is an integer in [0, SEED_LIMIT)
+SEED_LIMIT = 2**128
 CONF_LEVEL = 0.99
 _T_FACTOR = float(stdtrit(N_BATCHES - 1, 0.5 + CONF_LEVEL / 2))
 
@@ -60,10 +67,10 @@ class LatticeExact:
 
 def _sample(d: Distribution, gen: Generator, m: int) -> np.ndarray:
     u = gen.random(m)
-    # keep bisection away from exactly 0/1 targets
+    # keep a ppf finite and bisection away from exactly 0/1 targets
     u = np.clip(u, 1e-15, 1 - 1e-15)
     try:
-        return np.asarray(d.quantile(u, table=True), dtype=float)
+        return np.asarray(d.quantile(u, table=d.ppf_iterative), dtype=float)
     except Exception as exc:  # pragma: no cover - defensive
         raise SamplingUnavailable(f"inverse-CDF sampling failed for {d.label}: {exc}")
 
@@ -73,10 +80,13 @@ def mc_estimate(d: Distribution, n: int, seed: int) -> OracleEstimate:
 
     gmd_hat = mean |X - X'|, sd_hat = sqrt(mean (X - X')^2 / 2); 99% CI
     half-widths come from batch means over 32 batches. Identical
-    (distribution, n, seed) inputs give bit-identical outputs.
+    (distribution, n, seed) inputs give bit-identical outputs. The seed is
+    the Philox key, an integer in [0, SEED_LIMIT).
     """
     if n < 10**4:
         raise ValueError(f"n must be at least 1e4 for batch-means CIs, got {n}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be at least 0 and below 2**128, got {seed}")
     sizes = np.full(N_BATCHES, n // N_BATCHES, dtype=int)
     sizes[: n % N_BATCHES] += 1
     abs_means = np.empty(N_BATCHES)
@@ -87,12 +97,13 @@ def mc_estimate(d: Distribution, n: int, seed: int) -> OracleEstimate:
         gen = Generator(Philox(key=seed, counter=[0, 0, b, 0]))
         m = int(sizes[b])
         # X then X' from one stream: random(2m) is random(m) twice
-        x, x2 = np.split(_sample(d, gen, 2 * m), [m])
-        delta = x - x2
-        abs_means[b] = float(np.mean(np.abs(delta)))
-        sq_means[b] = float(np.mean(delta * delta))
+        draws = _sample(d, gen, 2 * m)
+        delta = np.subtract(draws[:m], draws[m:])
+        # np.mean's sum and division, without its per-call overhead; abs last, in place
+        sq_means[b] = np.add.reduce(delta * delta) / m
         if d.is_lattice:
-            tie_freqs[b] = float(np.mean(delta == 0.0))
+            tie_freqs[b] = np.count_nonzero(delta == 0.0) / m
+        abs_means[b] = np.add.reduce(np.abs(delta, out=delta)) / m
     w = sizes / n
     gmd_hat = float(np.dot(w, abs_means))
     m2_hat = float(np.dot(w, sq_means))

@@ -317,3 +317,14 @@ def test_malformed_count_or_range_is_parse_error(args, capsys):
     assert out == ""
     assert err.startswith("ParseError: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_verify_bad_seed_names_the_seed_flag(seed, capsys):
+    # Philox keys are 128-bit: a seed outside [0, 2**128) is the --seed flag's
+    # fault, whatever --mc-n says
+    code, out, err = run_cli(["verify", "--dist", "normal", "--mc-n", "20000", "--seed", seed], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ParseError: --seed {seed}: ") and err.count("\n") == 1
+    assert "--mc-n" not in err

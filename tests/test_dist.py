@@ -28,11 +28,14 @@ from dispersion.combinators import _convolve_numeric
 from dispersion.dist import (
     CONTINUOUS,
     GUIDE,
+    INV_LOGIT,
+    INV_TOL,
     LATTICE,
     LATTICE_LIMIT,
     SCAN_POINTS,
     SUM_CUT,
     Distribution,
+    _horner,
 )
 from dispersion.numerics import bisect_increasing, integrate
 
@@ -234,6 +237,27 @@ def test_inverse_residual_on_every_sub_interval(name):
     assert _max_residual(d, u[k] + steps / scale[k]) <= 1e-12
 
 
+@pytest.mark.parametrize("spec", ["normal", "gamma:alpha=2", "weibull:alpha=0.5", "gamma:alpha=0.05", "erf-hazard"])
+def test_table_read_is_the_horner_cubic_bit_for_bit(spec):
+    # the in-place read against the plain one: node interval by logit
+    # arithmetic, sub-interval, then _horner on the gathered row
+    d = make_distribution(spec)
+    d.ppf = None  # every target reads a cubic; NaN where uncertified
+    u, _, _ = d._inverse_table()
+    sizes, offsets, scale, coef = d._hermite_table()
+    p = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1), Generator(Philox(key=2024)).random(20_000)])
+    p = p[(p >= u[0]) & (p <= u[-1])]
+    n = len(u) - 1
+    k = np.clip(((np.log(p) - np.log1p(-p) + INV_LOGIT) * (n / (2 * INV_LOGIT))).astype(int), 0, n - 1)
+    s = (p - u[k]) * scale[k]
+    j = np.clip(s.astype(int), 0, sizes[k] - 1)
+    want = _horner(coef[offsets[k] + j], s - j)
+    got = d._invert(p)
+    keep = ~np.isnan(want)  # uncertified targets are bisected instead
+    assert keep.sum() > len(p) // 4
+    assert np.array_equal(got[keep], want[keep])
+
+
 def test_uncertified_intervals_are_bisected(monkeypatch):
     # with one halving allowed most intervals stay above 1e-12 and hold NaN
     # cubics; their targets are bisected and still come out within 1e-12
@@ -243,7 +267,7 @@ def test_uncertified_intervals_are_bisected(monkeypatch):
     assert _max_residual(d, Generator(Philox(key=2024)).random(20_000)) <= 1e-12
 
 
-# laws with a closed-form ppf, which Monte Carlo draws through the table too
+# laws with a ppf, whose inverse table quantile(table=True) reads all the same
 _PPF_LAWS = {
     **{spec: lambda spec=spec: make_distribution(spec) for spec in (
         "gamma:alpha=2", "gamma:alpha=0.3", "beta:alpha=2", "weibull:alpha=0.5",
@@ -291,12 +315,12 @@ def test_inverse_table_of_a_ppf_law_is_one_ppf_call(name, monkeypatch):
     assert np.array_equal(x, np.clip(ppf(u), lo, hi))
 
 
-@pytest.mark.parametrize("spec", [s for s in STANDARD_INSTANCES if make_distribution(s).ppf is None
-                                  and not make_distribution(s).is_lattice])
+@pytest.mark.parametrize("spec", list(_TABLE_LAWS))
 def test_inverse_table_nodes_take_few_law_calls(spec, monkeypatch):
-    # eight halvings and Newton steps per half: no node falls back to a full
-    # bisection, whose 72 halvings per half alone make 144 calls
-    d = make_distribution(spec)
+    # eight halvings and Newton steps per half, and for a node they miss the
+    # steps again, going to the bracket end they overshoot: no node falls
+    # back to a full bisection, whose 72 halvings per half alone make 144 calls
+    d = _TABLE_LAWS[spec]()
     calls = []
     for name in ("pdf", "cdf", "sf"):
         fn = getattr(d, name)
@@ -308,6 +332,17 @@ def test_inverse_table_nodes_take_few_law_calls(spec, monkeypatch):
     assert np.abs(d.cdf(x[low]) - u[low]).max() <= 1e-12
     assert np.abs(d.sf(x[~low]) - (1 - u[~low])).max() <= 1e-12
     assert np.all(np.diff(x) >= 0)
+
+
+def test_newton_steps_reach_a_root_beside_their_bracket_end():
+    # the symmetric convolve(logistic, normal) has its median a rounding
+    # error above 0, the lower end of the bracket the halvings leave; each
+    # Newton step from inside overshoots that end, so the midpoints it is
+    # replaced by never come near the root, and the step from the end does
+    d = _TABLE_LAWS["convolve(logistic,normal)"]()
+    u = np.array([0.5])
+    assert abs(float(d.cdf(d._solve_nodes(u, newton=True)[0])) - 0.5) > INV_TOL
+    assert abs(float(d.cdf(d._solve_nodes(u, newton=True, to_end=True)[0])) - 0.5) <= INV_TOL
 
 
 def _two_sided_search(d, p):

@@ -11,10 +11,12 @@ from numpy.random import Generator, Philox
 from dispersion import (
     Distribution,
     Support,
+    affine,
     brute_force_lattice,
     errors,
     make_distribution,
     mc_estimate,
+    truncate,
 )
 from dispersion.dist import LATTICE
 from dispersion.oracle import N_BATCHES, OracleEstimate, _batch_ci, _sample
@@ -33,6 +35,17 @@ def test_import_does_not_load_scipy_stats():
 def test_mc_requires_minimum_n():
     with pytest.raises(ValueError):
         mc_estimate(make_distribution("normal"), 100, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, -(2**200)])
+def test_mc_rejects_a_seed_philox_cannot_key(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be .* got {seed}$"):
+        mc_estimate(make_distribution("normal"), 10**4, seed)
+
+
+def test_mc_accepts_the_largest_seed():
+    est = mc_estimate(make_distribution("normal"), 10**4, 2**128 - 1)
+    assert est.seed == 2**128 - 1
 
 
 def test_mc_deterministic_given_seed():
@@ -82,10 +95,80 @@ def test_mc_lattice_estimates_are_pinned(spec):
     assert (e.sd_hat.hex(), e.gmd_hat.hex(), e.lambda_hat.hex()) == _LATTICE_MC_BITS[spec]
 
 
+# mc_estimate(law, 20_000, 7) of laws drawn through the inverse table: (sd,
+# gmd, ci_sd, ci_gmd) as float hex, as _horner on each gathered coefficient
+# row gives them, so any change to the table read shows; gamma and beta read
+# the table because their ppf is iterative, the others have no ppf
+_TABLE_MC_BITS = {
+    "gamma:alpha=2": ("0x1.69d4a26d3af92p+0", "0x1.7df07a943dc28p+0", "0x1.99bd985253bd7p-6", "0x1.980a81f4f01a0p-6"),
+    "beta:alpha=2": ("0x1.e20cf3e2abd16p-3", "0x1.10676b8837a96p-2", "0x1.6b29642b8c57cp-9", "0x1.cf6a40449d4cfp-9"),
+    "erf-hazard": ("0x1.84e42d71a47f9p-1", "0x1.58dbae3fc166cp-1", "0x1.62faf2ae235dap-6", "0x1.02d94b2901deap-6"),
+    "normal-mix": ("0x1.1879076144cdep+0", "0x1.13112128b1354p+0", "0x1.a7dbaaaa94500p-6", "0x1.643e1b1d750a5p-6"),
+    "truncate(damped-hazard:theta=0.1,lower,10)":
+        ("0x1.b650cddce55a0p-3", "0x1.b359772fdbcfap-3", "0x1.2b05a23d93520p-8", "0x1.06c63b49c5e3ep-8"),
+}
+
+
+_TABLE_MC_LAWS = {
+    **{s: lambda s=s: make_distribution(s) for s in ("gamma:alpha=2", "beta:alpha=2", "erf-hazard", "normal-mix")},
+    "truncate(damped-hazard:theta=0.1,lower,10)":
+        lambda: truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_MC_BITS))
+def test_mc_table_estimates_are_pinned(name):
+    e = mc_estimate(_TABLE_MC_LAWS[name](), 20_000, 7)
+    assert (e.sd_hat.hex(), e.gmd_hat.hex(), e.ci_sd.hex(), e.ci_gmd.hex()) == _TABLE_MC_BITS[name]
+
+
+# laws whose ppf is a direct formula, which Monte Carlo draws by ppf(u)
+_DIRECT_LAWS = {
+    **{s: lambda s=s: make_distribution(s) for s in ("weibull:alpha=0.5", "gpd:alpha=0.25", "normal", "logistic")},
+    "affine(weibull:alpha=0.5,-2,1)": lambda: affine(make_distribution("weibull:alpha=0.5"), -2.0, 1.0),
+    "truncate(normal,upper,1)": lambda: truncate(make_distribution("normal"), "upper", 1.0),
+}
+# laws Monte Carlo draws through the inverse table: an iterative ppf, or none
+_TABLE_DRAWN_LAWS = {
+    **_TABLE_MC_LAWS,
+    "affine(gamma:alpha=2,-2,1)": lambda: affine(make_distribution("gamma:alpha=2"), -2.0, 1.0),
+    "truncate(gamma:alpha=2,upper,3)": lambda: truncate(make_distribution("gamma:alpha=2"), "upper", 3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIRECT_LAWS) + list(_TABLE_DRAWN_LAWS))
+def test_mc_draw_path_follows_the_ppf(name):
+    direct = name in _DIRECT_LAWS
+    d = (_DIRECT_LAWS if direct else _TABLE_DRAWN_LAWS)[name]()
+    mc_estimate(d, 10**4, 3)
+    for key in ("inverse", "hermite"):
+        assert (key in d._cache) is not direct
+
+
+@pytest.mark.parametrize("name", list(_DIRECT_LAWS))
+def test_mc_direct_draws_are_the_ppf_at_the_clipped_uniforms(name):
+    d = _DIRECT_LAWS[name]()
+    u = np.clip(Generator(Philox(key=9)).random(5000), 1e-15, 1 - 1e-15)
+    assert np.array_equal(_sample(d, Generator(Philox(key=9)), 5000), d.ppf(u))
+
+
+@pytest.mark.parametrize("spec", ["weibull:alpha=0.5", "gpd:alpha=0.25", "normal", "logistic"])
+def test_mc_direct_draws_keep_the_table_estimates(spec, monkeypatch):
+    # the table is within 1e-12 in probability of the ppf, so drawing by the
+    # ppf moves an estimate by far less than its confidence interval
+    direct = mc_estimate(make_distribution(spec), 20_000, 7)
+    quantile = Distribution.quantile
+    monkeypatch.setattr(Distribution, "quantile", lambda self, p, table=False: quantile(self, p, table=True))
+    table = mc_estimate(make_distribution(spec), 20_000, 7)
+    assert direct.sd_hat == pytest.approx(table.sd_hat, rel=1e-8, abs=0)
+    assert direct.gmd_hat == pytest.approx(table.gmd_hat, rel=1e-8, abs=0)
+
+
 def test_mc_draws_a_ppf_law_through_its_table():
-    # every continuous law draws through its certified inverse table; gamma(2)
-    # has no uncertified sub-interval, so once the table is built (its nodes
-    # are ppf(u)) its closed-form ppf is never called
+    # gamma's ppf is gammaincinv, an iterative inverse, so Monte Carlo draws
+    # gamma through its certified inverse table; gamma(2) has no uncertified
+    # sub-interval, so once the table is built (its nodes are ppf(u)) the ppf
+    # is never called
     d = make_distribution("gamma:alpha=2")
     d._hermite_table()
     calls = []
@@ -103,10 +186,13 @@ def test_mc_draws_a_ppf_law_through_its_table():
 def test_mc_table_draws_match_ppf_draws_on_hard_shapes(spec, monkeypatch):
     # draws within 1e-12 in probability of the closed form move an estimate
     # far less than its confidence interval, here on poles, heavy tails and
-    # extreme shapes, some with sub-intervals that read the ppf
+    # extreme shapes, some with sub-intervals that read the ppf; each path is
+    # forced, whichever one mc_estimate takes for the law
     d = make_distribution(spec)
-    table = mc_estimate(d, 200_000, 11)
     quantile = Distribution.quantile
+    monkeypatch.setattr(Distribution, "quantile", lambda self, p, table=False: quantile(self, p, table=True))
+    table = mc_estimate(d, 200_000, 11)
+    assert "hermite" in d._cache
     monkeypatch.setattr(Distribution, "quantile", lambda self, p, table=False: quantile(self, p))
     closed = mc_estimate(d, 200_000, 11)
     assert abs(table.sd_hat - closed.sd_hat) <= closed.ci_sd
@@ -164,7 +250,7 @@ def test_brute_force_matches_summation(spec):
 def test_brute_force_zipf_truncated_exact():
     # a bounded zipf makes both routes see the same law exactly
     d = make_distribution("zipf:alpha=3")
-    trunc = __import__("dispersion").truncate(d, "upper", 4000.0)
+    trunc = truncate(d, "upper", 4000.0)
     ex = brute_force_lattice(trunc)
     assert abs(ex.gmd - gmd_numeric(trunc)[0]) <= 1e-10
     assert abs(ex.sd - sd_numeric(trunc)[0]) <= 1e-10
@@ -204,8 +290,6 @@ def test_brute_force_support_cap():
 
 def test_mc_reflected_lattice_law():
     # downward support enumeration and table sampling under reflection
-    from dispersion import affine
-
     refl = affine(make_distribution("geometric:p=0.4"), -1.0, 0.0)
     est = mc_estimate(refl, 10**5, 17)
     assert est.lambda_hat == pytest.approx(0.4 / 1.6, abs=0.01)
@@ -245,7 +329,7 @@ def _mc_two_draws(d, n, seed):
 @pytest.mark.parametrize(
     "build",
     [lambda: make_distribution("gamma:alpha=2"), lambda: make_distribution("poisson:theta=2"),
-     lambda: __import__("dispersion").truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0)],
+     lambda: truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0)],
     ids=["gamma", "poisson", "truncate"],
 )
 def test_mc_batches_are_the_two_draw_loop_bit_for_bit(build, n):
