@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import legint, legvander
+from numpy.polynomial.legendre import leg2poly, legint, legvander
 
 from .errors import DivergentTail, SupportTooLarge, UnsupportedKind
 from .numerics import GL_W, GL_X, bisect_increasing, integrate_batch, narrow_increasing, panel_nodes, panels
@@ -68,10 +68,14 @@ SCAN_CLIP = 1e-6
 # continuous stop-loss table: G = _ANTIDERIV @ (S at the 16 Gauss-Legendre
 # nodes of [-1, 1]) are the Legendre coefficients of int_s^1 p, p the degree-15
 # interpolant of those values (the rule is exact on the degree-30 products
-# that give p's coefficients); past its base nodes the table runs on in blocks
-# of 32 steps of S/f, and a tail that needs more than REACH_STEPS steps to end
-# raises DivergentTail
+# that give p's coefficients); _POWER @ G are G's coefficients in powers of s,
+# which the table keeps and a read evaluates by Horner's rule. The two stay
+# separate products: folded into one, whose entries reach 1.4e3, they put reads
+# up to 1.2e3 eps Pi(left node) off the Legendre read, against 1.9 eps. Past its
+# base nodes the table runs on in blocks of 32 steps of S/f, and a tail that
+# needs more than REACH_STEPS steps to end raises DivergentTail
 _ANTIDERIV = -legint(legvander(GL_X, 15).T * GL_W * (np.arange(16) + 0.5)[:, None], lbnd=1)
+_POWER = np.stack([np.pad(leg2poly(e), (0, 16 - k)) for k, e in enumerate(np.eye(17))], axis=1)
 REACH_STEPS = 2**14
 
 
@@ -89,22 +93,10 @@ def _horner(c: np.ndarray, t) -> np.ndarray:
     return c[..., 0] + t * (c[..., 1] + t * (c[..., 2] + t * c[..., 3]))
 
 
-def _legval_rows(x: np.ndarray, coef: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """legval(x, coef[:, cols], tensor=False) with its Clenshaw recurrence and
-    operation order, gathering one coefficient row per step instead of the
-    whole (len(coef), len(x)) block."""
-    nd = len(coef)
-    c0, c1 = coef[-2].take(cols), coef[-1].take(cols)
-    scratch = np.empty_like(x)
-    for i in range(3, len(coef) + 1):
-        nd = nd - 1
-        # c0, c1 = c[-i] - c1 ((nd - 1) / nd), c0 + c1 x ((2 nd - 1) / nd), in place
-        row = coef[-i].take(cols)
-        np.subtract(row, np.multiply(c1, (nd - 1) / nd, out=scratch), out=row)
-        np.multiply(c1, x, out=c1)
-        np.add(c0, np.multiply(c1, (2 * nd - 1) / nd, out=c1), out=c1)
-        c0 = row
-    return c0 + c1 * x
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a, summed over a's columns from the first by numpy, not
+    by BLAS, whose blocking, and so whose bits, follow its thread count."""
+    return sum(a[:, k, None] * b[k] for k in range(a.shape[1]))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -166,10 +158,12 @@ class Distribution:
     the continuous inverse table (stop_loss() takes its nodes) and its
     refinement that quantile() reads when the law has no ppf or `table` is set,
     and one stop-loss table: excess_table() on the lattice, read at any integer
-    by _excess_read(); on continuous laws the node table of stop_loss() with
-    its Legendre coefficients and its extension into the tail
-    (_stop_loss_nodes()), and the outer nodes and weights of shifted_means()
-    over the nodes below that extension (_outer_panels()).
+    by _excess_read() and along a curve's rows by _table_rows(); on continuous
+    laws the node table of stop_loss(), with the power coefficients of Pi on
+    each node interval that a read evaluates by Horner's rule, and its
+    extension into the tail (_stop_loss_nodes()), and the outer nodes and
+    weights of shifted_means() over the nodes below that extension
+    (_outer_panels()).
     Beside them
     `measures.dispersion_report` keeps the law's SD/GMD report under
     "report"; no other module touches it.
@@ -653,6 +647,29 @@ class Distribution:
             s[past], p[past] = su[back], pu[back]
         return s, p
 
+    def _table_rows(self, cols, ts: np.ndarray, width: int, off) -> list[np.ndarray]:
+        """For each column of `cols`, lattice_table() columns, a row per integer t
+        of its values at pts[0] + j + t for j < width: the cells inside the table
+        copied as one slice of the column, the rest from off(k), which returns
+        one array per column, called once on all of them in row order."""
+        pts = self.lattice_table()[0]
+        rows = [np.empty((len(ts), width)) for _ in cols]
+        # row r holds the table's points lo[r] + t to hi[r] - 1 + t in columns lo[r] to hi[r] - 1
+        lo = np.clip(-ts, 0, width).astype(np.intp)
+        hi = np.maximum(np.clip(len(pts) - ts, 0, width).astype(np.intp), lo)
+        for r in np.flatnonzero(lo < hi):
+            a, b, t = lo[r], hi[r], int(ts[r])
+            for row, col in zip(rows, cols):
+                row[r, a:b] = col[a + t : b + t]
+        count = lo + width - hi
+        if count.any():
+            r = np.repeat(np.arange(len(ts)), count)
+            q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            j = np.where(q < lo[r], q, q - lo[r] + hi[r])
+            for row, v in zip(rows, off(pts[0] + j + ts[r])):
+                row[r, j] = v
+        return rows
+
     def _base_nodes(self) -> np.ndarray:
         """The inverse-table nodes, the finite support ends and the breaks: the
         stop-loss table's nodes below its extension, and the edges of the outer
@@ -686,39 +703,56 @@ class Distribution:
     def _stop_loss_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
         """(nodes, Pi, coefficients): Pi summed from 0 at the last node over one
         Gauss-Legendre panel of sf per node interval; column k of the
-        coefficients holds G_k, int_s^1 of the interpolant of those sf values on
-        interval k in Legendre series, so that Pi(y) = Pi(b_k) + h_k G_k(s) for
-        y = b_k - h_k (1 - s) with b_k its right node and h_k its half-width."""
+        coefficients holds, in powers of s, Pi(y) = Pi(b_k) + h_k G_k(s) for
+        y = b_k - h_k (1 - s), b_k the interval's right node, h_k its half-width
+        and G_k int_s^1 of the interpolant of those sf values. G_k is taken in
+        Legendre series first, then converted (_POWER). Every sum runs in
+        numpy's fixed order (_dot), so the table's bits do not follow BLAS."""
         x, half = panel_nodes(nodes[:-1], nodes[1:])
         vals = np.asarray(self.sf(x.ravel()), dtype=float).reshape(x.shape)
-        seg = np.append((vals @ GL_W) * half, 0.0)
-        return _read_only(nodes, np.cumsum(seg[::-1])[::-1], _ANTIDERIV @ vals.T)
+        seg = np.append((vals * GL_W).sum(axis=-1) * half, 0.0)
+        pi = np.cumsum(seg[::-1])[::-1]
+        coef = _dot(_POWER, _dot(_ANTIDERIV, vals.T)) * half
+        coef[0] += pi[1:]
+        return _read_only(nodes, pi, coef)
 
     def _stop_loss_read(self, y: np.ndarray) -> np.ndarray:
         """Pi(y) of a continuous law from _stop_loss_nodes(): inside [first
-        node, last node], Pi(b) + h G(s) in y's node interval, with no call to
-        the law; below the first node one panel of sf up to it; 0 past the last
-        node; NaN at NaN. The node intervals of sorted inside points, as the
-        panel nodes plus t of shifted_means() arrive, come from one merge of
-        the nodes into them; unsorted ones are searched point by point."""
+        node, last node], one Horner pass over the power coefficients of y's
+        node interval, with no call to the law; below the first node one panel
+        of sf up to it; 0 past the last node; NaN at NaN. Sorted inside points,
+        as the panel nodes plus t of shifted_means() arrive, are counted per
+        node interval by one merge of the nodes into them, and each
+        coefficient row is repeated by those counts; unsorted ones are searched
+        point by point and gathered. Points all inside, as shifted_means()
+        reads them, are read without a mask or copy."""
         y = np.asarray(y, dtype=float)
         nodes, pi, coef = self._stop_loss_nodes()
-        out = np.zeros(y.shape)
-        below = y < nodes[0]
-        if below.any():
-            out[below] = pi[0] + panels(self.sf, y[below], nodes[0])
-        inside = ~below & ~(y > nodes[-1])
+        below, past = y < nodes[0], y > nodes[-1]
+        edge = below.any() or past.any()
+        inside = ~(below | past) if edge else slice(None)  # a view, not a copy, when all are inside
         z = y[inside]
         if (z[1:] >= z[:-1]).all():
-            # nodes below each z: the count of merge positions at or before it
-            j = np.bincount(np.searchsorted(z, nodes, side="right"), minlength=len(z) + 1).cumsum()[: len(z)]
+            # interval k holds the z in (nodes[k], nodes[k + 1]], the first also
+            # z = nodes[0]: counts from one merge, each row repeated by them
+            count = np.diff(np.searchsorted(z, nodes[1:], side="right"), prepend=0)
+            gather = lambda row: row.repeat(count)
         else:
-            j = np.searchsorted(nodes, z)
-        i = np.clip(j, 1, len(nodes) - 1) - 1
-        left = nodes[i]
-        half = 0.5 * (nodes[i + 1] - left)
-        out[inside] = pi[i + 1] + half * _legval_rows((z - left) / half - 1.0, coef, i)
-        return np.maximum(out, 0.0)
+            i = np.clip(np.searchsorted(nodes, z), 1, len(nodes) - 1) - 1
+            gather = lambda row: row.take(i)
+        left = gather(nodes[:-1])
+        s = (z - left) / (0.5 * (gather(nodes[1:]) - left)) - 1.0
+        pz = gather(coef[-1])
+        for row in coef[-2::-1]:
+            pz *= s
+            pz += gather(row)
+        if edge:
+            out = np.zeros(y.shape)
+            out[inside] = pz
+            if below.any():
+                out[below] = pi[0] + panels(self.sf, y[below], nodes[0])
+            pz = out
+        return np.maximum(pz, 0.0, out=pz)
 
     def stop_loss(self, x):
         """Stop-loss transform Pi(x) = E[(X - x)+] = int_x^inf S(w) dw.
@@ -768,9 +802,10 @@ class Distribution:
         """
         ts = np.asarray(ts, dtype=float)
         if self.is_lattice:
-            pts, f, _, _, pi = self.excess_table()
+            pts, f, _, sf, pi = self.excess_table()
             step = max(1, CURVE_CELLS // len(pts))
-            reads = (self._excess_read(pts + t[:, None]) for t in np.split(ts, range(step, len(ts), step)))
+            blocks = np.split(ts, range(step, len(ts), step))
+            reads = (self._table_rows((sf, pi), t, len(pts), self._excess_read) for t in blocks)
             den, num = np.concatenate([[(f * s).sum(axis=-1), (f * p).sum(axis=-1)] for s, p in reads], axis=1)
             upper, (mass, t1, _, _) = self.table_tail()
             if not upper:

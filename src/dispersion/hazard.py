@@ -49,7 +49,8 @@ LOG_CONVEX = "log-convex"
 NEITHER = "neither"
 
 # relative tolerance of every scan: a step against a direction is forgiven up
-# to SLACK times the largest value scanned (times |log G(x)| per lattice point)
+# to SLACK times the larger of its two values (times |log G(x)| per lattice
+# point)
 SLACK = 1e-9
 
 
@@ -58,7 +59,9 @@ class MonotoneVerdict:
     """Outcome of a monotonicity scan.
 
     witness is a (x1, x2, (v1, v2)) adjacent pair exhibiting the largest
-    violation, present exactly when direction is non-monotone.
+    violation, present exactly when direction is non-monotone: the largest
+    rise when no rise is as large as the largest fall (a sequence that falls
+    but for a dip), else the largest fall.
     """
 
     direction: str
@@ -203,7 +206,9 @@ def classify_sequence(xs: np.ndarray, vals: np.ndarray, grid: str) -> MonotoneVe
     if not np.all(np.isfinite(vals)):
         raise GridEmpty("non-finite values on scan grid")
     diffs = np.diff(vals)
-    tol = SLACK * float(np.max(np.abs(vals)))
+    # local to each step: a grid that reaches nearer a pole, where a rate
+    # grows like 1/|x - end|, forgives no larger step elsewhere
+    tol = SLACK * np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
     up_ok = bool(np.all(diffs >= -tol))
     down_ok = bool(np.all(diffs <= tol))
     if up_ok and down_ok:
@@ -212,7 +217,8 @@ def classify_sequence(xs: np.ndarray, vals: np.ndarray, grid: str) -> MonotoneVe
         return MonotoneVerdict(INCREASING, None, grid)
     if down_ok:
         return MonotoneVerdict(DECREASING, None, grid)
-    i = int(np.argmax(np.abs(diffs)))
+    # against the direction the sequence comes nearer to keeping
+    i = int(np.argmax(diffs) if diffs.max() <= -diffs.min() else np.argmin(diffs))
     witness = (float(xs[i]), float(xs[i + 1]), (float(vals[i]), float(vals[i + 1])))
     return MonotoneVerdict(NON_MONOTONE, witness, grid)
 

@@ -293,16 +293,15 @@ def _m_repr_curve_lattice(d: Distribution, ts: np.ndarray) -> np.ndarray:
     blocks of CURVE_CELLS cells: the change-of-measure sums, weights F(x-1) f(x),
     C = F(x-1-t) / F(x-1) and 1/h = S(x-1) / f(x) multiplied out. f past the top
     is pdf; terms past it, where F(y) = 1, sum to Pi(top+1+t) and S(top+1+t)."""
-    pts, f, big_f, _, _ = d.excess_table()
+    pts, f, big_f, sf, pi = d.excess_table()
     upper, tail = d.table_tail()
     head = 0.0 if upper else float(tail[3])  # y below a lower-open table: S(y+t) = 1, sum F
     step, out = max(1, CURVE_CELLS // len(pts)), []
+    pdf = lambda k: (np.asarray(d.pdf(k), dtype=float),)
     for t in np.split(ts, range(step, len(ts), step)):
-        k = np.append(pts, pts[-1] + 1) + t[:, None]  # y + t, then top + 1 + t
-        s, p = d._excess_read(k)
-        g = f.take((k[:, 1:] - pts[0]).astype(np.intp), mode="clip")
-        past = k[:, 1:] > pts[-1]
-        g[past] = d.pdf(k[:, 1:][past])
+        # S and Pi at y + t, then at top + 1 + t; f at y + 1 + t
+        s, p = d._table_rows((sf, pi), t, len(pts) + 1, d._excess_read)
+        (g,) = d._table_rows((f,), t + 1, len(pts), pdf)
         den = (big_f * g).sum(axis=-1) + s[:, -1]
         if np.any(den < _MIN_SY):
             raise DegenerateY(f"S_Y({t[den < _MIN_SY][0]}) underflowed for {d.label}")

@@ -24,8 +24,9 @@ one range; it has no driver of its own.
 `panels` is the fixed-rule counterpart for many short intervals at once,
 each summed in one fixed order, on the nodes that `panel_nodes` places: the
 erfi families take their upper survival from it. The stop-loss table of
-`dist` sums the same rule over its node intervals and keeps the values of S
-at those nodes, whose Legendre interpolant gives Pi between nodes.
+`dist` sums the same rule over its node intervals and integrates the Legendre
+interpolant of S at those nodes, kept in powers of the local coordinate, to
+give Pi between nodes.
 """
 
 from __future__ import annotations

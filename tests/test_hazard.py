@@ -28,6 +28,7 @@ from dispersion.hazard import (
     LOG_CONVEX,
     NEITHER,
     NON_MONOTONE,
+    classify_sequence,
     hazard_scan,
     reverse_hazard_scan,
 )
@@ -192,6 +193,19 @@ def test_scan_erfi_hazard_increasing_reverse_non_monotone():
     rv = reverse_hazard_scan(d)
     assert rv.direction == NON_MONOTONE
     assert rv.witness is not None
+
+
+def test_erfi_reverse_hazard_keeps_its_dip_on_a_grid_to_1e_12():
+    # joined with the inverse-table nodes the grid reaches q(1e-12), where r
+    # grows like 1/(x + 1); each step's own tolerance still sees the dip, and
+    # the witness is its largest rise, not a step of the fall towards -1
+    d = make_distribution("erfi-interval")
+    xs = np.unique(np.concatenate([d.probe_grid(), d._inverse_table()[1]]))
+    xs = xs[(xs > d.support.lower) & (xs < d.support.upper)]
+    v = classify_sequence(xs, np.asarray(d.pdf(xs), float) / np.asarray(d.cdf(xs), float), "probe+inverse")
+    assert v.direction == NON_MONOTONE
+    x1, x2, (r1, r2) = v.witness
+    assert -0.076 < x1 < x2 < 1.0 and 0.0 < r2 - r1 < 0.002
 
 
 def test_erfi_reverse_hazard_sign_change_location():

@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
+from numpy.polynomial.polynomial import polyval
 from scipy import special
 from scipy.integrate import quad
 
@@ -29,10 +30,10 @@ from dispersion import (
     tail_dispersion,
     truncate,
 )
-from dispersion.dist import _legval_rows
+from dispersion.dist import _ANTIDERIV
 from dispersion.hazard import hazard_scan
 from dispersion.measures import gmd_numeric, sd_numeric
-from dispersion.numerics import integrate, panels
+from dispersion.numerics import integrate, panel_nodes, panels
 
 from conftest import STANDARD_INSTANCES
 
@@ -568,28 +569,43 @@ def test_stop_loss_read_matches_closed_form(spec):
     assert np.all(err <= 1e-14 * first + 1e-11 * exact), float(np.max(err / (1e-14 * first + 1e-11 * exact)))
 
 
-@pytest.mark.parametrize("spec", list(_STOP_LOSS))
-def test_stop_loss_read_is_legval_bit_for_bit(spec):
-    # the Clenshaw read that gathers one coefficient row per step repeats
-    # legval's arithmetic on the gathered (17, n) block
+# Pi(left node) of every stop-loss node interval at least 1e-290, so that
+# 4 eps of it is a normal double
+_LEGVAL_LAWS = [*_STOP_LOSS, "gamma:alpha=0.5", "gamma:alpha=2", "weibull:alpha=0.5", "weibull:alpha=2.5",
+                "gpd:alpha=0", "gpd:alpha=0.45", "normal:sigma=2", "beta:alpha=0.5", "beta:alpha=3,beta=2",
+                "logistic", "erf-hazard", "erfi-unit", "damped-hazard:theta=0.1", "normal-mix"]
+
+
+@pytest.mark.parametrize("spec", _LEGVAL_LAWS)
+def test_stop_loss_read_is_legval_to_4_eps(spec):
+    # the power-form Horner read against legval on the Legendre coefficients
+    # recomputed from the table's panel values of sf, at eight random points
+    # of every node interval and at the nodes: within 4 eps Pi(left node)
     d = make_distribution(spec)
-    nodes, _, coef = d._stop_loss_nodes()
+    nodes, pi, _ = d._stop_loss_nodes()
+    x, half = panel_nodes(nodes[:-1], nodes[1:])
+    leg = _ANTIDERIV @ np.asarray(d.sf(x.ravel()), dtype=float).reshape(x.shape).T
     rng = np.random.default_rng(12)
-    cols = rng.integers(0, len(nodes) - 1, 4096)
-    s = rng.uniform(-1.0, 1.0, len(cols))
-    want = legval(s, coef[:, cols], tensor=False)
-    assert np.array_equal(_legval_rows(s, coef, cols), want)
+    k = np.repeat(np.arange(len(nodes) - 1), 8)
+    ys = np.concatenate([nodes[k] + np.diff(nodes)[k] * rng.random(len(k)), nodes])
+    i = np.clip(np.searchsorted(nodes, ys), 1, len(nodes) - 1) - 1
+    h = half[i]
+    want = np.maximum(pi[i + 1] + h * legval((ys - nodes[i]) / h - 1.0, leg[:, i], tensor=False), 0.0)
+    ok = pi[i] >= 1e-290
+    err = np.abs(d._stop_loss_read(ys) - want)[ok] / (np.finfo(float).eps * pi[i][ok])
+    assert np.all(err <= 4.0), float(np.max(err))
 
 
 def _searched_read(d, ys):
-    """Pi at ys as the table read searched each point alone: legval on the
-    node interval searchsorted(nodes, y) names, a panel of sf below the
-    first node, 0 past the last."""
+    """Pi at ys as the table read searched each point alone: polyval, which
+    is Horner's rule, on the power coefficients of the node interval
+    searchsorted(nodes, y) names, a panel of sf below the first node, 0 past
+    the last."""
     nodes, pi, coef = d._stop_loss_nodes()
     j = np.clip(np.searchsorted(nodes, ys), 1, len(nodes) - 1)
     half = 0.5 * (nodes[j] - nodes[j - 1])
     with np.errstate(all="ignore"):
-        out = pi[j] + half * legval((ys - nodes[j - 1]) / half - 1.0, coef[:, j - 1], tensor=False)
+        out = polyval((ys - nodes[j - 1]) / half - 1.0, coef[:, j - 1], tensor=False)
     below = ys < nodes[0]
     out[below] = pi[0] + panels(d.sf, ys[below], nodes[0])
     out[ys > nodes[-1]] = 0.0
@@ -597,11 +613,11 @@ def _searched_read(d, ys):
 
 
 @pytest.mark.parametrize("spec", list(_STOP_LOSS))
-def test_merged_interval_search_is_legval_on_searched_intervals(spec):
+def test_merged_interval_search_is_horner_on_searched_intervals(spec):
     # sorted reads find their node intervals by one merge of the nodes into
     # them; with duplicates, values equal to nodes, points below and past the
     # table, and NaN (which takes the point-by-point search), sorted or not,
-    # each read is legval on the interval searchsorted(nodes, y) finds
+    # each read is Horner's rule on the interval searchsorted(nodes, y) finds
     d = make_distribution(spec)
     nodes = d._stop_loss_nodes()[0]
     rng = np.random.default_rng(13)
@@ -615,6 +631,8 @@ def test_merged_interval_search_is_legval_on_searched_intervals(spec):
     mixed = rng.permutation(np.append(ys, np.nan))
     assert np.array_equal(d._stop_loss_read(mixed), _searched_read(d, mixed), equal_nan=True)
     assert np.array_equal(d._stop_loss_read(np.append(ys, np.nan))[:-1], d._stop_loss_read(ys))
+    inside = ys[(ys >= nodes[0]) & (ys <= nodes[-1])]
+    assert np.array_equal(d._stop_loss_read(inside), _searched_read(d, inside))
 
 
 @pytest.mark.parametrize(
@@ -633,9 +651,9 @@ def test_stop_loss_edge_reads_agree_on_both_kinds(build):
     assert d.stop_loss(np.inf) == 0.0 and d.stop_loss(-np.inf) == np.inf and math.isnan(d.stop_loss(np.nan))
 
 
-def test_stop_loss_below_the_table_reads_no_clenshaw_overflow():
+def test_stop_loss_below_the_table_reads_no_polynomial_overflow():
     # weibull(0.5) has mean 2: Pi(-50) = 52, read by a panel of sf below the
-    # table without running the Legendre read far outside [-1, 1]
+    # table without running the Horner read far outside [-1, 1]
     d = make_distribution("weibull:alpha=0.5")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
