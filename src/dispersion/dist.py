@@ -7,14 +7,15 @@ survival convention is P(X > x) in both kinds, so cdf + sf = 1 pointwise.
 Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache of read-only
 tables, owned by this module and built lazily on first use (Distribution
-lists them): the enumerated lattice table, its guide table for quantiles
-and the sums over the tail it leaves out, the one scan grid, the certified
-inverse table behind the continuous quantiles of laws without a ppf and
-the Monte Carlo draws of those and of laws whose ppf is iterative, and the
-stop-loss table behind every mean excess. Each is built once and never
-rebuilt. On continuous laws the stop-loss table runs on into the tail and a
-read of it between nodes evaluates no law; on the lattice it is read past
-its top by sf and the tail's sum of S, never extended.
+lists them): the enumerated lattice table, the guide table every lattice
+quantile reads and the sums over the tail it leaves out, the one scan grid,
+the certified inverse table behind the continuous quantiles of laws without
+a ppf and the Monte Carlo draws of those and of laws whose ppf is
+iterative, and the stop-loss table behind every mean excess. Each is built
+once and never rebuilt. On continuous laws the stop-loss table runs on into
+the tail and a read of it between nodes evaluates no law; on the lattice it
+is read past its top by sf and the tail's sum of S, never extended, and a
+curve reads it from its first point up.
 """
 
 from __future__ import annotations
@@ -211,10 +212,10 @@ class Distribution:
 
         A closed-form ppf is used when the law has one, unless `table` is set
         on a continuous law. Otherwise both kinds solve on cdf for p <= 1/2
-        and on sf against 1 - p above: lattice laws exactly, through the guide
-        table of _lattice_guide, which answers most targets by one lookup, and
-        a search of the lattice table for the rest; continuous laws by one
-        cubic of _hermite_table, certified to 1e-12 when it is built. Targets
+        and on sf against 1 - p above: lattice laws exactly, every call through
+        the guide table of _lattice_guide, which answers most targets by one
+        lookup, and a search of the lattice table for the rest; continuous laws
+        by one cubic of _hermite_table, certified to 1e-12 when built. Targets
         the cubics leave out, in a sub-interval the table could not certify or
         beyond its end nodes, go to the ppf where the law has one; without one
         they are bisected, inside their node interval or between the support
@@ -247,17 +248,11 @@ class Distribution:
 
     def _lattice_quantile(self, p: np.ndarray) -> np.ndarray:
         pts = self.lattice_table()[0]
-        # building the guide searches its GUIDE + 1 edges: a smaller call
-        # searches its own targets, unless the guide is built already
-        if len(p) >= GUIDE or "guide" in self._cache:
-            guide, floor = self._lattice_guide()
-            idx = guide.take(np.minimum((p * GUIDE).astype(np.intp), GUIDE - 1))
-            miss = np.flatnonzero(idx < 0)
-            if not miss.size:
-                return pts.take(idx)
-        else:
-            floor = float(self.cdf(pts[0] - 1.0))
-            idx, miss = np.empty(len(p), dtype=np.intp), np.arange(len(p))
+        guide, floor = self._lattice_guide()
+        idx = guide.take(np.minimum((p * GUIDE).astype(np.intp), GUIDE - 1))
+        miss = np.flatnonzero(idx < 0)
+        if not miss.size:
+            return pts.take(idx)
         q = p[miss]
         j = self._lattice_search(q)
         # downward enumerations omit mass below the table
@@ -648,24 +643,22 @@ class Distribution:
         return s, p
 
     def _table_rows(self, cols, ts: np.ndarray, width: int, off) -> list[np.ndarray]:
-        """For each column of `cols`, lattice_table() columns, a row per integer t
-        of its values at pts[0] + j + t for j < width: the cells inside the table
-        copied as one slice of the column, the rest from off(k), which returns
-        one array per column, called once on all of them in row order."""
+        """For each column of `cols`, lattice_table() columns, a row per integer
+        t >= 0 of its values at pts[0] + j + t for j < width: the cells inside
+        the table copied as one slice of the column, those past its top from
+        off(k), which returns one array per column, called once in row order."""
         pts = self.lattice_table()[0]
         rows = [np.empty((len(ts), width)) for _ in cols]
-        # row r holds the table's points lo[r] + t to hi[r] - 1 + t in columns lo[r] to hi[r] - 1
-        lo = np.clip(-ts, 0, width).astype(np.intp)
-        hi = np.maximum(np.clip(len(pts) - ts, 0, width).astype(np.intp), lo)
-        for r in np.flatnonzero(lo < hi):
-            a, b, t = lo[r], hi[r], int(ts[r])
+        # row r holds the table's points t to hi[r] - 1 + t in columns 0 to hi[r] - 1
+        hi = np.clip(len(pts) - ts, 0, width).astype(np.intp)
+        for r in np.flatnonzero(hi):
+            b, t = hi[r], int(ts[r])
             for row, col in zip(rows, cols):
-                row[r, a:b] = col[a + t : b + t]
-        count = lo + width - hi
+                row[r, :b] = col[t : b + t]
+        count = width - hi
         if count.any():
             r = np.repeat(np.arange(len(ts)), count)
-            q = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-            j = np.where(q < lo[r], q, q - lo[r] + hi[r])
+            j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + hi[r]
             for row, v in zip(rows, off(pts[0] + j + ts[r])):
                 row[r, j] = v
         return rows
@@ -786,12 +779,12 @@ class Distribution:
         return self._cache["outer"]
 
     def shifted_means(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """(E[S(X + t)], E[Pi(X + t)]) for each t >= 0.
+        """(E[S(X + t)], E[Pi(X + t)]) for each finite t >= 0 (else ValueError).
 
         Lattice laws (integer t) sum f(x) S(x + t) and f(x) Pi(x + t) over
         excess_table(), read by _excess_read() in blocks of CURVE_CELLS cells;
-        below a lower-open table, where S = 1 and Pi(x + t) = Pi(first) +
-        first - x - t, they add both heads from table_tail(). Continuous laws
+        one unbounded below raises UnsupportedKind, as its table omits mass
+        below its first point (mean_excess_abs_diff reflects it). Continuous laws
         take one pass over t, dotting the pdf-weighted panel nodes of
         _outer_panels(), shifted by t, with sf and with Pi read from the
         stop-loss table, whose extension into the tail serves any t (0 past
@@ -801,15 +794,16 @@ class Distribution:
         adaptive batch per expectation, each scaled by its integrand there.
         """
         ts = np.asarray(ts, dtype=float)
+        if not np.all((ts >= 0) & (ts < np.inf)):
+            raise ValueError("shifted_means needs finite t >= 0")
         if self.is_lattice:
+            if np.isinf(self.support.lower):
+                raise UnsupportedKind(f"{self.label} is unbounded below: read its curve by mean_excess_abs_diff")
             pts, f, _, sf, pi = self.excess_table()
             step = max(1, CURVE_CELLS // len(pts))
             blocks = np.split(ts, range(step, len(ts), step))
             reads = (self._table_rows((sf, pi), t, len(pts), self._excess_read) for t in blocks)
             den, num = np.concatenate([[(f * s).sum(axis=-1), (f * p).sum(axis=-1)] for s, p in reads], axis=1)
-            upper, (mass, t1, _, _) = self.table_tail()
-            if not upper:
-                den, num = den + mass, num + (mass * (pi[0] + pts[0] - ts) - t1)
             return den, num
         nodes = self._base_nodes()
         gs = (self.sf, self._stop_loss_read)

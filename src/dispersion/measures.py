@@ -20,7 +20,8 @@ change-of-measure route stays independent: other integrands, run for every t
 of a continuous curve as one lockstep batch (`numerics.integrate_batch`), and
 other columns of the table on lattices. On lattices both routes read S and Pi
 at x + t through `Distribution._excess_read`, which reaches any t past the
-table's top by sf and the tail's sum of S.
+table's top by sf and the tail's sum of S; Y is the same for X and -X, so a
+lattice law unbounded below is read through its bounded-below reflection.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .combinators import truncate
+from .combinators import affine, truncate
 from .dist import CURVE_CELLS, SUM_CUT, Distribution
 from .errors import (
     ContinuousInput,
@@ -231,19 +232,21 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
     representation with weights dQ^F proportional to F(x) dF(x) by adaptive
     quadrature, the whole curve as one lockstep batch (F(x-1) f(x) on the
     lattice, where the C argument shifts to x - 1, summed over the stop-loss
-    table).
+    table). A lattice law unbounded below is read through its reflection
+    affine(d, -1, 0), whose Y is the same; the baseline stays d's.
     """
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("t grid must be nonnegative")
+    if not np.all((ts >= 0) & (ts < np.inf)):
+        raise ValueError("t grid must be finite and nonnegative")
     if d.is_lattice and np.any(ts != np.floor(ts)):
         raise ValueError("lattice mean-excess grids must use integer t")
-    den, num = d.shifted_means(ts)
+    law = affine(d, -1.0, 0.0) if d.is_lattice and np.isinf(d.support.lower) else d
+    den, num = law.shifted_means(ts)
     if np.any(2.0 * den < _MIN_SY):
         raise DegenerateY(f"S_Y({ts[2.0 * den < _MIN_SY][0]:g}) underflowed for {d.label}")
     direct = num / den
     if d.is_lattice:
-        repr_ = _m_repr_curve_lattice(d, ts.astype(int))
+        repr_ = _m_repr_curve_lattice(law, ts.astype(int))
     else:
         repr_ = _m_repr_curve_continuous(d, ts)
     baseline = gmd(d) + (0.5 if d.is_lattice else 0.0)
@@ -292,10 +295,9 @@ def _m_repr_curve_lattice(d: Distribution, ts: np.ndarray) -> np.ndarray:
     """sum_y F(y) S(y+t) / sum_y F(y) f(y+1+t) over y = x-1-t on the table, in
     blocks of CURVE_CELLS cells: the change-of-measure sums, weights F(x-1) f(x),
     C = F(x-1-t) / F(x-1) and 1/h = S(x-1) / f(x) multiplied out. f past the top
-    is pdf; terms past it, where F(y) = 1, sum to Pi(top+1+t) and S(top+1+t)."""
+    is pdf; terms past it, where F(y) = 1, sum to Pi(top+1+t) and S(top+1+t).
+    d is bounded below, so no term lies below the table."""
     pts, f, big_f, sf, pi = d.excess_table()
-    upper, tail = d.table_tail()
-    head = 0.0 if upper else float(tail[3])  # y below a lower-open table: S(y+t) = 1, sum F
     step, out = max(1, CURVE_CELLS // len(pts)), []
     pdf = lambda k: (np.asarray(d.pdf(k), dtype=float),)
     for t in np.split(ts, range(step, len(ts), step)):
@@ -305,5 +307,5 @@ def _m_repr_curve_lattice(d: Distribution, ts: np.ndarray) -> np.ndarray:
         den = (big_f * g).sum(axis=-1) + s[:, -1]
         if np.any(den < _MIN_SY):
             raise DegenerateY(f"S_Y({t[den < _MIN_SY][0]}) underflowed for {d.label}")
-        out.append(((big_f * s[:, :-1]).sum(axis=-1) + p[:, -1] + head) / den)
+        out.append(((big_f * s[:, :-1]).sum(axis=-1) + p[:, -1]) / den)
     return np.concatenate(out)

@@ -397,25 +397,54 @@ def _lattice_law(lower, cdf, sf):
     return Distribution(support=Support(lower, 3.0, LATTICE), pdf=pmf, cdf=col(cdf), sf=col(sf), label="odd")
 
 
+def _pick(v, lo, hi):
+    # the column v at the integers 0..3, lo below them and hi above
+    return lambda k: np.where(k < 0, lo, np.where(k >= 3, hi, v[np.clip(k, 0, 3).astype(int)]))
+
+
+def _floor_law():
+    # a lattice law on (-inf, 3] without tail_sums: cdf 0.3, 0.5, 0.8, 1 at
+    # 0..3 and a geometric head 1e-13 2^(k + 1) below 0, ratio 1/2, so its
+    # downward enumeration stops at 0, whose mass is > 1 / GUIDE
+    body = _pick(np.array([0.3, 0.5, 0.8, 1.0]), 0.0, 1.0)
+    head = lambda k: np.where(k < 0, 1e-13 * np.exp2(np.minimum(k, 0) + 1), body(k))
+    return _lattice_law(-np.inf, head, lambda k: 1.0 - head(k))
+
+
 def test_lattice_guide_keeps_the_search_beside_half_and_floor():
     # columns whose cdf and sf disagree at 1/2, where the search changes
-    # column inside the bucket starting there
+    # column inside the bucket starting there; every call reads the guide,
+    # so these three targets test it
     cum, surv = np.array([0.2, 0.4999, 0.7, 1.0]), np.array([0.8, 0.5, 0.3, 0.0])
-    pick = lambda v, lo, hi: lambda k: np.where(k < 0, lo, np.where(k >= 3, hi, v[np.clip(k, 0, 3).astype(int)]))
-    half = _lattice_law(0.0, pick(cum, 0.0, 1.0), pick(surv, 1.0, 0.0))
-    half._lattice_guide()  # a call with fewer than GUIDE targets reads the guide once it is built
+    half = _lattice_law(0.0, _pick(cum, 0.0, 1.0), _pick(surv, 1.0, 0.0))
     p = np.array([0.5, np.nextafter(0.5, 1), 0.5 + 1 / (2 * GUIDE)])
     assert half.quantile(p).tolist() == [2.0, 1.0, 2.0]
     # a downward enumeration whose first point holds mass > 1 / GUIDE: its
     # first bucket reaches down to cdf below the table
-    body = pick(np.array([0.3, 0.5, 0.8, 1.0]), 0.0, 1.0)
-    head = lambda k: np.where(k < 0, 1e-13 * np.exp2(np.minimum(k, 0) + 1), body(k))
-    floor = _lattice_law(-np.inf, head, lambda k: 1.0 - head(k))
+    floor = _floor_law()
     assert floor.lattice_table()[0][0] == 0.0
-    floor._lattice_guide()
     p = np.array([0.0, 1e-14, 1e-13, 2e-13, 1 / GUIDE])
     assert np.array_equal(floor.quantile(p), _two_sided_search(floor, p))
     assert floor.quantile(1e-14) < 0.0
+
+
+def test_curve_of_a_law_unbounded_below_reads_its_reflection():
+    # Y = |X - X'| of the floor law passes t >= 3 only through a point of the
+    # head its table leaves out: m_Y(t) = 2 there, the mean excess of a
+    # geometric tail of ratio 1/2
+    c = mean_excess_abs_diff(_floor_law(), np.arange(3.0, 32.0))
+    assert np.allclose(c.m_direct, 2.0, rtol=1e-14, atol=0)
+    assert np.allclose(c.m_repr, 2.0, rtol=1e-14, atol=0)
+
+
+def test_shifted_means_refuses_a_lattice_law_unbounded_below():
+    with pytest.raises(errors.UnsupportedKind, match="mean_excess_abs_diff"):
+        _floor_law().shifted_means([0.0])
+
+
+def test_shifted_means_refuses_a_negative_t():
+    with pytest.raises(ValueError, match="t >= 0"):
+        make_distribution("poisson:theta=2").shifted_means([0.0, -1.0])
 
 
 @pytest.mark.parametrize(

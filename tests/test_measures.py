@@ -435,6 +435,7 @@ _INVARIANT_MAPS = {
     "mix(d,d)": lambda d: mix([d, d], [0.5, 0.5]),
     "affine(d,1,3)": lambda d: affine(d, 1.0, 3.0),
     "affine(d,-1,0)": lambda d: affine(d, -1.0, 0.0),
+    "affine(d,-1,7)": lambda d: affine(d, -1.0, 7.0),
 }
 
 
@@ -442,10 +443,12 @@ _INVARIANT_MAPS = {
 @pytest.mark.parametrize("spec", _INVARIANT_LAWS)
 def test_lattice_invariance_under_combinators(spec, name):
     # mixing a law with itself, a shift and a reflection leave SD, GMD and the
-    # mean excess of |X - X'| unchanged; each maps the law's tail past its table
+    # mean excess of |X - X'| unchanged; each maps the law's tail past its table.
+    # The grid runs past the reflected tables' widths (poisson(2) holds 19
+    # points), where a reflection's curve needs the head its table leaves out
     d = make_distribution(spec)
     e = _INVARIANT_MAPS[name](make_distribution(spec))
-    ts = np.arange(8, dtype=float)
+    ts = np.arange(32, dtype=float)
     c, ce = mean_excess_abs_diff(d, ts), mean_excess_abs_diff(e, ts)
     assert sd_numeric(e)[0] == pytest.approx(sd_numeric(d)[0], rel=1e-9, abs=0)
     assert gmd_numeric(e)[0] == pytest.approx(gmd_numeric(d)[0], rel=1e-9, abs=0)
@@ -814,10 +817,25 @@ def test_curve_against_monte_carlo_excess():
         assert float(np.mean(tail - t)) == pytest.approx(m_val, abs=0.01)
 
 
-def test_curve_rejects_non_integer_lattice_t():
-    d = make_distribution("geometric:p=0.5")
-    with pytest.raises(ValueError):
-        mean_excess_abs_diff(d, np.array([0.5]))
+@pytest.mark.parametrize(
+    ("spec", "ts"),
+    [
+        pytest.param("geometric:p=0.5", [0.5], id="geometric-half"),
+        pytest.param("geometric:p=0.5", [-1.0], id="geometric-negative"),
+        pytest.param("normal", [np.nan], id="normal-nan"),
+        pytest.param("gamma:alpha=2", [np.nan], id="gamma-nan"),
+        pytest.param("gamma:alpha=2", [0.0, np.nan], id="gamma-zero-nan"),
+        pytest.param("normal", [np.inf], id="normal-inf"),
+        pytest.param("normal", [-np.inf], id="normal-minus-inf"),
+        pytest.param("poisson:theta=2", [np.inf], id="poisson-inf"),
+    ],
+)
+def test_curve_rejects_non_integer_lattice_t(spec, ts):
+    # a non-integer t on a lattice, and a negative or non-finite t on either
+    # kind, is refused by the grid check before any integral or sum
+    match = "integer t" if ts == [0.5] else "finite and nonnegative"
+    with pytest.raises(ValueError, match=match):
+        mean_excess_abs_diff(make_distribution(spec), np.array(ts))
 
 
 def test_degenerate_t_raises():
