@@ -106,13 +106,16 @@ def _affine_tails(d: Distribution, a: int, b: int):
 
 
 def mix(components: list[Distribution], weights: list[float]) -> Distribution:
-    """Finite mixture with the stated weights; support is the union hull. A
-    continuous mixture breaks at its components' finite support ends and
-    breaks inside that hull."""
+    """Finite mixture with the stated weights, which must be finite,
+    nonnegative and sum to 1; support is the union hull. A continuous mixture
+    breaks at its components' finite support ends and breaks inside that
+    hull."""
     if len(components) != len(weights) or not components:
         raise WeightSumError("components and weights must be equal-length and nonempty")
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
+    # stated as what must hold, so that a NaN weight, which fails every
+    # comparison, is refused; an infinite one fails the sum
+    if not (np.all(w >= 0) and abs(float(w.sum()) - 1.0) <= 1e-12):
         raise WeightSumError(f"weights must be nonnegative and sum to 1, got {weights}")
     kinds = {c.support.kind for c in components}
     if len(kinds) > 1:
@@ -171,7 +174,9 @@ def truncate(d: Distribution, side: str, u: float) -> Distribution:
     The kept side's own tail function, sf above u or cdf up to u, is the
     parent's divided by the mass; the other is (mass - that) / mass, whose
     two terms are small and accurate deep in that tail. Only the upper side
-    keeps a ppf (module docstring).
+    keeps a ppf (module docstring). A u outside the parent's support keeps
+    the parent's end, so the law is the parent's and quadrature never runs
+    past that end.
     """
     if side not in (LOWER, UPPER):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
@@ -182,10 +187,11 @@ def truncate(d: Distribution, side: str, u: float) -> Distribution:
     if not mass > 1e-300:
         raise EmptyTail(f"P(X {'>' if lower else '<='} {u}) = {mass} is numerically zero for {d.label}")
     cut = float(math.floor(u)) if d.is_lattice else u
+    # a cut outside the parent's support keeps the parent's end
     if lower:
-        lo, hi = (math.floor(u) + 1 if d.is_lattice else u), d.support.upper
+        lo, hi = max(math.floor(u) + 1 if d.is_lattice else u, d.support.lower), d.support.upper
     else:
-        lo, hi = d.support.lower, cut
+        lo, hi = d.support.lower, min(cut, d.support.upper)
     # kept: the points the law keeps; past: where scaled is already 1 and rest 0
     kept = (lambda x: x > cut) if lower else (lambda x: x <= cut)
     past = (lambda x: x <= cut) if lower else (lambda x: x >= cut)

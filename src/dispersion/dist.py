@@ -167,7 +167,9 @@ class Distribution:
     (_outer_panels()).
     Beside them
     `measures.dispersion_report` keeps the law's SD/GMD report under
-    "report"; no other module touches it.
+    "report", and `measures.mean_excess_abs_diff` keeps the reflection
+    affine(d, -1, 0) of a lattice law unbounded below, with its own tables,
+    under "reflection"; no other module touches them.
     """
 
     support: Support

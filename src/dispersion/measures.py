@@ -233,14 +233,19 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
     quadrature, the whole curve as one lockstep batch (F(x-1) f(x) on the
     lattice, where the C argument shifts to x - 1, summed over the stop-loss
     table). A lattice law unbounded below is read through its reflection
-    affine(d, -1, 0), whose Y is the same; the baseline stays d's.
+    affine(d, -1, 0), whose Y is the same, kept in d's cache under
+    "reflection" so that its tables are built once; the baseline stays d's.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all((ts >= 0) & (ts < np.inf)):
         raise ValueError("t grid must be finite and nonnegative")
     if d.is_lattice and np.any(ts != np.floor(ts)):
         raise ValueError("lattice mean-excess grids must use integer t")
-    law = affine(d, -1.0, 0.0) if d.is_lattice and np.isinf(d.support.lower) else d
+    law = d
+    if d.is_lattice and np.isinf(d.support.lower):
+        if "reflection" not in d._cache:
+            d._cache["reflection"] = affine(d, -1.0, 0.0)
+        law = d._cache["reflection"]
     den, num = law.shifted_means(ts)
     if np.any(2.0 * den < _MIN_SY):
         raise DegenerateY(f"S_Y({ts[2.0 * den < _MIN_SY][0]:g}) underflowed for {d.label}")

@@ -5,8 +5,9 @@ A certificate is issued only from the structural hypotheses (hazard and
 reverse-hazard monotonicity, density log-concavity, and for lattice laws
 the concentration bound on the GMD); the numeric sign of SD - GMD is always
 attached as independent evidence but never upgrades an inconclusive
-verdict. A certificate that contradicts the numeric sign beyond tolerance
-raises ConsistencyViolation, which marks a bug rather than a result.
+verdict. `classify` picks one verdict, then one sign gate raises
+ConsistencyViolation on a certificate that contradicts the numeric sign
+beyond tolerance, which marks a bug rather than a result.
 """
 
 from __future__ import annotations
@@ -97,25 +98,22 @@ def classify(d: Distribution) -> OrderingVerdict:
     Continuous: SD dominance from a decreasing h or an increasing r; GMD
     dominance from a log-concave density, or from h increasing together
     with r decreasing. Lattice: SD dominance (strict) from the same rate
-    hypotheses; GMD dominance additionally requires
-    GMD <= (1 - Lambda) / (2 Lambda). Constant rates satisfy either
-    non-strict hypothesis and certify SD dominance first. The verdict reads
-    the rate verdicts and the density's log-concavity class only; the
-    evidence's audit flag, residual spot checks included, is computed when it
-    or a record is read.
+    hypotheses, withheld where the support end they rule out is finite; GMD
+    dominance additionally requires GMD <= (1 - Lambda) / (2 Lambda), and a
+    law whose GMD hypotheses hold but whose bound fails stays inconclusive
+    with gmd_bound_ok False. Constant rates satisfy either non-strict
+    hypothesis and certify SD dominance first. The verdict, picked once and
+    checked by one sign gate, reads the rate verdicts and the density's
+    log-concavity class only; the evidence's audit flag, residual spot checks
+    included, is computed when it or a record is read.
     """
     report = equivalence_audit(d)
     h_v, r_v = report.h_verdict, report.r_verdict
     disp = dispersion_report(d)
+    conc = concentration(d) if d.is_lattice else None
+    bound_ok = note = None
 
-    conc = None
-    bound_ok = None
-    note = None
-    if d.is_lattice:
-        conc = concentration(d)
-
-    h_route = h_v.is_nonincreasing
-    r_route = r_v.is_nondecreasing
+    h_route, r_route = h_v.is_nonincreasing, r_v.is_nondecreasing
     if d.is_lattice:
         # a decreasing h forces support unbounded above, an increasing r
         # forces it unbounded below; on a finite lattice the scan verdict is
@@ -135,33 +133,22 @@ def classify(d: Distribution) -> OrderingVerdict:
                 "certificate withheld"
             )
 
-    def certify(verdict: str, basis: str, evidence: OrderingEvidence) -> OrderingVerdict:
-        v = OrderingVerdict(verdict, basis, evidence, disp)
-        wrong = v.numeric_diff < -SIGN_TOL if verdict == SD_DOMINATES else v.numeric_diff > SIGN_TOL
-        if wrong:
-            raise ConsistencyViolation(
-                f"{d.label}: certified {basis} but SD - GMD = {v.numeric_diff}"
-            )
-        return v
-
-    if h_route or r_route:
-        basis = THM_SD_DISC if d.is_lattice else THM_SD_CONT
-        return certify(SD_DOMINATES, basis, OrderingEvidence(report, conc, None, note))
-
     pdf_logconcave = report.logconcavity["pdf"] == LOG_CONCAVE
-    both_rates = h_v.is_nondecreasing and r_v.is_nonincreasing
-    if d.is_lattice:
-        if pdf_logconcave or both_rates:
-            bound_ok = bool(disp.gmd <= conc.odds_bound + 1e-12)
-            if bound_ok:
-                return certify(GMD_DOMINATES, THM_GMD_DISC, OrderingEvidence(report, conc, True, note))
-        evidence = OrderingEvidence(report, conc, bound_ok, note)
-        return OrderingVerdict(INCONCLUSIVE, NO_BASIS, evidence, disp)
+    gmd_route = pdf_logconcave or (h_v.is_nondecreasing and r_v.is_nonincreasing)
+    verdict, basis = INCONCLUSIVE, NO_BASIS
+    if h_route or r_route:
+        verdict, basis = SD_DOMINATES, THM_SD_DISC if d.is_lattice else THM_SD_CONT
+    elif gmd_route and d.is_lattice:
+        bound_ok = bool(disp.gmd <= conc.odds_bound + 1e-12)
+        if bound_ok:
+            verdict, basis = GMD_DOMINATES, THM_GMD_DISC
+    elif gmd_route:
+        verdict, basis = GMD_DOMINATES, PROP_LOGCONCAVE if pdf_logconcave else THM_GMD_CONT
 
-    if pdf_logconcave or both_rates:
-        basis = PROP_LOGCONCAVE if pdf_logconcave else THM_GMD_CONT
-        return certify(GMD_DOMINATES, basis, OrderingEvidence(report, None, None, note))
-    return OrderingVerdict(INCONCLUSIVE, NO_BASIS, OrderingEvidence(report, conc, bound_ok, note), disp)
+    # the one sign gate: a certificate that SD - GMD contradicts is a bug
+    if {SD_DOMINATES: disp.diff < -SIGN_TOL, GMD_DOMINATES: disp.diff > SIGN_TOL}.get(verdict, False):
+        raise ConsistencyViolation(f"{d.label}: certified {basis} but SD - GMD = {disp.diff}")
+    return OrderingVerdict(verdict, basis, OrderingEvidence(report, conc, bound_ok, note), disp)
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +182,17 @@ def threshold_scan(d: Distribution, side: str, criterion: str, u_grid) -> Thresh
     if side not in (LOWER, UPPER):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     verdicts = [(u, _tail_criterion_holds(d, side, u, criterion)) for u in us]
-    flags = [ok for _, ok in verdicts]
-    u_star = None
+    failing = [i for i, (_, ok) in enumerate(verdicts) if not ok]
+    # lower: the point past the last failure; upper: the one before the first
     if side == LOWER:
-        # smallest u such that the criterion holds from u onward
-        for i in range(len(us)):
-            if all(flags[i:]):
-                u_star = us[i]
-                break
+        i = failing[-1] + 1 if failing else 0
     else:
-        for i in range(len(us) - 1, -1, -1):
-            if all(flags[: i + 1]):
-                u_star = us[i]
-                break
-    if u_star is None:
+        i = failing[0] - 1 if failing else len(us) - 1
+    if not 0 <= i < len(us):
         raise CriterionNeverHolds(
             f"{criterion} holds at no persistent threshold on the grid for {d.label}"
         )
-    return ThresholdScan(side=side, u_star=u_star, criterion=criterion, verified_range=verdicts)
+    return ThresholdScan(side=side, u_star=us[i], criterion=criterion, verified_range=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +212,7 @@ def closure_check(construct: str, inputs, expected: str) -> bool:
 
     Every input Distribution must itself classify with the expected verdict
     (the closure propositions presume their hypotheses); the check passes
-    when the combined law keeps both the certificate and the numeric sign.
+    when the combined law keeps the certificate, its sign checked by classify.
     """
     if construct not in _CONSTRUCTS:
         raise ValueError(f"unknown construct {construct!r}")
@@ -246,10 +226,4 @@ def closure_check(construct: str, inputs, expected: str) -> bool:
                 f"input {part.label} classifies as {pre.verdict}, not the "
                 f"expected {expected}; closure hypotheses do not apply"
             )
-    combined = _CONSTRUCTS[construct](inputs)
-    v = classify(combined)
-    if v.verdict != expected:
-        return False
-    if expected == SD_DOMINATES:
-        return v.numeric_diff >= -SIGN_TOL
-    return v.numeric_diff <= SIGN_TOL
+    return classify(_CONSTRUCTS[construct](inputs)).verdict == expected

@@ -2,8 +2,11 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,3 +331,39 @@ def test_verify_bad_seed_names_the_seed_flag(seed, capsys):
     assert out == ""
     assert err.startswith(f"ParseError: --seed {seed}: ") and err.count("\n") == 1
     assert "--mc-n" not in err
+
+
+FIGURES = Path(__file__).resolve().parents[1] / "docs" / "figures.md"
+# the header each subcommand writes; each must be documented as "Columns: `...`"
+RECIPE_HEADERS = {
+    "sweep": "param,sd,gmd,diff,verdict,basis",
+    "truncate-sweep": "u,sd,gmd,diff",
+    "mean-excess": "t,m_direct,m_repr,baseline",
+}
+
+
+def _figure_recipes() -> list[str]:
+    """Every `dispersion ...` line of the sh blocks of docs/figures.md, with
+    backslash continuations joined and comments dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", FIGURES.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    words = [shlex.split(line, comments=True) for line in lines]
+    return [shlex.join(w) for w in words if w[:1] == ["dispersion"]]
+
+
+def test_figure_recipes_are_all_found():
+    assert len(_figure_recipes()) == 12
+    documented = FIGURES.read_text()
+    for header in RECIPE_HEADERS.values():
+        assert f"Columns: `{header}`" in documented
+
+
+@pytest.mark.parametrize("recipe", _figure_recipes())
+def test_figure_recipe_runs(recipe, capsys):
+    args = shlex.split(recipe)[1:]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == RECIPE_HEADERS[args[0]]
+    start, stop, step = map(float, args[args.index("--range") + 1].split(":"))
+    assert len(lines) - 1 == round((stop - start) / step) + 1

@@ -14,6 +14,7 @@ from dispersion import (
     affine,
     classify,
     convolve,
+    dispersion_report,
     errors,
     make_distribution,
     mean_excess,
@@ -974,6 +975,10 @@ def test_mix_validates_weights_and_kinds():
         mix([a, a], [0.6, 0.6])
     with pytest.raises(errors.MixedKinds):
         mix([a, b], [0.5, 0.5])
+    # NaN passes both "< 0" and "sum - 1 > tol" unnoticed
+    for weights in ([math.nan, 1.0], [0.5, math.nan]):
+        with pytest.raises(errors.WeightSumError, match="nonnegative and sum to 1"):
+            mix([a, make_distribution("logistic")], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,6 +1011,32 @@ def test_truncate_empty_tail_raises():
     d = make_distribution("erfi-unit")
     with pytest.raises(errors.EmptyTail):
         truncate(d, "lower", 1.0)
+
+
+_PAST_END = [
+    (spec, side, delta)
+    for spec in STANDARD_INSTANCES
+    for side in ("lower", "upper")
+    if math.isfinite(getattr(make_distribution(spec).support, side))
+    for delta in (1e-3, 1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("spec,side,delta", _PAST_END)
+def test_truncation_past_the_support_end_is_the_parent(spec, side, delta):
+    # a cut below the lower end (side 'lower') or above the upper end (side
+    # 'upper') keeps the whole law; quadrature must not run past the end
+    parent = make_distribution(spec)
+    end = getattr(parent.support, side)
+    d = truncate(parent, side, end - delta if side == "lower" else end + delta)
+    assert d.support == parent.support
+    want, got = dispersion_report(parent), dispersion_report(d)
+    tol = want.err_estimate + got.err_estimate
+    for name in ("sd", "gmd"):
+        w, g = getattr(want, name), getattr(got, name)
+        assert abs(g - w) <= max(tol, 1e-12 * abs(w)), name
+    v, pv = classify(d), classify(parent)
+    assert (v.verdict, v.basis) == (pv.verdict, pv.basis)
 
 
 def test_truncate_cdf_is_renormalized():

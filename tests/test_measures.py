@@ -30,7 +30,7 @@ from dispersion import (
     tail_dispersion,
     truncate,
 )
-from dispersion.dist import _ANTIDERIV
+from dispersion.dist import _ANTIDERIV, Distribution
 from dispersion.hazard import hazard_scan
 from dispersion.measures import gmd_numeric, sd_numeric
 from dispersion.numerics import integrate, panel_nodes, panels
@@ -454,6 +454,23 @@ def test_lattice_invariance_under_combinators(spec, name):
     assert gmd_numeric(e)[0] == pytest.approx(gmd_numeric(d)[0], rel=1e-9, abs=0)
     assert np.allclose(ce.m_direct, c.m_direct, rtol=1e-9, atol=0)
     assert np.allclose(ce.m_repr, c.m_repr, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("spec", ["zipf:alpha=2.5", "poisson:theta=2"])
+def test_reflected_curve_enumerates_its_tables_once(spec, monkeypatch):
+    # a lattice law unbounded below is read through its reflection, which
+    # the law keeps: a second curve enumerates no lattice table
+    d = affine(make_distribution(spec), -1.0, 0.0)
+    ts = np.arange(8, dtype=float)
+    first = mean_excess_abs_diff(d, ts)
+    calls = []
+    points = Distribution.lattice_points
+    monkeypatch.setattr(Distribution, "lattice_points", lambda self, *a: calls.append(self) or points(self, *a))
+    second = mean_excess_abs_diff(d, ts)
+    assert calls == []
+    assert np.array_equal(second.m_direct, first.m_direct)
+    assert np.array_equal(second.m_repr, first.m_repr)
+    assert second.baseline == first.baseline
 
 
 def test_gapped_lattice_curve_matches_brute_force():

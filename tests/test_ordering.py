@@ -1,5 +1,7 @@
 """Dominance classification, threshold scans, and closure checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from dispersion.ordering import (
     NO_BASIS,
     PROP_LOGCONCAVE,
     SD_DOMINATES,
+    SIGN_TOL,
     TAIL_HAZARD,
     TAIL_LOGCONCAVE,
     THM_GMD_CONT,
@@ -181,6 +184,72 @@ def test_counterexample_fixtures_stay_inconclusive():
         v = classify(d)
         assert v.verdict != GMD_DOMINATES
         assert v.verdict == INCONCLUSIVE
+
+
+SD, GMD, NONE = SD_DOMINATES, GMD_DOMINATES, (INCONCLUSIVE, NO_BASIS)
+# (verdict, basis) of every standard instance; a new route or withholding
+# that moves an entry must move it here on purpose
+PINNED_VERDICTS = {
+    "gamma:alpha=0.5": (SD, THM_SD_CONT), "gamma:alpha=1": (SD, THM_SD_CONT),
+    "gamma:alpha=2": (GMD, PROP_LOGCONCAVE), "gamma:alpha=3": (GMD, PROP_LOGCONCAVE),
+    "weibull:alpha=0.5": (SD, THM_SD_CONT), "weibull:alpha=1": (SD, THM_SD_CONT),
+    "weibull:alpha=1.5": (GMD, PROP_LOGCONCAVE), "weibull:alpha=2.5": (GMD, PROP_LOGCONCAVE),
+    "gpd:alpha=0": (SD, THM_SD_CONT), "gpd:alpha=0.1": (SD, THM_SD_CONT),
+    "gpd:alpha=0.3": (SD, THM_SD_CONT), "gpd:alpha=0.45": (SD, THM_SD_CONT),
+    "normal:sigma=0.5": (GMD, PROP_LOGCONCAVE), "normal": (GMD, PROP_LOGCONCAVE),
+    "normal:sigma=2": (GMD, PROP_LOGCONCAVE),
+    "beta:alpha=0.5": NONE, "beta:alpha=2": (GMD, PROP_LOGCONCAVE),
+    "beta:alpha=3,beta=2": (GMD, PROP_LOGCONCAVE),
+    "logistic": (GMD, PROP_LOGCONCAVE), "erf-hazard": (SD, THM_SD_CONT),
+    "erfi-interval": NONE, "erfi-unit": (GMD, THM_GMD_CONT),
+    "damped-hazard:theta=0.05": (GMD, PROP_LOGCONCAVE),
+    "damped-hazard:theta=0.1": (GMD, PROP_LOGCONCAVE), "damped-hazard:theta=0.5": NONE,
+    "normal-mix": NONE, "normal-mix:sigma1=1,sigma2=3,q=0.5": NONE,
+    "normal-mix:sigma1=0.5,sigma2=1.5,q=0.3": NONE,
+    "geometric:p=0.2": (SD, THM_SD_DISC), "geometric:p=0.4": (SD, THM_SD_DISC),
+    "geometric:p=0.5": (SD, THM_SD_DISC), "geometric:p=0.8": (SD, THM_SD_DISC),
+    "zipf:alpha=2.5": (SD, THM_SD_DISC), "zipf:alpha=3": (SD, THM_SD_DISC),
+    "zipf:alpha=4": (SD, THM_SD_DISC),
+    "poisson:theta=0.5": NONE, "poisson:theta=1": (GMD, THM_GMD_DISC),
+    "poisson:theta=1.5": (GMD, THM_GMD_DISC), "poisson:theta=2.5": (GMD, THM_GMD_DISC),
+    "negbinomial:r=0.5,p=0.5": (SD, THM_SD_DISC), "negbinomial:r=2,p=0.3": (GMD, THM_GMD_DISC),
+    "negbinomial:r=2,p=0.7": NONE,
+}
+
+
+def test_pinned_verdicts_cover_the_standard_instances(instances):
+    assert list(PINNED_VERDICTS) == STANDARD_INSTANCES
+    verdicts = {spec: classify(d) for spec, d in instances.items()}
+    assert {spec: (v.verdict, v.basis) for spec, v in verdicts.items()} == PINNED_VERDICTS
+
+
+def _with_diff(spec, diff):
+    # a fresh law whose cached SD/GMD report carries the given SD - GMD
+    d = make_distribution(spec)
+    d._cache["report"] = dataclasses.replace(dispersion_report(d), diff=diff)
+    return d
+
+
+@pytest.mark.parametrize("spec,basis,diff", [
+    ("gamma:alpha=2", PROP_LOGCONCAVE, 1.0),
+    ("erfi-unit", THM_GMD_CONT, 1.0),
+    ("gpd:alpha=0.25", THM_SD_CONT, -1.0),
+    ("poisson:theta=2", THM_GMD_DISC, 1.0),
+    ("geometric:p=0.4", THM_SD_DISC, -1.0),
+])
+def test_sign_gate_raises_on_a_wrong_signed_certificate(spec, basis, diff):
+    with pytest.raises(errors.ConsistencyViolation, match=f"certified {basis} but SD - GMD = {diff}"):
+        classify(_with_diff(spec, diff))
+    # at the tolerance itself the certificate stands
+    v = classify(_with_diff(spec, np.copysign(SIGN_TOL, diff)))
+    assert v.basis == basis
+
+
+@pytest.mark.parametrize("spec,diff", [("erfi-interval", 5.0), ("erfi-interval", -5.0), ("poisson:theta=0.5", 3.0)])
+def test_sign_gate_leaves_inconclusive_laws_alone(spec, diff):
+    v = classify(_with_diff(spec, diff))
+    assert (v.verdict, v.basis) == (INCONCLUSIVE, NO_BASIS)
+    assert v.numeric_diff == diff
 
 
 # ---------------------------------------------------------------------------
