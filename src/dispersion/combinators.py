@@ -43,11 +43,12 @@ UPPER = "upper"
 
 
 def affine(d: Distribution, a: float, b: float) -> Distribution:
-    """Law of a*X + b. Lattice laws admit only |a| = 1 with integer b."""
-    if a == 0:
-        raise DegenerateScale("affine scale a must be nonzero")
+    """Law of a*X + b for finite a != 0 and finite b (else DegenerateScale).
+    Lattice laws admit only |a| = 1 with integer b."""
     a = float(a)
     b = float(b)
+    if a == 0 or not (math.isfinite(a) and math.isfinite(b)):
+        raise DegenerateScale(f"affine map needs a finite nonzero scale and a finite shift, got a={a}, b={b}")
     if d.is_lattice and (abs(a) != 1 or b != round(b)):
         raise UnsupportedKind(
             "lattice affine maps are limited to |a| = 1 with integer b "

@@ -219,9 +219,10 @@ class Distribution:
         lookup, and a search of the lattice table for the rest; continuous laws
         by one cubic of _hermite_table, certified to 1e-12 when built. Targets
         the cubics leave out, in a sub-interval the table could not certify or
-        beyond its end nodes, go to the ppf where the law has one; without one
-        they are bisected, inside their node interval or between the support
-        end and the end node, so the output joins the table's monotonically.
+        beyond its end nodes, go to the law's exact inverse: the ppf where the
+        law has one, else the node solver of the table (_exact_inverse), whose
+        Newton steps on log cdf (log sf above) keep p's relative accuracy deep
+        in a tail and beside a density pole.
         Monte Carlo sets `table` where the ppf is iterative (`ppf_iterative`:
         gamma, beta and the maps of them that keep their ppf), so it draws
         those laws through the certified table, whose nodes are ppf(u);
@@ -301,48 +302,61 @@ class Distribution:
         return (p <= 0.5, self.cdf, p), (p > 0.5, lambda x: -self.sf(x), p - 1.0)
 
     def _beyond(self, p: np.ndarray, first: float, last: float) -> np.ndarray:
-        """Quantiles of targets beyond a table whose end nodes are first and
-        last; lattice results round to the integer bisected onto."""
+        """Lattice quantiles of targets beyond a table whose end points are
+        first and last: the integer bisected onto."""
         out = np.empty_like(p)
         for (sel, fn, target), lo, hi in zip(self._sides(p), (self.support.lower, last), (first, self.support.upper)):
             if sel.any():
                 out[sel] = bisect_increasing(fn, target[sel], lo, hi)
-        return np.round(out) if self.is_lattice else out
+        return np.round(out)
 
     def _inverse_table(self):
-        """(node probabilities, x, pdf at x), level 0 of _hermite_table.
-
-        A law with a ppf takes ppf(u), clipped to the support; a law without
-        one solves each node by a short bisection and Newton steps
-        (_solve_nodes). Every node is then checked as the table checks its
-        other points, cdf against u up to 1/2 and sf against the exact 1 - u
-        above, so a cdf that saturates short of 1 does not spoil it. A node
-        that misses by more than INV_TOL, is not finite or breaks the order of
-        its neighbours is bisected in full, and only those nodes are; on a law
-        without a ppf such a node first takes Newton steps again, this time
-        going to the bracket end a step overshoots (`to_end`).
-        """
+        """(node probabilities, x, pdf at x), level 0 of _hermite_table: x is
+        the exact inverse (_exact_inverse) at INV_NODES probabilities."""
         if "inverse" not in self._cache:
             u = 1.0 / (1.0 + np.exp(-np.linspace(-INV_LOGIT, INV_LOGIT, INV_NODES)))
-            with np.errstate(all="ignore"):
-                if self.ppf is not None:
-                    x = np.clip(np.asarray(self.ppf(u), dtype=float), self.support.lower, self.support.upper)
-                    retries = ({"newton": False},)
-                else:
-                    x = self._solve_nodes(u, newton=True)
-                    retries = ({"newton": True, "to_end": True}, {"newton": False})
-                r = self._node_residuals(u, x)
-                for retry in retries:
-                    bad = ~(np.abs(r) <= INV_TOL) | ~np.isfinite(x)
-                    down = np.diff(x) < 0
-                    bad[1:] |= down
-                    bad[:-1] |= down
-                    if not bad.any():
-                        break
-                    x[bad] = self._solve_nodes(u[bad], **retry)
-                    r[bad] = self._node_residuals(u[bad], x[bad])
+            x = self._exact_inverse(u)
             self._cache["inverse"] = _read_only(u, x, np.asarray(self.pdf(x), dtype=float))
         return self._cache["inverse"]
+
+    def _exact_inverse(self, u: np.ndarray) -> np.ndarray:
+        """x at probabilities u in (0, 1) of a continuous law: the inverse-table
+        nodes, and on a law without a ppf every target the table's cubics leave
+        out. u is solved in sorted order, so that the order check below sees
+        neighbours in probability however the caller ordered u.
+
+        A law with a ppf takes ppf(u), clipped to the support; a law without
+        one solves each target by a short bisection and Newton steps
+        (_solve_nodes). Every x is then checked as the table checks its other
+        points, cdf against u up to 1/2 and sf against the exact 1 - u above,
+        so a cdf that saturates short of 1 does not spoil it. An x that misses
+        by more than INV_TOL, is not finite or breaks the order of its
+        neighbours is bisected in full, and only those are; on a law without a
+        ppf such an x first takes Newton steps again, this time going to the
+        bracket end a step overshoots (`to_end`).
+        """
+        order = np.argsort(u, kind="stable")
+        u = u[order]
+        with np.errstate(all="ignore"):
+            if self.ppf is not None:
+                x = np.clip(np.asarray(self.ppf(u), dtype=float), self.support.lower, self.support.upper)
+                retries = ({"newton": False},)
+            else:
+                x = self._solve_nodes(u, newton=True)
+                retries = ({"newton": True, "to_end": True}, {"newton": False})
+            r = self._node_residuals(u, x)
+            for retry in retries:
+                bad = ~(np.abs(r) <= INV_TOL) | ~np.isfinite(x)
+                down = np.diff(x) < 0
+                bad[1:] |= down
+                bad[:-1] |= down
+                if not bad.any():
+                    break
+                x[bad] = self._solve_nodes(u[bad], **retry)
+                r[bad] = self._node_residuals(u[bad], x[bad])
+        out = np.empty_like(x)
+        out[order] = x
+        return out
 
     def _node_residuals(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
         r = np.empty_like(u)
@@ -422,8 +436,7 @@ class Distribution:
                     xx, dd, check = (np.repeat(a, 2, axis=1)[:, :-1] for a in (xs, ds, fresh))
                     xx[:, 1::2], check[:, 1::2] = _horner(c, 0.5), True  # midpoints in odd columns
                     uu, r = u[ks][:, None] + 0.5 * du * np.arange(2 * m + 1), np.zeros(xx.shape)
-                    for sel, fn, target in self._sides(uu):
-                        r[sel & check] = fn(xx[sel & check]) - target[sel & check]
+                    r[check] = self._node_residuals(uu[check], xx[check])
                     bad = ~(np.abs(r) <= INV_TOL).all(axis=1)
                     c[bad] = np.nan  # a row still bad is kept only at the cap
                     done = ~bad | (level == INV_LEVELS)
@@ -444,7 +457,7 @@ class Distribution:
         return self._cache["hermite"]
 
     def _invert(self, p: np.ndarray) -> np.ndarray:
-        u, x_nodes, _ = self._inverse_table()
+        u = self._inverse_table()[0]
         sizes, offsets, scale, coef = self._hermite_table()
         n, pc = len(u) - 1, np.clip(p, u[0], u[-1])
         # node interval by logit arithmetic; next to a node, rounding may pick its neighbour
@@ -469,20 +482,10 @@ class Distribution:
             x += c[:, i]
             if i:
                 x *= s
-        beyond = p != pc
-        if self.ppf is not None:  # the closed form answers every target the cubics leave out
-            miss = np.isnan(x) | beyond
-            if miss.any():
-                x[miss] = self.ppf(p[miss])
-            return x
-        uncertified = np.isnan(x) & ~beyond
-        if uncertified.any():  # bisect inside the node interval
-            for sel, fn, target in self._sides(p):
-                sel &= uncertified
-                if sel.any():
-                    x[sel] = bisect_increasing(fn, target[sel], x_nodes[k[sel]], x_nodes[k[sel] + 1])
-        if beyond.any():
-            x[beyond] = self._beyond(p[beyond], x_nodes[0], x_nodes[-1])
+        # the law's exact inverse answers every target the cubics leave out
+        miss = np.isnan(x) | (p != pc)
+        if miss.any():
+            x[miss] = self._exact_inverse(p[miss]) if self.ppf is None else self.ppf(p[miss])
         return x
 
     # -- lattice enumeration ------------------------------------------------

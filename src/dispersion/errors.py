@@ -29,7 +29,7 @@ class ParamOutOfDomain(DispersionError):
 
 
 class DegenerateScale(DispersionError):
-    """Affine transform with a = 0."""
+    """Affine transform with a = 0, or with a non-finite scale a or shift b."""
 
 
 class WeightSumError(DispersionError):
@@ -78,10 +78,6 @@ class DegenerateY(DispersionError):
 
 class ContinuousInput(DispersionError):
     """Lattice-only operation called with a continuous distribution."""
-
-
-class SamplingUnavailable(DispersionError):
-    """Distribution cannot be sampled (no invertible CDF)."""
 
 
 class SupportTooLarge(DispersionError):

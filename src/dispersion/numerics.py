@@ -510,12 +510,12 @@ def bisect_increasing(
     bracket below 1e-21 of its initial width, far past the 1e-12
     in-probability tolerance used for inverse-CDF sampling.
 
-    Distribution.quantile uses it for inverse-table nodes that neither a ppf
-    nor the Newton steps of their build solve to 1e-12, and, on laws without
-    a ppf, for targets in a node interval that the table's cubic refinement
-    leaves uncertified and for targets beyond a lattice or inverse table;
-    Distribution.lattice_points uses it to find the end of each lattice
-    enumeration.
+    Distribution.quantile uses it, in log|x - end| beside a finite support
+    end, for continuous targets that neither a ppf nor the node solver's
+    Newton steps solve to 1e-12 (inverse-table nodes, and on laws without a
+    ppf the targets the table's cubics leave out), and for targets beyond a
+    lattice table; Distribution.lattice_points uses it to find the end of
+    each lattice enumeration.
     """
     los, his = narrow_increasing(fn, targets, lo, hi, iters)
     return 0.5 * (los + his)

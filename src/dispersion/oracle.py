@@ -19,7 +19,8 @@ Hermite inverse table, within 1e-12 in probability. Those are the laws
 whose ppf is an iterative special-function inverse (gamma's gammaincinv,
 beta's betaincinv; `Distribution.ppf_iterative`) and the laws without one.
 Inside a sub-interval the table could not certify, and beyond its end
-nodes, the law's ppf answers where it has one and a bisection otherwise.
+nodes, the law's ppf answers where it has one, and otherwise the solver of
+the table's nodes (`Distribution._exact_inverse`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from numpy.random import Generator, Philox
 from scipy.special import stdtrit
 
 from .dist import Distribution
-from .errors import SamplingUnavailable
 
 N_BATCHES = 32
 # Philox keys are 128-bit: a seed is an integer in [0, SEED_LIMIT)
@@ -67,12 +67,9 @@ class LatticeExact:
 
 def _sample(d: Distribution, gen: Generator, m: int) -> np.ndarray:
     u = gen.random(m)
-    # keep a ppf finite and bisection away from exactly 0/1 targets
+    # no target at exactly 0 or 1, whose quantile may be an infinite support end
     u = np.clip(u, 1e-15, 1 - 1e-15)
-    try:
-        return np.asarray(d.quantile(u, table=d.ppf_iterative), dtype=float)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise SamplingUnavailable(f"inverse-CDF sampling failed for {d.label}: {exc}")
+    return np.asarray(d.quantile(u, table=d.ppf_iterative), dtype=float)
 
 
 def mc_estimate(d: Distribution, n: int, seed: int) -> OracleEstimate:

@@ -198,6 +198,14 @@ def test_exit_code_computation_error(capsys):
     assert "EmptyTail" in err
 
 
+def test_exit_code_unsampleable_lattice_names_its_error(capsys):
+    # a lattice too long to enumerate cannot be drawn through its table; the
+    # error keeps its own class on its way out of Monte Carlo
+    code, _, err = run_cli(["verify", "--dist", "geometric:p=1e-6", "--mc-n", "10000"], capsys)
+    assert code == 3
+    assert err.startswith("SupportTooLarge: ")
+
+
 def test_exit_code_bad_flag():
     # argparse handles unknown flags with status 2
     proc = subprocess.run(

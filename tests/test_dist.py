@@ -254,16 +254,43 @@ def test_table_read_is_the_horner_cubic_bit_for_bit(spec):
     j = np.clip(s.astype(int), 0, sizes[k] - 1)
     want = _horner(coef[offsets[k] + j], s - j)
     got = d._invert(p)
-    keep = ~np.isnan(want)  # uncertified targets are bisected instead
+    keep = ~np.isnan(want)  # uncertified targets are solved by the node solver instead
     assert keep.sum() > len(p) // 4
     assert np.array_equal(got[keep], want[keep])
 
 
-def test_uncertified_intervals_are_bisected(monkeypatch):
+def test_uncertified_intervals_are_solved(monkeypatch):
     # with one halving allowed most intervals stay above 1e-12 and hold NaN
-    # cubics; their targets are bisected and still come out within 1e-12
+    # cubics; the node solver answers their targets, still within 1e-12
     monkeypatch.setattr("dispersion.dist.INV_LEVELS", 1)
     d = make_distribution("normal-mix")
+    assert np.isnan(d._hermite_table()[3][:, 0]).any()
+    assert _max_residual(d, Generator(Philox(key=2024)).random(20_000)) <= 1e-12
+
+
+def _pole_mixture():
+    # half the mass on gamma(0.05), whose density has a pole at 0: its
+    # quantiles below 1e-12 sit near 1e-255 and below
+    return mix([make_distribution("gamma:alpha=0.05"), make_distribution("gamma:alpha=2")], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("p", [1e-15, 1e-14, 1e-13])
+def test_quantiles_beyond_the_table_keep_relative_accuracy(p):
+    # a bisection in x between the support end and the first node cannot
+    # resolve x near 1e-257; the node solver's steps in log x do
+    d = _pole_mixture()
+    q = 1.0 - p  # its distance from 1, 1 - q, is exact
+    lo, hi = d.quantile(np.array([p, q]))
+    assert abs(float(d.cdf(lo)) / p - 1.0) <= 1e-12
+    assert abs(float(d.sf(hi)) / (1.0 - q) - 1.0) <= 1e-12
+
+
+def test_draws_in_uncertified_sub_intervals_are_not_bisected(monkeypatch):
+    # about half of 20,000 unsorted draws fall in uncertified sub-intervals;
+    # solved in sorted order, none fails the node solver's order check and
+    # goes on to a full bisection
+    monkeypatch.setattr("dispersion.dist.bisect_increasing", lambda *a, **k: pytest.fail("target bisected"))
+    d = _pole_mixture()
     assert np.isnan(d._hermite_table()[3][:, 0]).any()
     assert _max_residual(d, Generator(Philox(key=2024)).random(20_000)) <= 1e-12
 
@@ -896,6 +923,15 @@ def test_affine_roundtrip_reproduces_cdf(instances):
 def test_affine_rejects_zero_scale():
     with pytest.raises(errors.DegenerateScale):
         affine(make_distribution("normal"), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("spec", ["normal", "geometric:p=0.5"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_affine_rejects_non_finite_scale_or_shift(spec, bad):
+    d = make_distribution(spec)
+    for a, b in ((bad, 0.0), (1.0, bad)):
+        with pytest.raises(errors.DegenerateScale):
+            affine(d, a, b)
 
 
 def test_affine_lattice_requires_unit_scale():
