@@ -173,17 +173,21 @@ def truncate(d: Distribution, side: str, u: float) -> Distribution:
     """Law of (X | X > u) for side='lower' or (X | X <= u) for side='upper'.
 
     The kept side's own tail function, sf above u or cdf up to u, is the
-    parent's divided by the mass; the other is (mass - that) / mass, whose
-    two terms are small and accurate deep in that tail. Only the upper side
-    keeps a ppf (module docstring). A u outside the parent's support keeps
-    the parent's end, so the law is the parent's and quadrature never runs
-    past that end.
+    parent's divided by the mass. The other is a difference of the parent's
+    tail functions divided by the mass: where the mass is at most 1/2, mass
+    minus the own function, both small deep in the parent's tail; above 1/2,
+    where those two are both near 1, the parent's other tail function less
+    its value at u, (F(x) - F(u)) / S(u) for a lower cut in the parent's
+    lower tail and (S(x) - S(u)) / F(u) for an upper cut in its upper tail.
+    Only the upper side keeps a ppf (module docstring). A u outside the
+    parent's support keeps the parent's end, so the law is the parent's and
+    quadrature never runs past that end.
     """
     if side not in (LOWER, UPPER):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     u = float(u)
     lower = side == LOWER
-    own = d.sf if lower else d.cdf
+    own, other = (d.sf, d.cdf) if lower else (d.cdf, d.sf)
     mass = float(own(u))
     if not mass > 1e-300:
         raise EmptyTail(f"P(X {'>' if lower else '<='} {u}) = {mass} is numerically zero for {d.label}")
@@ -205,9 +209,15 @@ def truncate(d: Distribution, side: str, u: float) -> Distribution:
         x = np.asarray(x, float)
         return np.where(past(x), 1.0, np.clip(own(x) / mass, 0.0, 1.0))
 
+    if mass <= 0.5:
+        diff = lambda x: mass - own(x)
+    else:
+        at_u = float(other(u))
+        diff = lambda x: other(x) - at_u
+
     def rest(x):
         x = np.asarray(x, float)
-        return np.where(past(x), 0.0, np.clip((mass - own(x)) / mass, 0.0, 1.0))
+        return np.where(past(x), 0.0, np.clip(diff(x) / mass, 0.0, 1.0))
 
     ppf = None
     if not lower and d.ppf is not None and not d.is_lattice:

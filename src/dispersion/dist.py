@@ -7,15 +7,16 @@ survival convention is P(X > x) in both kinds, so cdf + sf = 1 pointwise.
 Instances are immutable after construction and safe to evaluate from
 concurrent workers; the only mutable state is a per-law cache of read-only
 tables, owned by this module and built lazily on first use (Distribution
-lists them): the enumerated lattice table, the guide table every lattice
-quantile reads and the sums over the tail it leaves out, the one scan grid,
-the certified inverse table behind the continuous quantiles of laws without
-a ppf and the Monte Carlo draws of those and of laws whose ppf is
-iterative, and the stop-loss table behind every mean excess. Each is built
-once and never rebuilt. On continuous laws the stop-loss table runs on into
-the tail and a read of it between nodes evaluates no law; on the lattice it
-is read past its top by sf and the tail's sum of S, never extended, and a
-curve reads it from its first point up.
+lists them): the enumerated lattice table, summed from one pmf pass and read
+by every lattice scan, the guide table every lattice quantile reads and the
+sums over the tail it leaves out, the one scan grid, the certified inverse
+table behind the continuous quantiles of laws without a ppf and the Monte
+Carlo draws of those and of laws whose ppf is iterative, and the stop-loss
+table behind every mean excess. Each is built once and never rebuilt. On
+continuous laws the stop-loss table runs on into the tail and a read of it
+between nodes evaluates no law; on the lattice it is read past its top by sf
+and the tail's sum of S, never extended, and a curve reads it from its first
+point up.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ SUM_CUT = 1e-12
 GUIDE = 4096
 # most points one lattice enumeration, or one tail summed in blocks, may hold
 LATTICE_LIMIT = 2**19
+# most points one pass of the search for a lattice enumeration's end tries
+END_PASS = 128
 # points in the first block of a tail summed past a table; each next block doubles
 TAIL_BLOCK = 1024
 # most cells, t values times table points, one block of a lattice curve reads
@@ -98,6 +101,26 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a 2-D a, summed over a's columns from the first by numpy, not
     by BLAS, whose blocking, and so whose bits, follow its thread count."""
     return sum(a[:, k, None] * b[k] for k in range(a.shape[1]))
+
+
+def _first_integer(test: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """The least integer k in [lo, hi) at which the vectorized `test` holds, else
+    hi, for a test that holds at every integer past one where it holds. The first
+    pass tries lo - 1 + 2^j for 2^j <= hi - lo; each later pass tries every
+    integer left below the first point found, or END_PASS of them evenly spaced."""
+    n = hi - lo
+    xs = lo - 1.0 + np.exp2(np.arange(int(n).bit_length()))
+    while n > 0:
+        ok = np.asarray(test(xs), dtype=bool)
+        j = int(np.argmax(ok)) if ok.any() else len(xs)
+        if j < len(xs):
+            hi = float(xs[j])
+        if j:
+            lo = float(xs[j - 1]) + 1.0
+        n = hi - lo
+        m = min(n, END_PASS)
+        xs = lo + np.floor(np.arange(m) * (n / max(m, 1)))
+    return hi
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -184,11 +207,12 @@ class Distribution:
     ppf_iterative: bool = False
     closed: ClosedForms = field(default_factory=ClosedForms)
     meta: dict = field(default_factory=dict)
-    # lattice laws with polynomial tails supply the sums over the region past
-    # an integer m on the open side of the support, x > m for an upper tail
-    # and x < m for a lower one: (mass, sum x f, sum x^2 f, then sum S for an
-    # upper tail or sum F for a lower one). GMD reads the last as the sum of
-    # F S there, which it exceeds by at most the mass times itself.
+    # lattice laws supply the sums over the region past an integer m on the
+    # open side of the support, x > m for an upper tail and x < m for a lower
+    # one: (mass, sum x f, sum x^2 f, then sum S for an upper tail or sum F
+    # for a lower one); every registry lattice family does, in closed form.
+    # GMD reads the last as the sum of F S there, which it exceeds by at most
+    # the mass times itself.
     tail_sums: Callable[[int], tuple[float, float, float, float]] | None = None
     # interior kinks of a continuous support, where a mixture component's
     # support starts or ends: nodes of the stop-loss table, and edges at
@@ -282,7 +306,9 @@ class Distribution:
         floor is cdf below the table's first point (Chen & Asau, AIIE Trans.
         6(2), 1974). The search does not decrease as p grows on either side of
         1/2 when both columns are sorted, as searchsorted needs, so a bucket
-        whose two ends agree on one side resolves. The bucket starting at 1/2
+        whose two ends agree on one side resolves. Both columns are running
+        sums of the pmf (lattice_table), so they are sorted but where rounding
+        at the switch to a complement breaks it. The bucket starting at 1/2
         spans both sides and stays -1, as do buckets reaching down to floor
         and every bucket of a table with an unsorted column. Read-only."""
         if "guide" not in self._cache:
@@ -495,20 +521,21 @@ class Distribution:
 
         Enumerates upward from a finite lower endpoint to the first k with
         sf(k) <= mass_cut, or downward from a finite upper endpoint to the
-        last k with cdf(k - 1) < mass_cut, bisecting for that end within
-        LATTICE_LIMIT points; raises SupportTooLarge past LATTICE_LIMIT
-        points. No registry family has a doubly infinite lattice support.
+        last k with cdf(k - 1) < mass_cut, searching for that end within
+        LATTICE_LIMIT points (_first_integer); raises SupportTooLarge past
+        LATTICE_LIMIT points. No registry family has a doubly infinite
+        lattice support.
         """
         if not self.is_lattice:
             raise UnsupportedKind("lattice_points requires an integer-lattice law")
         lo, hi = self.support.lower, self.support.upper
         if np.isinf(lo) and np.isinf(hi):
             raise UnsupportedKind("doubly infinite lattice support is not enumerable")
-        n = LATTICE_LIMIT.bit_length()  # halvings to bring the end within 1/4 point
+        # a NaN column value counts as past the cut
         if np.isinf(hi):
-            hi = bisect_increasing(lambda x: -self.sf(x), [-mass_cut], lo, lo + LATTICE_LIMIT, n)[0]
+            hi = _first_integer(lambda k: ~(self.sf(k) > mass_cut), lo, lo + LATTICE_LIMIT)
         elif np.isinf(lo):
-            lo = bisect_increasing(self.cdf, [mass_cut], hi - LATTICE_LIMIT, hi, n)[0]
+            lo = _first_integer(lambda k: ~(self.cdf(k) < mass_cut), hi - LATTICE_LIMIT, hi)
         first, last = round(lo), round(hi)
         if last - first + 1 > LATTICE_LIMIT:
             msg = f"lattice support exceeds {LATTICE_LIMIT} points at mass cut {mass_cut}"
@@ -516,20 +543,45 @@ class Distribution:
         return np.arange(first, last + 1)
 
     def lattice_table(self) -> tuple[np.ndarray, ...]:
-        """(points, pmf, cdf, sf) at the support enumerated to SUM_CUT.
+        """(points, pmf, cdf, sf) at the support enumerated to SUM_CUT, from
+        one pmf pass: cdf is the running sum of the pmf from the first point,
+        started from the mass below it, cdf(first - 1), and sf the running sum
+        from the last point down, started from the mass above it, sf(last).
+        Each column is its own running sum where that is at most 1/2, and the
+        complement of the other column's elsewhere, so each keeps its relative
+        accuracy in its own tail; no special function runs over the table, and
+        the sums run in numpy's fixed order.
 
         Built once per law; points are floats and every array is read-only.
         """
         if "lattice" not in self._cache:
             pts = self.lattice_points(SUM_CUT).astype(float)
-            cols = [np.asarray(fn(pts), dtype=float) for fn in (self.pdf, self.cdf, self.sf)]
-            self._cache["lattice"] = _read_only(pts, *cols)
+            f = np.asarray(self.pdf(pts), dtype=float)
+            up = np.cumsum(np.append(float(self.cdf(pts[0] - 1.0)), f))[1:]
+            down = np.cumsum(np.append(float(self.sf(pts[-1])), f[:0:-1]))[::-1]
+            cdf, sf = np.where(up <= 0.5, up, 1.0 - down), np.where(down <= 0.5, down, 1.0 - up)
+            self._cache["lattice"] = _read_only(pts, f, cdf, sf)
         return self._cache["lattice"]
+
+    def _lattice_read(self, name: str, k: np.ndarray) -> np.ndarray:
+        """pdf, cdf or sf, as `name` says, at integers k (floats): the column
+        of lattice_table() inside the table, the law's own function only at
+        points past its ends. Every lattice scan reads its grid's neighbours
+        this way."""
+        pts, *cols = self.lattice_table()
+        col = cols[("pdf", "cdf", "sf").index(name)]
+        i = k - pts[0]
+        inside = (i >= 0) & (i < len(pts))
+        out = col.take(np.where(inside, i, 0).astype(np.intp))
+        if not inside.all():
+            out[~inside] = getattr(self, name)(k[~inside])
+        return out
 
     def lattice_tail(self, m: int, upper: bool) -> np.ndarray:
         """(mass, sum x f, sum x^2 f, sum S) over x > m if `upper`, else (mass,
         sum x f, sum x^2 f, sum F) over x < m: from tail_sums where the law
-        carries them, else mass from sf or cdf and the sums in blocks from m
+        carries them, as every registry lattice law and the combinators of
+        them do, else mass from sf or cdf and the sums in blocks from m
         outward, each twice the last, until a block adds nothing or its f and
         S (or F) are all 0. Raises SupportTooLarge once it has summed more than
         LATTICE_LIMIT points, counted (far out x + 1 == x, so the distance from
@@ -591,15 +643,18 @@ class Distribution:
 
     def probe_values(self, *which: str) -> tuple[np.ndarray, ...]:
         """(probe_grid(), then pdf, cdf or sf on it for each name in `which`).
-        Each column is evaluated once per law and kept read-only beside its
-        grid, so the scans of one law share it."""
+        Each column is taken once per law and kept read-only beside its grid,
+        so the scans of one law share it: on a continuous law by the law's
+        function, on a lattice law from the rows of lattice_table() that the
+        grid selects, with no law call."""
         with np.errstate(all="ignore"):
             xs = self.probe_grid()
             cols = []
             for name in which:
                 key = ("grid", name)
                 if key not in self._cache:
-                    self._cache[key] = _read_only(np.asarray(getattr(self, name)(xs), dtype=float))[0]
+                    col = self._lattice_read(name, xs) if self.is_lattice else getattr(self, name)(xs)
+                    self._cache[key] = _read_only(np.asarray(col, dtype=float))[0]
                 cols.append(self._cache[key])
         return (xs, *cols)
 

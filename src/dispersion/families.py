@@ -11,10 +11,11 @@ A family states its law once. Three builders turn that statement into the
 columns: `_survival_pair` takes the cumulative hazard of the laws defined
 through their hazard (weibull, gpd, erf-hazard, damped-hazard),
 `_lattice_columns` the pmf, cdf and sf at the integers of a lattice family,
-and `_erfi_law` the affine argument of both erfi laws. Two families are
-built by others' builders: normal-mix is `combinators.mix` of two
-`_normal` laws, and gpd below shape 1e-20 is `_weibull(1)`, the
-exponential it equals.
+and `_erfi_law` the affine argument of both erfi laws. Every lattice family
+also states its sums over the tail past any m (`Distribution.tail_sums`) in
+closed form. Two families are built by others' builders: normal-mix is
+`combinators.mix` of two `_normal` laws, and gpd below shape 1e-20 is
+`_weibull(1)`, the exponential it equals.
 
 Family-spec strings parse as ``family:name=value,name=value``, e.g.
 ``gpd:alpha=0.25`` or ``normal-mix:sigma1=0.5,sigma2=2,q=0.75``. A family's
@@ -431,11 +432,21 @@ def _geometric(p: float) -> Distribution:
     pdf, cdf, sfn = _lattice_columns(
         0, lambda k: pp * np.exp(k * lq), lambda k: -np.expm1((k + 1) * lq), lambda k: np.exp((k + 1) * lq)
     )
+    r = (1 - pp) / pp  # q / p
+
+    def tail_sums(m: int) -> tuple[float, float, float, float]:
+        # geometric series over x > m, with q^(m + 1) = P(X > m); below the
+        # support (m < -1) the sum of S also counts S = 1 at m + 1, ..., -1
+        k = max(m, -1) + 1
+        mass = math.exp(k * lq)
+        return (mass, mass * (k + r), mass * (k * k + 2 * k * r + r * (2 - pp) / pp),
+                mass * r + (k - 1 - m))
+
     return Distribution(
         support=Support(0, np.inf, LATTICE),
-        pdf=pdf, cdf=cdf, sf=sfn,
+        pdf=pdf, cdf=cdf, sf=sfn, tail_sums=tail_sums,
         closed=ClosedForms(
-            mean=(1 - pp) / pp,
+            mean=r,
             sd=math.sqrt(1 - pp) / pp,
             gmd=2 * (1 - pp) / (pp * (2 - pp)),
         ),
@@ -474,7 +485,15 @@ def _poisson(theta: float) -> Distribution:
     pdf, cdf, sfn = _lattice_columns(
         0, pmf_int, lambda k: special.gammaincc(k + 1, t), lambda k: special.gammainc(k + 1, t)
     )
-    return Distribution(support=Support(0, np.inf, LATTICE), pdf=pdf, cdf=cdf, sf=sfn)
+
+    def tail_sums(m: int) -> tuple[float, float, float, float]:
+        # over x > m, by x f(x) = t f(x - 1): G(k) = P(X >= k) = gammainc(k, t),
+        # 1 for k <= 0 (Johnson, Kemp & Kotz, Univariate Discrete Distributions,
+        # 3rd ed., 2005, ch. 4); sum S = sum_{x >= m+2} (x - m - 1) f(x)
+        g = lambda k: float(special.gammainc(k, t)) if k > 0 else 1.0
+        return g(m + 1), t * g(m), t * t * g(m - 1) + t * g(m), t * g(m + 1) - (m + 1) * g(m + 2)
+
+    return Distribution(support=Support(0, np.inf, LATTICE), pdf=pdf, cdf=cdf, sf=sfn, tail_sums=tail_sums)
 
 
 def _negbinomial(r: float, p: float) -> Distribution:
@@ -488,14 +507,23 @@ def _negbinomial(r: float, p: float) -> Distribution:
     pdf, cdf, sfn = _lattice_columns(
         0, pmf_int, lambda k: special.betainc(rr, k + 1, pp), lambda k: special.betaincc(rr, k + 1, pp)
     )
+    mu = rr * (1 - pp) / pp
+
+    def tail_sums(m: int) -> tuple[float, float, float, float]:
+        # over x > m, by x f_r(x) = (r q / p) f_(r+1)(x - 1): G_r(k) = P(X >= k)
+        # = betaincc(r, k, p), 1 for k <= 0 (Johnson, Kemp & Kotz, ch. 5)
+        g = lambda a, k: float(special.betaincc(a, k, pp)) if k > 0 else 1.0
+        t2 = mu * (rr + 1) * (1 - pp) / pp * g(rr + 2, m - 1) + mu * g(rr + 1, m)
+        return g(rr, m + 1), mu * g(rr + 1, m), t2, mu * g(rr + 1, m + 1) - (m + 1) * g(rr, m + 2)
+
     gmd = None
     if rr == 2.0:
         gmd = 4 * (1 - pp) * (3 - (3 - pp) * pp) / (pp * (2 - pp) ** 3)
     return Distribution(
         support=Support(0, np.inf, LATTICE),
-        pdf=pdf, cdf=cdf, sf=sfn,
+        pdf=pdf, cdf=cdf, sf=sfn, tail_sums=tail_sums,
         closed=ClosedForms(
-            mean=rr * (1 - pp) / pp,
+            mean=mu,
             sd=math.sqrt(rr * (1 - pp)) / pp,
             gmd=gmd,
         ),

@@ -7,9 +7,12 @@ Every scan of a law runs on its one probe grid (`Distribution.probe_grid`):
 on a continuous law `dist.SCAN_POINTS` = 2048 quantile-spaced points over
 [q(1e-6), q(1 - 1e-6)], the clip being `dist.SCAN_CLIP`; on a lattice law
 every point carrying mass >= `dist.SUM_CUT` (1e-12). `Distribution.probe_values`
-evaluates pdf, cdf and sf on it once for every scan. Every scan holds to one
-relative tolerance, `SLACK` = 1e-9, and each verdict records the grid
-(`Distribution.probe_label`) and the tolerance. The mean excess of X reads the law's stop-loss table
+takes pdf, cdf and sf on it once for every scan: on a lattice law from the
+rows of its table, whose neighbouring rows also give the scans S(x - 1) and
+G(x +- 1), so a lattice scan calls the law only past the table's ends. Every
+scan holds to one relative tolerance, `SLACK` = 1e-9, and each verdict records
+the grid (`Distribution.probe_label`) and the tolerance. The mean excess of X
+reads the law's stop-loss table
 (`Distribution.stop_loss`), the one behind the mean excess of |X - X'|, which
 holds past the end of a lattice table too.
 
@@ -137,7 +140,7 @@ def hazard_rate(d: Distribution, x: float) -> float:
     """f(x)/S(x) for continuous laws, f(x)/S(x-1) for lattice ones."""
     _require_in_support(d, x)
     xs = np.asarray([x], float)
-    val = float(_hazard_vals(d, xs, d.pdf(xs), d.sf(xs))[0])
+    val = float(_ratio(d.pdf(xs), d.sf(xs - 1.0 if d.is_lattice else xs))[0])
     if not np.isfinite(val):
         raise TailExhausted(f"survival underflowed at x={x} for {d.label}")
     return val
@@ -180,11 +183,6 @@ def mean_excess(d: Distribution, t: float) -> float:
 def _require_in_support(d: Distribution, x: float) -> None:
     if not d.support.contains(x):
         raise OutsideSupport(f"x={x} outside support of {d.label}")
-
-
-def _hazard_vals(d: Distribution, xs: np.ndarray, f, s) -> np.ndarray:
-    """f / S at xs (f / S(x - 1) on the lattice), f and s the pdf and sf there."""
-    return _ratio(f, d.sf(xs - 1.0) if d.is_lattice else s)
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -242,8 +240,11 @@ def monotonicity_scan(fn: Callable[[np.ndarray], np.ndarray], d: Distribution) -
 
 
 def hazard_scan(d: Distribution) -> MonotoneVerdict:
-    xs, f, s = d.probe_values("pdf", "sf")
-    return _rate_verdict(d, xs, _hazard_vals(d, xs, f, s))
+    """f / S on the scan grid; on the lattice f(x) / S(x - 1), read from the
+    table row below x."""
+    xs, f = d.probe_values("pdf")
+    s = d._lattice_read("sf", xs - 1.0) if d.is_lattice else d.probe_values("sf")[1]
+    return _rate_verdict(d, xs, _ratio(f, s))
 
 
 def reverse_hazard_scan(d: Distribution) -> MonotoneVerdict:
@@ -304,13 +305,12 @@ def _log_target(d: Distribution, target: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_concavity_lattice(d: Distribution, target: str) -> str:
+    # G(x - 1) and G(x + 1) from the table rows beside the grid's
     xs, g0 = d.probe_values(target)
-    fn = getattr(d, target)
-    g = lambda k: np.asarray(fn(k), float)
     with np.errstate(all="ignore"):
-        lg_m = np.log(g(xs - 1.0))
+        lg_m = np.log(d._lattice_read(target, xs - 1.0))
         lg_0 = np.log(g0)
-        lg_p = np.log(g(xs + 1.0))
+        lg_p = np.log(d._lattice_read(target, xs + 1.0))
     ok = np.isfinite(lg_m) & np.isfinite(lg_0) & np.isfinite(lg_p)
     if not np.any(ok):
         raise GridEmpty(f"ratio test has no valid points for {d.label}")
@@ -341,12 +341,12 @@ def _residual_spot_ts(d: Distribution) -> list[float]:
 
 
 def _residual_scan(d: Distribution, t: float, which: str) -> MonotoneVerdict:
-    if which == "D":
-        xs, denom = d.probe_values("sf")
-        vals = _ratio(d.sf(xs + t), denom)
-    else:
-        xs, denom = d.probe_values("cdf")
-        vals = _ratio(d.cdf(xs - t), denom)
+    """D(x, t) = S(x + t)/S(x) or C(x, t) = F(x - t)/F(x) on the scan grid; a
+    lattice law reads the shifted column from its table."""
+    name, shift = ("sf", t) if which == "D" else ("cdf", -t)
+    xs, denom = d.probe_values(name)
+    num = d._lattice_read(name, xs + shift) if d.is_lattice else getattr(d, name)(xs + shift)
+    vals = _ratio(num, denom)
     ok = np.isfinite(vals)
     return classify_sequence(xs[ok], vals[ok], d.probe_label)
 

@@ -514,8 +514,7 @@ def bisect_increasing(
     end, for continuous targets that neither a ppf nor the node solver's
     Newton steps solve to 1e-12 (inverse-table nodes, and on laws without a
     ppf the targets the table's cubics leave out), and for targets beyond a
-    lattice table; Distribution.lattice_points uses it to find the end of
-    each lattice enumeration.
+    lattice table.
     """
     los, his = narrow_increasing(fn, targets, lo, hi, iters)
     return 0.5 * (los + his)

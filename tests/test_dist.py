@@ -28,6 +28,7 @@ from dispersion import numerics as numerics_module
 from dispersion.combinators import _convolve_numeric
 from dispersion.dist import (
     CONTINUOUS,
+    END_PASS,
     GUIDE,
     INV_LOGIT,
     INV_TOL,
@@ -440,13 +441,14 @@ def _floor_law():
 
 
 def test_lattice_guide_keeps_the_search_beside_half_and_floor():
-    # columns whose cdf and sf disagree at 1/2, where the search changes
-    # column inside the bucket starting there; every call reads the guide,
-    # so these three targets test it
-    cum, surv = np.array([0.2, 0.4999, 0.7, 1.0]), np.array([0.8, 0.5, 0.3, 0.0])
-    half = _lattice_law(0.0, _pick(cum, 0.0, 1.0), _pick(surv, 1.0, 0.0))
+    # the search changes column inside the bucket starting at 1/2, from cdf
+    # to sf; every call reads the guide, so these three targets test it
+    cum = np.array([0.2, 0.4999, 0.7, 1.0])
+    half = _lattice_law(0.0, _pick(cum, 0.0, 1.0), _pick(1.0 - cum, 1.0, 0.0))
     p = np.array([0.5, np.nextafter(0.5, 1), 0.5 + 1 / (2 * GUIDE)])
-    assert half.quantile(p).tolist() == [2.0, 1.0, 2.0]
+    assert half._lattice_guide()[0][GUIDE // 2] == -1
+    assert np.array_equal(half.quantile(p), _two_sided_search(half, p))
+    assert half.quantile(p).tolist() == [2.0, 2.0, 2.0]
     # a downward enumeration whose first point holds mass > 1 / GUIDE: its
     # first bucket reaches down to cdf below the table
     floor = _floor_law()
@@ -588,6 +590,78 @@ def test_lattice_points_limit(build, cut):
 def test_lattice_points_at_limit():
     d = truncate(make_distribution("poisson:theta=2"), "upper", float(LATTICE_LIMIT - 1))
     assert len(d.lattice_points()) == LATTICE_LIMIT
+
+
+@pytest.mark.parametrize("spec", [s for s in STANDARD_INSTANCES if make_distribution(s).is_lattice] + [
+    "geometric:p=0.0001", "poisson:theta=100000", "zipf:alpha=2.2",
+])
+def test_lattice_points_end_where_a_bisection_ends(spec):
+    # 20 halvings of [lower, lower + LATTICE_LIMIT] bring the end within 1/4
+    # point of the first k with sf(k) <= SUM_CUT: the search ends on the same k
+    d = make_distribution(spec)
+    lo = d.support.lower
+    end = bisect_increasing(lambda x: -d.sf(x), [-SUM_CUT], lo, lo + LATTICE_LIMIT, 20)[0]
+    pts = d.lattice_points()
+    assert (pts[0], pts[-1]) == (lo, round(end))
+    refl = affine(d, -1.0, 0.0)
+    start = bisect_increasing(refl.cdf, [SUM_CUT], -lo - LATTICE_LIMIT, -lo, 20)[0]
+    pts = refl.lattice_points()
+    assert (pts[0], pts[-1]) == (round(start), -lo)
+
+
+def test_lattice_end_search_takes_a_few_vectorized_calls():
+    d = make_distribution("zipf:alpha=2.5")
+    sizes = []
+    sf = d.sf
+    d.sf = lambda x: sizes.append(np.size(x)) or sf(x)
+    pts = d.lattice_points()
+    assert pts[-1] == 41696.0
+    assert len(sizes) <= 4 and max(sizes) <= END_PASS
+
+
+def _mp_tail_sums(pmf, m):
+    # (mass, sum x f, sum x^2 f, sum S) over x > m, the last as the sum of
+    # (x - m - 1) f(x) over x >= m + 2, to 50 digits; also the two terms the
+    # law's formula for it subtracts, sum x f and (m + 1) sum f over x >= m + 2;
+    # the pmfs are unimodal, so a term 1e-60 of the first one ends the sums
+    with mp.workdps(50):
+        acc = [mp.mpf(0)] * 6
+        x, first = m + 1, pmf(mp.mpf(m + 1))
+        while True:
+            f = pmf(mp.mpf(x))
+            late = x >= m + 2
+            for i, t in enumerate((f, x * f, x * x * f, (x - m - 1) * f, late * x * f, late * (m + 1) * f)):
+                acc[i] += t
+            if f < first * mp.mpf(10) ** -60:
+                return acc
+            x += 1
+
+
+# (pmf at 50 digits, an m near the mean)
+_TAIL_PMFS = {
+    "poisson:theta=2.5": (lambda x: mp.exp(-mp.mpf(2.5)) * mp.mpf(2.5) ** x / mp.factorial(x), 3),
+    "negbinomial:r=0.5,p=0.5":
+        (lambda x: mp.gamma(x + 0.5) / (mp.gamma(0.5) * mp.factorial(x)) * mp.mpf(0.5) ** (x + 0.5), 1),
+    "geometric:p=0.3": (lambda x: mp.mpf(0.3) * (1 - mp.mpf(0.3)) ** x, 2),
+}
+
+
+@pytest.mark.parametrize("spec", list(_TAIL_PMFS))
+def test_lattice_tail_sums_match_mpmath(spec):
+    # at m = 0, near the mean, at the table's top and at ten times the top
+    d = make_distribution(spec)
+    pmf, near_mean = _TAIL_PMFS[spec]
+    top = int(d.lattice_table()[0][-1])
+    for m in (0, near_mean, top, 10 * top):
+        *want, a, b = _mp_tail_sums(pmf, m)
+        got = d.tail_sums(m)
+        # the special functions, and the pmf p exp(k log q) the geometric's
+        # closed forms sum, keep 2e-13 relative out to k = 800
+        for g, w in zip(got[:3], want[:3]):
+            assert g == pytest.approx(float(w), rel=2e-13, abs=0), m
+        # the sum of S subtracts its two terms, losing what they cancel
+        cancel = float((a + b) / (a - b))
+        assert got[3] == pytest.approx(float(want[3]), rel=2e-13 * cancel, abs=0), m
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +868,34 @@ def test_mean_excess_enumerates_its_cut_once(monkeypatch):
         mean_excess(d, last + 3.0)
         d.stop_loss(np.array([0.5, last + 9.5]))
         assert cuts == [SUM_CUT], spec
+
+
+def _record_calls(d) -> list[tuple[str, np.ndarray]]:
+    # (name, points) of every later pdf, cdf and sf call on d
+    calls = []
+    for name in ("pdf", "cdf", "sf"):
+        fn = getattr(d, name)
+        setattr(d, name, lambda x, name=name, fn=fn: calls.append((name, np.atleast_1d(x))) or fn(x))
+    return calls
+
+
+def test_a_lattice_table_costs_one_pmf_pass():
+    # zipf's cdf and sf are Hurwitz zeta values: its table sums them from
+    # the pmf, and classify reads the table and calls the law only past its
+    # ends; the end search is counted on its own above
+    d = make_distribution("zipf:alpha=2.5")
+    pts = d.lattice_points()
+    d.lattice_points = lambda mass_cut=SUM_CUT: pts
+    calls = _record_calls(d)
+    d.lattice_table()
+    assert [name for name, x in calls if x.size > 1] == ["pdf"]
+    assert np.array_equal(next(x for name, x in calls if name == "pdf"), pts)
+    assert sorted(name for name, x in calls if x.size == 1) == ["cdf", "sf"]
+    calls.clear()
+    classify(d)
+    assert calls
+    for name, x in calls:
+        assert not np.any((x >= pts[0]) & (x <= pts[-1])), name
 
 
 def test_cached_tables_are_read_only():
@@ -1073,6 +1175,39 @@ def test_truncation_past_the_support_end_is_the_parent(spec, side, delta):
         assert abs(g - w) <= max(tol, 1e-12 * abs(w)), name
     v, pv = classify(d), classify(parent)
     assert (v.verdict, v.basis) == (pv.verdict, pv.basis)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_truncate_far_side_in_the_parents_far_tail(side):
+    # a cut at 8 (upper) or -8 (lower) of the normal keeps mass > 1/2; its
+    # far-side tail at x is (S(x) - S(8)) / F(8), by symmetry the lower one too
+    sign = 1.0 if side == "upper" else -1.0
+    d = truncate(make_distribution("normal"), side, 8.0 * sign)
+    far = d.sf if side == "upper" else d.cdf
+    with mp.workdps(40):
+        tail = lambda x: mp.ncdf(-mp.mpf(x))
+        for x in (-3.0, 0.0, 7.0, 7.99):
+            a, b = tail(x), tail(8.0)
+            want = (a - b) / (1 - b)
+            # ndtr to 2e-15, times what the difference cancels
+            cancel = float((a + b) / (a - b))
+            assert float(far(sign * x)) == pytest.approx(float(want), rel=2e-15 * cancel, abs=0), x
+
+
+@pytest.mark.parametrize("side,u,ks", [("upper", 12.0, [0, 5, 9, 11]), ("lower", 0.5, [1, 2, 3])])
+def test_truncate_lattice_far_side_in_the_parents_far_tail(side, u, ks):
+    # poisson(2) keeps mass > 1/2 on either cut: sf of the upper cut at 12 is
+    # (S(k) - S(12)) / F(12), cdf of the lower cut at 0.5 is (F(k) - F(0)) / S(0)
+    d = truncate(make_distribution("poisson:theta=2"), side, u)
+    with mp.workdps(40):
+        f = [mp.exp(-2) * mp.mpf(2) ** j / mp.factorial(j) for j in range(120)]
+        cum = lambda k: mp.fsum(f[: k + 1])
+        for k in ks:
+            if side == "upper":
+                want, got = (cum(12) - cum(k)) / cum(12), d.sf(float(k))
+            else:
+                want, got = (cum(k) - cum(0)) / (1 - cum(0)), d.cdf(float(k))
+            assert float(got) == pytest.approx(float(want), rel=1e-14, abs=0), k
 
 
 def test_truncate_cdf_is_renormalized():

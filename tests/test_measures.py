@@ -886,6 +886,34 @@ def test_concentration_negbinomial_bound_formula():
     assert c.odds_bound == pytest.approx(2.2, rel=1e-10, abs=0)
 
 
+# Lambda = P(X = X') in closed form at 30 digits, apart from the table:
+# geometric p / (2 - p); poisson exp(-2 theta) I0(2 theta), the Skellam law
+# at 0; zipf zeta(2 s) / zeta(s)^2 with s = alpha + 1; negbinomial
+# p^(2 r) 2F1(r, r; 1; q^2)
+_CLOSED_LAMBDA = {
+    "geometric:p=0.2": lambda: mp.mpf(0.2) / (2 - mp.mpf(0.2)),
+    "geometric:p=0.5": lambda: mp.mpf(0.5) / (2 - mp.mpf(0.5)),
+    "geometric:p=0.8": lambda: mp.mpf(0.8) / (2 - mp.mpf(0.8)),
+    "poisson:theta=0.5": lambda: mp.exp(-1) * mp.besseli(0, 1),
+    "poisson:theta=2.5": lambda: mp.exp(-5) * mp.besseli(0, 5),
+    "poisson:theta=50": lambda: mp.exp(-100) * mp.besseli(0, 100),
+    "zipf:alpha=2.5": lambda: mp.zeta(7) / mp.zeta(3.5) ** 2,
+    "zipf:alpha=4": lambda: mp.zeta(10) / mp.zeta(5) ** 2,
+    "negbinomial:r=0.5,p=0.5": lambda: mp.mpf(0.5) * mp.hyp2f1(0.5, 0.5, 1, mp.mpf(0.25)),
+    "negbinomial:r=2,p=0.3": lambda: mp.mpf(0.3) ** 4 * mp.hyp2f1(2, 2, 1, (1 - mp.mpf(0.3)) ** 2),
+}
+
+
+@pytest.mark.parametrize("spec", list(_CLOSED_LAMBDA))
+def test_concentration_matches_closed_forms(spec):
+    with mp.workdps(30):
+        want = float(_CLOSED_LAMBDA[spec]())
+    # poisson(50)'s pmf, exp(k log theta - theta - lgamma(k + 1)), carries the
+    # rounding of exponent terms near 200: 200 eps = 4.4e-14
+    rel = 4.4e-14 if spec == "poisson:theta=50" else 1e-15
+    assert concentration(make_distribution(spec)).lambda_ == pytest.approx(want, rel=rel, abs=0)
+
+
 def test_concentration_rejects_continuous():
     with pytest.raises(errors.ContinuousInput):
         concentration(make_distribution("normal"))

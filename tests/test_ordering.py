@@ -15,7 +15,16 @@ from dispersion import (
     threshold_scan,
     truncate,
 )
-from dispersion.hazard import CONSTANT
+from dispersion.hazard import (
+    CONSTANT,
+    DECREASING,
+    INCREASING,
+    SLACK,
+    hazard_rate,
+    hazard_scan,
+    reverse_hazard_rate,
+    reverse_hazard_scan,
+)
 from dispersion.ordering import (
     GMD_DOMINATES,
     INCONCLUSIVE,
@@ -125,9 +134,11 @@ def test_classify_attaches_concentration_for_lattice():
 
 
 def test_classify_withholds_the_hazard_certificate_on_a_lattice_bounded_above():
-    # the truncated geometric keeps its constant hazard, which would certify
-    # thm-sd-discrete, but a nonincreasing hazard rules out a support end above
-    d = truncate(make_distribution("geometric:p=0.5"), "upper", 60.0)
+    # the truncated geometric keeps its constant hazard on the scan grid,
+    # which would certify thm-sd-discrete, but a nonincreasing hazard rules
+    # out a support end above. Its hazard 0.5 / (1 - 2^(k - 201)) rises by
+    # less than an ulp of 0.5 up to the grid's top, k = 38
+    d = truncate(make_distribution("geometric:p=0.5"), "upper", 200.0)
     v = classify(d)
     assert v.evidence.hazard.h_verdict.direction == CONSTANT
     assert (v.verdict, v.basis) == (INCONCLUSIVE, NO_BASIS)
@@ -141,7 +152,7 @@ def test_classify_withholds_the_hazard_certificate_on_a_lattice_bounded_above():
 def test_classify_withholds_the_reverse_hazard_certificate_on_a_lattice_bounded_below():
     # the reflection of the law above: constant reverse hazard, support
     # bounded below
-    d = affine(truncate(make_distribution("geometric:p=0.5"), "upper", 60.0), -1, 0)
+    d = affine(truncate(make_distribution("geometric:p=0.5"), "upper", 200.0), -1, 0)
     v = classify(d)
     assert v.evidence.hazard.r_verdict.direction == CONSTANT
     assert (v.verdict, v.basis) == (INCONCLUSIVE, NO_BASIS)
@@ -150,6 +161,27 @@ def test_classify_withholds_the_reverse_hazard_certificate_on_a_lattice_bounded_
         "which that hypothesis rules out; certificate withheld"
     )
     assert v.numeric_diff == pytest.approx(0.0809, abs=1e-4)
+
+
+def test_a_cut_near_the_grid_rises_the_hazard_as_its_pmf_says():
+    # cut at 60, the geometric's hazard is 0.5 / (1 - 2^(k - 61)), 0.5 + 6.0e-8
+    # at the grid's top k = 38, 60 times SLACK above 0.5: its table reads that
+    # rise, and the reflection's reverse hazard reads it at -k, so neither
+    # scans constant
+    d = truncate(make_distribution("geometric:p=0.5"), "upper", 60.0)
+    refl = affine(d, -1, 0)
+    ks = d.probe_grid()
+    assert ks[-1] == 38.0
+    want = 0.5 / (1.0 - np.exp2(ks - 61.0))
+    for k, w in zip(ks, want):
+        assert hazard_rate(d, k) == pytest.approx(w, rel=1e-15, abs=0), k
+        assert reverse_hazard_rate(refl, -k) == pytest.approx(w, rel=1e-15, abs=0), k
+    # the table's S sums the pmf, p exp(k log q), each term within a few ulp
+    scanned = d.probe_values("pdf")[1] / d._lattice_read("sf", ks - 1.0)
+    np.testing.assert_allclose(scanned, want, rtol=4e-15, atol=0)
+    assert want[-1] - 0.5 > 50 * SLACK * 0.5
+    h, r = hazard_scan(d), reverse_hazard_scan(refl)
+    assert (h.direction, r.direction) == (INCREASING, DECREASING)
 
 
 # ---------------------------------------------------------------------------
