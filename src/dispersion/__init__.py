@@ -37,7 +37,6 @@ from .ordering import (
     OrderingVerdict,
     ThresholdScan,
     classify,
-    closure_check,
     threshold_scan,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "ConcentrationValue",
     "classify",
     "threshold_scan",
-    "closure_check",
     "OrderingVerdict",
     "ThresholdScan",
     "mc_estimate",

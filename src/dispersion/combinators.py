@@ -245,7 +245,8 @@ def convolve(d1: Distribution, d2: Distribution) -> Distribution:
     unit scale, normal + normal); otherwise evaluates the convolution
     integral over the 1e-12-quantile range of d2 with a fixed 512-node
     Gauss-Legendre rule, which the tests pin against closed forms. cdf and sf
-    are the rule's two tails divided by their sum, so cdf + sf = 1.
+    are the rule's two tails divided by their sum, so cdf + sf = 1. The
+    support is the sum of the operands' supports.
     """
     if d1.is_lattice or d2.is_lattice:
         raise UnsupportedKind("convolve is defined for continuous laws only")
@@ -321,8 +322,9 @@ def _convolve_numeric(d1: Distribution, d2: Distribution) -> Distribution:
 
         return g
 
-    lo = d1.support.lower + t_lo if np.isfinite(d1.support.lower) else -np.inf
-    hi = d1.support.upper + t_hi if np.isfinite(d1.support.upper) else np.inf
+    # the sum lives on the sum of the supports, not on d2's 1e-12 cut
+    lo = d1.support.lower + d2.support.lower
+    hi = d1.support.upper + d2.support.upper
     closed = ClosedForms()
     if d1.closed.mean is not None and d2.closed.mean is not None:
         sd = None

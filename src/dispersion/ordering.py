@@ -1,5 +1,5 @@
 """Dominance classification: which theorem (if any) certifies the SD-GMD
-ordering, threshold scans for tail truncation, and closure checks.
+ordering, and threshold scans for tail truncation.
 
 A certificate is issued only from the structural hypotheses (hazard and
 reverse-hazard monotonicity, density log-concavity, and for lattice laws
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinators import LOWER, UPPER, affine, convolve, mix, truncate
+from .combinators import LOWER, UPPER, truncate
 from .dist import Distribution
 from .errors import ConsistencyViolation, CriterionNeverHolds
 from .hazard import (
@@ -163,11 +163,9 @@ def _tail_criterion_holds(d: Distribution, side: str, u: float, criterion: str) 
     tail = truncate(d, side, u)
     if criterion == TAIL_LOGCONCAVE:
         return log_concavity_scan(tail, "pdf") == LOG_CONCAVE
-    if criterion == TAIL_HAZARD:
-        if side == LOWER:
-            return hazard_scan(tail).is_nonincreasing
-        return reverse_hazard_scan(tail).is_nondecreasing
-    raise ValueError(f"unknown criterion {criterion!r}")
+    if side == LOWER:
+        return hazard_scan(tail).is_nonincreasing
+    return reverse_hazard_scan(tail).is_nondecreasing
 
 
 def threshold_scan(d: Distribution, side: str, criterion: str, u_grid) -> ThresholdScan:
@@ -176,11 +174,14 @@ def threshold_scan(d: Distribution, side: str, criterion: str, u_grid) -> Thresh
     side='lower' scans (X | X > u) and reports the smallest grid u from
     which the criterion persists for every deeper u; side='upper' scans
     (X | X <= u) and reports the largest such u. Raises CriterionNeverHolds
-    when no grid point qualifies.
+    when no grid point qualifies, and ValueError on an unknown side or
+    criterion before it builds any truncated law.
     """
-    us = sorted(float(u) for u in u_grid)
     if side not in (LOWER, UPPER):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    if criterion not in (TAIL_HAZARD, TAIL_LOGCONCAVE):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    us = sorted(float(u) for u in u_grid)
     verdicts = [(u, _tail_criterion_holds(d, side, u, criterion)) for u in us]
     failing = [i for i, (_, ok) in enumerate(verdicts) if not ok]
     # lower: the point past the last failure; upper: the one before the first
@@ -193,37 +194,3 @@ def threshold_scan(d: Distribution, side: str, criterion: str, u_grid) -> Thresh
             f"{criterion} holds at no persistent threshold on the grid for {d.label}"
         )
     return ThresholdScan(side=side, u_star=us[i], criterion=criterion, verified_range=verdicts)
-
-
-# ---------------------------------------------------------------------------
-# closure checks
-# ---------------------------------------------------------------------------
-
-_CONSTRUCTS = {
-    "mixture": lambda inputs: mix(inputs[0], inputs[1]),
-    "convolution": lambda inputs: convolve(inputs[0], inputs[1]),
-    "truncation": lambda inputs: truncate(inputs[0], inputs[1], inputs[2]),
-    "affine": lambda inputs: affine(inputs[0], inputs[1], inputs[2]),
-}
-
-
-def closure_check(construct: str, inputs, expected: str) -> bool:
-    """Build the combined law and test whether the expected verdict survives.
-
-    Every input Distribution must itself classify with the expected verdict
-    (the closure propositions presume their hypotheses); the check passes
-    when the combined law keeps the certificate, its sign checked by classify.
-    """
-    if construct not in _CONSTRUCTS:
-        raise ValueError(f"unknown construct {construct!r}")
-    if expected not in (SD_DOMINATES, GMD_DOMINATES):
-        raise ValueError(f"expected must be a dominance verdict, got {expected!r}")
-    parts = [x for x in (inputs[0] if construct == "mixture" else inputs) if isinstance(x, Distribution)]
-    for part in parts:
-        pre = classify(part)
-        if pre.verdict != expected:
-            raise ValueError(
-                f"input {part.label} classifies as {pre.verdict}, not the "
-                f"expected {expected}; closure hypotheses do not apply"
-            )
-    return classify(_CONSTRUCTS[construct](inputs)).verdict == expected

@@ -10,15 +10,17 @@ import numpy as np
 from scipy.optimize import brentq
 
 from dispersion import (
+    affine,
     classify,
-    closure_check,
     concentration,
+    convolve,
     dispersion_report,
     equivalence_audit,
     gmd,
     make_distribution,
     mc_estimate,
     mean_excess_abs_diff,
+    mix,
     sd,
     tail_dispersion,
     truncate,
@@ -291,25 +293,23 @@ def test_4d_sqrt3_half_bound(instances):
 
 
 def test_4e_closure_suite():
-    mixture_ok = closure_check(
-        "mixture",
-        ([make_distribution("weibull:alpha=0.6"), make_distribution("gamma:alpha=0.5")],
-         [0.5, 0.5]),
-        SD_DOMINATES,
-    )
-    convolution_ok = closure_check(
-        "convolution",
-        (make_distribution("gamma:alpha=2"), make_distribution("gamma:alpha=3")),
-        GMD_DOMINATES,
-    )
+    # the combined law keeps the verdict that each of its inputs has
+    weibull, gamma = make_distribution("weibull:alpha=0.6"), make_distribution("gamma:alpha=0.5")
+    gamma2, gamma3 = make_distribution("gamma:alpha=2"), make_distribution("gamma:alpha=3")
     tail = truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0)
-    truncation_ok = closure_check("truncation", (tail, "lower", 15.0), SD_DOMINATES)
-    affine_ok = closure_check(
-        "affine", (make_distribution("gpd:alpha=0.25"), -1.0, 0.0), SD_DOMINATES
-    )
-    ok = mixture_ok and convolution_ok and truncation_ok and affine_ok
+    gpd = make_distribution("gpd:alpha=0.25")
+    cases = {
+        "mix": ([weibull, gamma], mix([weibull, gamma], [0.5, 0.5]), SD_DOMINATES),
+        "conv": ([gamma2, gamma3], convolve(gamma2, gamma3), GMD_DOMINATES),
+        "trunc": ([tail], truncate(tail, "lower", 15.0), SD_DOMINATES),
+        "refl": ([gpd], affine(gpd, -1.0, 0.0), SD_DOMINATES),
+    }
+    held = {
+        name: all(classify(d).verdict == want for d in (*inputs, law))
+        for name, (inputs, law, want) in cases.items()
+    }
     _report("4e", "closure: mixture, convolution, truncation, reflection",
-            ok, f"mix={mixture_ok} conv={convolution_ok} trunc={truncation_ok} refl={affine_ok}")
+            all(held.values()), " ".join(f"{name}={ok}" for name, ok in held.items()))
 
 
 # two parameter points per family; heavy-tail points are chosen so the

@@ -1257,6 +1257,19 @@ def test_convolve_numeric_tails_sum_to_one():
     assert float(np.max(np.abs(c.cdf(xs) + c.sf(xs) - 1.0))) <= 1e-15
 
 
+@pytest.mark.parametrize("a,b,support", [
+    ("beta:alpha=2", "normal", (-np.inf, np.inf)),
+    ("logistic", "normal", (-np.inf, np.inf)),
+    ("weibull:alpha=1.5", "gamma:alpha=2", (0.0, np.inf)),
+])
+def test_convolve_support_is_the_sum_of_supports(a, b, support):
+    # not the second operand's 1e-12 cut, whichever operand comes second
+    d1, d2 = make_distribution(a), make_distribution(b)
+    for c in (convolve(d1, d2), convolve(d2, d1)):
+        assert c.meta["construct"] == "convolve"
+        assert (c.support.lower, c.support.upper) == support
+
+
 def test_convolve_rejects_lattice():
     with pytest.raises(errors.UnsupportedKind):
         convolve(make_distribution("poisson:theta=1"), make_distribution("normal"))

@@ -1,6 +1,8 @@
-"""Dominance classification, threshold scans, and closure checks."""
+"""Dominance classification, threshold scans, and the closure of both
+dominance regimes under mixtures, truncation, convolution and reflection."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ import pytest
 from dispersion import (
     affine,
     classify,
-    closure_check,
+    convolve,
     dispersion_report,
     errors,
     make_distribution,
+    mix,
+    ordering,
     threshold_scan,
     truncate,
 )
@@ -320,26 +324,91 @@ def test_threshold_never_holds_raises():
         threshold_scan(d, "lower", TAIL_LOGCONCAVE, np.arange(0.0, 3.0, 0.5))
 
 
+@pytest.mark.parametrize("side,criterion,match", [
+    ("lower", "bogus", "unknown criterion 'bogus'"),
+    ("middle", TAIL_HAZARD, "side must be 'lower' or 'upper'"),
+])
+@pytest.mark.parametrize("grid", [[], [1.0, 2.0]])
+def test_threshold_refuses_bad_arguments_before_any_truncation(side, criterion, match, grid, monkeypatch):
+    built = []
+    monkeypatch.setattr(ordering, "truncate", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=match):
+        threshold_scan(make_distribution("gpd:alpha=0.3"), side, criterion, grid)
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
-# closure checks
+# closure: classify on the combined law keeps each input's verdict
 # ---------------------------------------------------------------------------
+
+
+def _verdicts(*laws):
+    return [classify(d).verdict for d in laws]
 
 
 def test_closure_mixture_dfr():
     parts = [make_distribution("weibull:alpha=0.6"), make_distribution("gamma:alpha=0.5")]
-    assert closure_check("mixture", (parts, [0.5, 0.5]), SD_DOMINATES)
+    assert _verdicts(*parts, mix(parts, [0.5, 0.5])) == [SD_DOMINATES] * 3
 
 
 def test_closure_convolution_log_concave():
     d1 = make_distribution("gamma:alpha=2")
     d2 = make_distribution("gamma:alpha=3")
-    assert closure_check("convolution", (d1, d2), GMD_DOMINATES)
+    assert _verdicts(d1, d2, convolve(d1, d2)) == [GMD_DOMINATES] * 3
 
 
 def test_closure_truncation_persistence():
     tail = truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0)
-    assert classify(tail).verdict == SD_DOMINATES
-    assert closure_check("truncation", (tail, "lower", 15.0), SD_DOMINATES)
+    assert _verdicts(tail, truncate(tail, "lower", 15.0)) == [SD_DOMINATES] * 2
+
+
+def test_closure_affine_reflection():
+    d = make_distribution("gpd:alpha=0.25")
+    assert _verdicts(d, affine(d, -1.0, 0.0)) == [SD_DOMINATES] * 2
+
+
+# the decreasing-hazard standard instances: mixtures of DFR laws are DFR
+# (Barlow & Proschan 1975), and (X | X > u) keeps the parent's hazard past u
+DFR_INSTANCES = [
+    "gamma:alpha=0.5", "weibull:alpha=0.5",
+    "gpd:alpha=0", "gpd:alpha=0.1", "gpd:alpha=0.3", "gpd:alpha=0.45",
+]
+
+
+@pytest.mark.parametrize("pair", list(itertools.combinations(DFR_INSTANCES, 2)), ids="+".join)
+def test_mixtures_of_dfr_instances_classify_sd(pair, instances):
+    parts = [instances[spec] for spec in pair]
+    assert _verdicts(*parts, mix(parts, [0.5, 0.5])) == [SD_DOMINATES] * 3
+
+
+@pytest.mark.parametrize("u", [1.0, 5.0])
+@pytest.mark.parametrize("spec", DFR_INSTANCES)
+def test_lower_truncations_of_dfr_instances_classify_sd(spec, u, instances):
+    d = instances[spec]
+    assert _verdicts(d, truncate(d, "lower", u)) == [SD_DOMINATES] * 2
+
+
+@pytest.mark.parametrize("spec", [s for s, (v, _) in PINNED_VERDICTS.items() if v == SD_DOMINATES])
+def test_reflections_of_sd_instances_classify_sd(spec, instances):
+    # r of -X is h of X reflected, so the SD route survives
+    assert classify(affine(instances[spec], -1.0, 0.0)).verdict == SD_DOMINATES
+
+
+# log-concave densities are closed under convolution (Prekopa 1973): one
+# numeric sum, and the registry's two closed-form sums over the gamma and
+# normal instances that classify gmd-dominates (gamma(1)'s constant hazard
+# certifies SD first)
+_LOG_CONCAVE_SUMS = [
+    ("logistic", "normal"),
+    *itertools.combinations_with_replacement(["gamma:alpha=2", "gamma:alpha=3"], 2),
+    *itertools.combinations_with_replacement(["normal:sigma=0.5", "normal", "normal:sigma=2"], 2),
+]
+
+
+@pytest.mark.parametrize("pair", _LOG_CONCAVE_SUMS, ids="+".join)
+def test_sums_of_log_concave_instances_classify_gmd(pair, instances):
+    d1, d2 = (instances[spec] for spec in pair)
+    assert _verdicts(d1, d2, convolve(d1, d2)) == [GMD_DOMINATES] * 3
 
 
 def test_far_lower_truncation_of_a_ppf_law_classifies():
@@ -357,17 +426,6 @@ def test_beta_grid_on_its_pole_names_the_support_end(spec):
     assert np.isfinite(dispersion_report(d).diff)
     with pytest.raises(errors.GridEmpty, match="support end 1, where the density is inf"):
         classify(d)
-
-
-def test_closure_affine_reflection():
-    d = make_distribution("gpd:alpha=0.25")
-    assert closure_check("affine", (d, -1.0, 0.0), SD_DOMINATES)
-
-
-def test_closure_rejects_wrong_hypothesis():
-    d = make_distribution("gpd:alpha=0.25")  # classifies sd-dominates
-    with pytest.raises(ValueError):
-        closure_check("affine", (d, -1.0, 0.0), GMD_DOMINATES)
 
 
 def test_verdict_serializes():
