@@ -13,10 +13,10 @@ sums over the tail it leaves out, the one scan grid, the certified inverse
 table behind the continuous quantiles of laws without a ppf and the Monte
 Carlo draws of those and of laws whose ppf is iterative, and the stop-loss
 table behind every mean excess. Each is built once and never rebuilt. On
-continuous laws the stop-loss table runs on into the tail and a read of it
-between nodes evaluates no law; on the lattice it is read past its top by sf
-and the tail's sum of S, never extended, and a curve reads it from its first
-point up.
+continuous laws the stop-loss table runs on into the tail, a read of it
+between nodes evaluates no law, and a curve reads it once per outer panel;
+on the lattice it is read past its top by sf and the tail's sum of S, never
+extended, and a curve reads it from its first point up.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leg2poly, legint, legvander
+from numpy.polynomial.legendre import leg2poly, legint, legval, legvander
 
 from .errors import DivergentTail, SupportTooLarge, UnsupportedKind
 from .numerics import GL_W, GL_X, bisect_increasing, integrate_batch, narrow_increasing, panel_nodes, panels
@@ -60,7 +60,7 @@ LATTICE_LIMIT = 2**19
 END_PASS = 128
 # points in the first block of a tail summed past a table; each next block doubles
 TAIL_BLOCK = 1024
-# most cells, t values times table points, one block of a lattice curve reads
+# most cells, t values times table points or outer panel nodes, one block of a curve reads
 CURVE_CELLS = 2**16
 
 # scan grid of a continuous law: SCAN_POINTS quantiles evenly spaced in
@@ -77,9 +77,11 @@ SCAN_CLIP = 1e-6
 # separate products: folded into one, whose entries reach 1.4e3, they put reads
 # up to 1.2e3 eps Pi(left node) off the Legendre read, against 1.9 eps. Past its
 # base nodes the table runs on in blocks of 32 steps of S/f, and a tail that
-# needs more than REACH_STEPS steps to end raises DivergentTail
+# needs more than REACH_STEPS steps to end raises DivergentTail. The same rule
+# read at the nodes: _PANEL_INT @ (S at the nodes) is int_{s_i}^1 p at each node s_i
 _ANTIDERIV = -legint(legvander(GL_X, 15).T * GL_W * (np.arange(16) + 0.5)[:, None], lbnd=1)
 _POWER = np.stack([np.pad(leg2poly(e), (0, 16 - k)) for k, e in enumerate(np.eye(17))], axis=1)
+_PANEL_INT = legval(GL_X, _ANTIDERIV).T
 REACH_STEPS = 2**14
 
 
@@ -185,9 +187,9 @@ class Distribution:
     by _excess_read() and along a curve's rows by _table_rows(); on continuous
     laws the node table of stop_loss(), with the power coefficients of Pi on
     each node interval that a read evaluates by Horner's rule, and its
-    extension into the tail (_stop_loss_nodes()), and the outer nodes and
-    weights of shifted_means() over the nodes below that extension
-    (_outer_panels()).
+    extension into the tail (_stop_loss_nodes()), and the outer panels of
+    shifted_means() below that extension, nodes, weights and the weights' sums
+    W and V per interval (_outer_panels()).
     Beside them
     `measures.dispersion_report` keeps the law's SD/GMD report under
     "report", and `measures.mean_excess_abs_diff` keeps the reflection
@@ -770,41 +772,26 @@ class Distribution:
         return _read_only(nodes, pi, coef)
 
     def _stop_loss_read(self, y: np.ndarray) -> np.ndarray:
-        """Pi(y) of a continuous law from _stop_loss_nodes(): inside [first
-        node, last node], one Horner pass over the power coefficients of y's
-        node interval, with no call to the law; below the first node one panel
-        of sf up to it; 0 past the last node; NaN at NaN. Sorted inside points,
-        as the panel nodes plus t of shifted_means() arrive, are counted per
-        node interval by one merge of the nodes into them, and each
-        coefficient row is repeated by those counts; unsorted ones are searched
-        point by point and gathered. Points all inside, as shifted_means()
-        reads them, are read without a mask or copy."""
+        """Pi(y) of a continuous law from _stop_loss_nodes(), at points of any
+        order: inside [first node, last node], one search for each point's node
+        interval and one Horner pass over its power coefficients, with no call
+        to the law; below the first node one panel of sf up to it; 0 past the
+        last node; NaN at NaN."""
         y = np.asarray(y, dtype=float)
         nodes, pi, coef = self._stop_loss_nodes()
-        below, past = y < nodes[0], y > nodes[-1]
-        edge = below.any() or past.any()
-        inside = ~(below | past) if edge else slice(None)  # a view, not a copy, when all are inside
-        z = y[inside]
-        if (z[1:] >= z[:-1]).all():
-            # interval k holds the z in (nodes[k], nodes[k + 1]], the first also
-            # z = nodes[0]: counts from one merge, each row repeated by them
-            count = np.diff(np.searchsorted(z, nodes[1:], side="right"), prepend=0)
-            gather = lambda row: row.repeat(count)
-        else:
-            i = np.clip(np.searchsorted(nodes, z), 1, len(nodes) - 1) - 1
-            gather = lambda row: row.take(i)
-        left = gather(nodes[:-1])
-        s = (z - left) / (0.5 * (gather(nodes[1:]) - left)) - 1.0
-        pz = gather(coef[-1])
+        # points outside the table take its end intervals' rows, then are replaced
+        z = np.clip(y, nodes[0], nodes[-1])
+        i = np.clip(np.searchsorted(nodes, z), 1, len(nodes) - 1) - 1
+        left = nodes.take(i)
+        s = (z - left) / (0.5 * (nodes.take(i + 1) - left)) - 1.0
+        pz = coef[-1].take(i)
         for row in coef[-2::-1]:
             pz *= s
-            pz += gather(row)
-        if edge:
-            out = np.zeros(y.shape)
-            out[inside] = pz
-            if below.any():
-                out[below] = pi[0] + panels(self.sf, y[below], nodes[0])
-            pz = out
+            pz += row.take(i)
+        pz[y > nodes[-1]] = 0.0
+        below = y < nodes[0]
+        if below.any():
+            pz[below] = pi[0] + panels(self.sf, y[below], nodes[0])
         return np.maximum(pz, 0.0, out=pz)
 
     def stop_loss(self, x):
@@ -828,30 +815,34 @@ class Distribution:
             out[finite] = self._stop_loss_read(xs[finite])
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def _outer_panels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, w): the panel nodes of each interval of _base_nodes(), one row
-        per interval, and pdf(x) times the rule's weight and half-width there."""
+    def _outer_panels(self) -> tuple[np.ndarray, ...]:
+        """(x, w, W, V): the panel nodes of each interval of _base_nodes(), one
+        row per interval, w = pdf(x) times the rule's weight and half-width h,
+        W the row sums of w, and V = h _PANEL_INT^T w per row, so that V . S(x
+        + t) is sum w int_x^b S(u + t) du, b the interval's right node."""
         if "outer" not in self._cache:
             nodes = self._base_nodes()
             x, half = panel_nodes(nodes[:-1], nodes[1:])
             w = np.asarray(self.pdf(x), dtype=float) * (half[:, None] * GL_W)
-            self._cache["outer"] = _read_only(x, w)
+            self._cache["outer"] = _read_only(x, w, w.sum(axis=1), _dot(w, _PANEL_INT) * half[:, None])
         return self._cache["outer"]
 
     def shifted_means(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """(E[S(X + t)], E[Pi(X + t)]) for each finite t >= 0 (else ValueError).
 
-        Lattice laws (integer t) sum f(x) S(x + t) and f(x) Pi(x + t) over
-        excess_table(), read by _excess_read() in blocks of CURVE_CELLS cells;
-        one unbounded below raises UnsupportedKind, as its table omits mass
-        below its first point (mean_excess_abs_diff reflects it). Continuous laws
-        take one pass over t, dotting the pdf-weighted panel nodes of
-        _outer_panels(), shifted by t, with sf and with Pi read from the
-        stop-loss table, whose extension into the tail serves any t (0 past
-        its end). A base node interval inside which S(x + t) kinks, at upper -
-        t or at break - t, is integrated afresh by one panel per piece. On an
-        unbounded lower end the heads below the first node run as one
-        adaptive batch per expectation, each scaled by its integrand there.
+        Both kinds run t in blocks of CURVE_CELLS cells. Lattice laws (integer
+        t) sum f(x) S(x + t) and f(x) Pi(x + t) over excess_table(), read by
+        _excess_read(); one unbounded below raises UnsupportedKind, as its
+        table omits mass below its first point (mean_excess_abs_diff reflects
+        it). Continuous laws call sf once per block at the outer panel nodes x
+        of _outer_panels() plus t, for sum w S, and read the stop-loss table
+        only at each interval's right node b plus t, for E[Pi(X + t)] = sum W
+        Pi(b + t) + sum V S: no cdf call, and every sum in numpy's fixed order.
+        The table's extension into the tail serves any t (0 past its end). A
+        base node interval inside which S(x + t) kinks, at upper - t or at
+        break - t, is integrated afresh by one panel per piece. On an
+        unbounded lower end the heads below the first node run as one adaptive
+        batch per expectation, each scaled by its integrand there.
         """
         ts = np.asarray(ts, dtype=float)
         if not np.all((ts >= 0) & (ts < np.inf)):
@@ -867,26 +858,32 @@ class Distribution:
             return den, num
         nodes = self._base_nodes()
         gs = (self.sf, self._stop_loss_read)
-        x, w = self._outer_panels()
+        x, w, wsum, v = self._outer_panels()
         a, b = nodes[:-1], nodes[1:]
         out = np.empty((2, len(ts)))
-        for i, t in enumerate(ts):
+        step = max(1, CURVE_CELLS // x.size)
+        for start in range(0, len(ts), step):
+            t = ts[start : start + step, None]
             # node intervals that S(x + t) kinks inside, at break - t or
             # upper - t, are integrated afresh between those edges
-            hi = self.support.upper - t
-            cuts = np.append(np.asarray(self.breaks) - t, hi)
-            split = (b > hi) | ((a[:, None] < cuts) & (cuts < b[:, None])).any(axis=1)
-            keep = ~split if split.any() else slice(None)  # a view, not a copy, when none splits
-            xt, wt = x[keep].ravel() + t, w[keep].ravel()
-            out[:, i] = [np.dot(wt, g(xt)) for g in gs]
-            if split.any():
-                edges = np.unique(np.concatenate([nodes, cuts]))
-                lo, up = edges[:-1], np.minimum(edges[1:], hi)
+            cuts = np.append(self.breaks, self.support.upper) - t
+            inside = (a[:, None] < cuts[:, None]) & (cuts[:, None] < b[:, None])
+            split = (b > cuts[:, -1:]) | inside.any(axis=-1)
+            xt = (x + t[..., None]).reshape(-1, x.shape[1])
+            keep = ~split.ravel() if split.any() else slice(None)  # a view, not a copy, when none splits
+            s = np.zeros(xt.shape)
+            s[keep] = np.asarray(self.sf(xt[keep].ravel()), dtype=float).reshape(-1, x.shape[1])
+            s, ends = s.reshape(len(t), -1), np.where(split, 0.0, self._stop_loss_read(b + t))
+            out[0, start : start + step] = (s * w.ravel()).sum(axis=1)
+            out[1, start : start + step] = (ends * wsum).sum(axis=1) + (s * v.ravel()).sum(axis=1)
+            for r in np.flatnonzero(split.any(axis=1)):
+                edges = np.unique(np.concatenate([nodes, cuts[r]]))
+                lo, up = edges[:-1], np.minimum(edges[1:], cuts[r, -1])
                 k = np.searchsorted(nodes, lo, side="right") - 1
                 fresh = (k >= 0) & (k < len(a)) & (lo < up)
-                fresh[fresh] = split[k[fresh]]
+                fresh[fresh] = split[r, k[fresh]]
                 for j, g in enumerate(gs):
-                    out[j, i] += np.sum(panels(lambda x: self.pdf(x) * g(x + t), lo[fresh], up[fresh]))
+                    out[j, start + r] += np.sum(panels(lambda x: self.pdf(x) * g(x + t[r]), lo[fresh], up[fresh]))
         if np.isinf(self.support.lower):
             below = np.full(len(ts), -np.inf), np.full(len(ts), nodes[0])
             for j, g in enumerate(gs):

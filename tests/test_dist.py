@@ -477,6 +477,36 @@ def test_shifted_means_refuses_a_negative_t():
         make_distribution("poisson:theta=2").shifted_means([0.0, -1.0])
 
 
+# laws with no split interval and no head, and the tolerance in eps. The
+# truncation's sf is exp(-H) / exp(-H(10)), H(10) = 36.4, so each value
+# carries a rounding error near 36 eps; for t > 0 the two sums below take sf
+# at different points (the outer nodes plus t, the stop-loss table's own
+# nodes), and on a 640-point grid of t they differ by up to 9.3 eps
+_SHIFTED_MEANS_LAWS = {
+    "weibull:alpha=0.5": 8, "gamma:alpha=0.5": 8, "gamma:alpha=2": 8, "gpd:alpha=0.45": 8,
+    "weibull:alpha=2.5": 8, "damped-hazard:theta=0.1": 8, "truncate(damped-hazard:theta=0.1,lower,10)": 16,
+}
+
+
+@pytest.mark.parametrize("spec", list(_SHIFTED_MEANS_LAWS))
+def test_shifted_means_match_every_node_read(spec):
+    # E[Pi(X + t)] read from the table once per outer interval, at its right
+    # end b_k + t, plus V . S, is the sum over every outer node of the
+    # table's read of Pi(x + t); E[S(X + t)] is that sum of sf
+    if spec.startswith("truncate"):
+        d = truncate(make_distribution("damped-hazard:theta=0.1"), "lower", 10.0)
+    else:
+        d = make_distribution(spec)
+    ts = np.linspace(0.0, 6.0, 32)
+    den, num = d.shifted_means(ts)
+    x, w = d._outer_panels()[:2]
+    want_den = np.array([np.sum(w * d.sf(x + t)) for t in ts])
+    want_num = np.array([np.sum(w * d.stop_loss(x + t)) for t in ts])
+    tol = _SHIFTED_MEANS_LAWS[spec] * np.finfo(float).eps
+    assert np.max(np.abs(den - want_den) / want_den) <= tol
+    assert np.max(np.abs(num - want_num) / want_num) <= tol
+
+
 @pytest.mark.parametrize(
     "name", list(_TABLE_LAWS) + [s for s in STANDARD_INSTANCES if make_distribution(s).is_lattice]
 )

@@ -497,6 +497,9 @@ g = make_distribution("gamma:alpha=2")
 c = mean_excess_abs_diff(g, np.linspace(0, 6, 32))
 print(*(v.hex() for v in (*c.m_direct, *c.m_repr)))
 print(*(float(v).hex() for v in g.stop_loss(np.array([35.0, 80.0, 300.0]))))
+for spec, top in (("normal-mix", 4.5), ("erfi-interval", 1.5)):
+    c = mean_excess_abs_diff(make_distribution(spec), np.linspace(0, top, 8))
+    print(*(v.hex() for v in (*c.m_direct, *c.m_repr)))
 """
 
 
@@ -505,14 +508,17 @@ def test_lattice_curve_bits_do_not_depend_on_blas_threads():
     # fixed-order reductions over the 41,696-point table of zipf(2.5), and
     # the mixture's tail in blocks, not by BLAS, whose blocking follows the
     # thread count; the continuous stop-loss table of gamma(2), 1,218 nodes
-    # with its tail, and the curve and far reads taken from it repeat too
+    # with its tail, and the curve and far reads taken from it repeat too, as
+    # do the curves of a law on the whole line (normal-mix, whose heads below
+    # the first node run as one adaptive batch) and of one on a finite
+    # interval (erfi-interval, whose intervals past upper - t split)
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _THREAD_DIGEST], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout.split())
-    assert len(runs[0]) == 89
+    assert len(runs[0]) == 121
     assert runs[0] == runs[1]
 
 
@@ -721,10 +727,9 @@ def _searched_read(d, ys):
 
 @pytest.mark.parametrize("spec", list(_STOP_LOSS))
 def test_merged_interval_search_is_horner_on_searched_intervals(spec):
-    # sorted reads find their node intervals by one merge of the nodes into
-    # them; with duplicates, values equal to nodes, points below and past the
-    # table, and NaN (which takes the point-by-point search), sorted or not,
-    # each read is Horner's rule on the interval searchsorted(nodes, y) finds
+    # with duplicates, values equal to nodes, points below and past the
+    # table, and NaN, sorted or not, each read is Horner's rule on the
+    # interval searchsorted(nodes, y) finds
     d = make_distribution(spec)
     nodes = d._stop_loss_nodes()[0]
     rng = np.random.default_rng(13)
