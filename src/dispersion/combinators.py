@@ -142,11 +142,11 @@ def mix(components: list[Distribution], weights: list[float]) -> Distribution:
     means = [c.closed.mean for c in components]
     sds = [c.closed.sd for c in components]
     if all(m is not None for m in means):
-        mean = float(np.dot(w, means))
+        mean = float((w * means).sum())
         sd = None
         if all(s is not None for s in sds):
             # about the mixture mean: the raw second moment less mean^2 cancels
-            sd = math.sqrt(float(np.dot(w, [s * s + (m - mean) ** 2 for s, m in zip(sds, means)])))
+            sd = math.sqrt(float((w * [s * s + (m - mean) ** 2 for s, m in zip(sds, means)]).sum()))
         closed = ClosedForms(mean=mean, sd=sd)
     label = "mix(" + ",".join(f"{wi:g}*{c.label}" for wi, c in zip(w, components)) + ")"
     tails = None

@@ -102,14 +102,14 @@ def mc_estimate(d: Distribution, n: int, seed: int) -> OracleEstimate:
             tie_freqs[b] = np.count_nonzero(delta == 0.0) / m
         abs_means[b] = np.add.reduce(np.abs(delta, out=delta)) / m
     w = sizes / n
-    gmd_hat = float(np.dot(w, abs_means))
-    m2_hat = float(np.dot(w, sq_means))
+    gmd_hat = float((w * abs_means).sum())
+    m2_hat = float((w * sq_means).sum())
     sd_hat = math.sqrt(m2_hat / 2.0)
     ci_gmd = _batch_ci(abs_means)
     ci_m2 = _batch_ci(sq_means)
     ci_sd = ci_m2 / (4.0 * sd_hat) if sd_hat > 0 else ci_m2
     if d.is_lattice:
-        lambda_hat = float(np.dot(w, tie_freqs))
+        lambda_hat = float((w * tie_freqs).sum())
         ci_lambda = _batch_ci(tie_freqs)
     else:
         lambda_hat = None
