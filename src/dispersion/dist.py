@@ -14,8 +14,8 @@ table behind the continuous quantiles of laws without a ppf and the Monte
 Carlo draws of those and of laws whose ppf is iterative, and the stop-loss
 table behind every mean excess. Each is built once and never rebuilt. On
 continuous laws the stop-loss table runs on into the tail, a read of it
-between nodes evaluates no law, and a curve reads it once per outer panel;
-on the lattice it is read past its top by sf and the tail's sum of S, never
+between nodes evaluates no law, and a curve reads it once per outer node
+interval, at its right node; on the lattice it is read past its top by sf and the tail's sum of S, never
 extended, and a curve reads it from its first point up.
 """
 

@@ -16,10 +16,10 @@ add the sums over the tail it leaves out (`Distribution.table_tail`).
 The mean excess of Y reads one stop-loss table Pi(x) = E[(X - x)+] per law:
 S_Y(y) = 2 E[S(X + y)] and int_t^inf S_Y = 2 E[Pi(X + t)] give the direct
 route, summed per block of t by `Distribution.shifted_means`, which on
-continuous laws reads the table once per outer panel and calls no cdf. The
-change-of-measure route stays independent: other integrands, run for every t
-of a continuous curve as one lockstep batch (`numerics.integrate_batch`), and
-other columns of the table on lattices. On lattices both routes read S and Pi
+continuous laws reads the table once per outer node interval and calls no
+cdf. The change-of-measure route stays independent: other integrands, run
+for every t of a continuous curve as one lockstep batch
+(`numerics.integrate_batch`), and other columns of the table on lattices. On lattices both routes read S and Pi
 at x + t through `Distribution._excess_read`, which reaches any t past the
 table's top by sf and the tail's sum of S; Y is the same for X and -X, so a
 lattice law unbounded below is read through its bounded-below reflection.
@@ -230,12 +230,12 @@ def mean_excess_abs_diff(d: Distribution, ts) -> MeanExcessCurve:
 
     m_direct is the stop-loss ratio E[Pi(X + t)] / E[S(X + t)] of
     `Distribution.shifted_means`, which on a continuous law reads pdf, sf and
-    the stop-loss table built from sf, never cdf. m_repr evaluates the change-of-measure
-    representation with weights dQ^F proportional to F(x) dF(x) by adaptive
-    quadrature, the whole curve as one lockstep batch (F(x-1) f(x) on the
-    lattice, where the C argument shifts to x - 1, summed over the stop-loss
-    table). A lattice law unbounded below is read through its reflection
-    affine(d, -1, 0), whose Y is the same, kept in d's cache under
+    the stop-loss table built from sf, never cdf. m_repr evaluates the
+    change-of-measure representation with weights dQ^F proportional to F(x)
+    dF(x) by adaptive quadrature, the whole curve as one lockstep batch (F(x-1)
+    f(x) on the lattice, where the C argument shifts to x - 1, summed over the
+    stop-loss table). A lattice law unbounded below is read through its
+    reflection affine(d, -1, 0), whose Y is the same, kept in d's cache under
     "reflection" so that its tables are built once; the baseline stays d's.
     """
     ts = np.asarray(ts, dtype=float)
