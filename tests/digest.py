@@ -16,7 +16,10 @@ The records, built by the operations of bench/workloads.py:
   sf, the audit flag, SD, GMD and err_estimate (truncate-sweep rows: SD, GMD
   and err_estimate of `tail_dispersion`);
 - every `mean-excess` curve: baseline, m_direct and m_repr at each t;
-- every `mc-verify` law: `mc_estimate` at seeds 1, 2 and 3.
+- every `mc-verify` law: `mc_estimate` at seeds 1, 2 and 3;
+- every law of a `mean-excess` curve or an `mc-verify` row, built afresh:
+  `quantile` at QUANTILE_PS (and, on a continuous law, the same through the
+  inverse table) and `stop_loss` at STOP_LOSS_XS.
 
 The name does not start with `test_`, so pytest does not collect it.
 """
@@ -24,13 +27,18 @@ The name does not start with `test_`, so pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 MC_SEEDS = (1, 2, 3)
+QUANTILE_PS = (1e-12, 1e-6, 0.25, 0.5, 0.75, 1 - 1e-6)
+STOP_LOSS_XS = (-2.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0)
 
 
 def _value(v) -> str:
@@ -93,6 +101,22 @@ def digest(src: Path):
             e = op.run(seed)
             for name in ("sd_hat", "gmd_hat", "lambda_hat", "ci_sd", "ci_gmd", "ci_lambda"):
                 yield op.key, f"{name}@{seed}", _value(getattr(e, name))
+
+    # the laws of the curve and mc-verify rows, each read on a fresh build
+    laws = {spec: functools.partial(dp.make_distribution, spec)
+            for spec in [s for s, _, _ in workloads.CURVES] + workloads.FAMILY_REPRESENTATIVE}
+    spec, side, u = workloads.MC_TRUNCATION
+    laws[f"truncate({spec}, {side}, {u:g})"] = lambda: dp.truncate(dp.make_distribution(spec), side, u)
+    for name, build in laws.items():
+        key = f"law {name}"
+        d = build()
+        tables = (False,) if d.is_lattice else (False, True)
+        for table in tables:
+            qs = d.quantile(np.array(QUANTILE_PS), table=table)
+            for p, q in zip(QUANTILE_PS, qs):
+                yield key, f"{'q_table' if table else 'q'}({p!r})", _value(q)
+        for x, v in zip(STOP_LOSS_XS, d.stop_loss(np.array(STOP_LOSS_XS))):
+            yield key, f"stop_loss({x!r})", _value(v)
 
 
 def _read(src: str) -> dict:
