@@ -17,6 +17,13 @@ closed form. Two families are built by others' builders: normal-mix is
 `combinators.mix` of two `_normal` laws, and gpd below shape 1e-20 is
 `_weibull(1)`, the exponential it equals.
 
+Gamma laws of integer shape n <= ERLANG_MAX (Erlang laws) take their sf from
+the closed Poisson sum Q(n, x) = e^(-x) sum_(k<n) x^k / k! (`_erlang_sf`),
+every other shape from `gammaincc`; cdf and ppf are `gammainc` and
+`gammaincinv` at every shape. So gamma(1)'s sf is weibull(1)'s, bit for bit.
+A density whose exponent at a support end is zero takes its finite limit
+there: gamma(1) is 1 at 0, and beta(1, b) is b at 0 and beta(a, 1) a at 1.
+
 Family-spec strings parse as ``family:name=value,name=value``, e.g.
 ``gpd:alpha=0.25`` or ``normal-mix:sigma1=0.5,sigma2=2,q=0.75``. A family's
 parameter names, order and defaults are those of its builder's signature,
@@ -169,6 +176,43 @@ def _gamma_half_ratio(a: float) -> float:
     return math.sqrt(a) * math.exp(acc / a)
 
 
+# integer gamma shapes whose sf is the closed sum of _erlang_sf. Replaying the
+# sf calls of a gamma(n) law's classify, report, curve, Monte Carlo and maps,
+# the sum costs 4-10 times less than gammaincc in all at every n <= 20; through
+# 11 no size class of 32 points or more costs more, while at 12 the 14 calls of
+# 32-255 points cost twice as much. Calls of 31 points or fewer cost 1-20 us more.
+ERLANG_MAX = 11
+# past 2^11, e^(-x/2) underflows, and so does Q(n, x) for every n <= ERLANG_MAX;
+# the cap keeps the sum finite at x = inf
+_ERLANG_CAP = 2048.0
+
+
+def _erlang_sf(n: int):
+    """Q(n, x) = e^(-x) (1 + q) at max(x, 0), q = sum_(1 <= k < n) x^k / k! by
+    Horner's rule (Abramowitz & Stegun 1964, 6.5.13), within 4.1 eps of 50-digit
+    values wherever Q is a normal double, where gammaincc errs by up to 520 eps:
+    e^(-x) is taken as e^(-x/2) twice, so that it does not underflow where 1 + q
+    keeps Q normal. 1 for x <= 0, 0 at inf, NaN at NaN;
+    at n = 1 it is exp(-x), bit for bit the sf of weibull(1)."""
+    c = [1.0 / math.factorial(k) for k in range(n - 1, 0, -1)]
+
+    def sf(x):
+        x = np.minimum(np.maximum(np.asarray(x, float), 0.0), _ERLANG_CAP)
+        if not c:
+            return np.exp(-x)
+        q = x * c[0]
+        for ck in c[1:]:
+            q += ck
+            q *= x
+        q += 1.0
+        half = np.exp(-0.5 * x)
+        q *= half
+        q *= half
+        return q
+
+    return sf
+
+
 def _gamma(alpha: float) -> Distribution:
     a = _check("gamma", "alpha", alpha, alpha > 0, "alpha > 0")
 
@@ -176,10 +220,15 @@ def _gamma(alpha: float) -> Distribution:
         x = np.asarray(x, float)
         with np.errstate(all="ignore"):
             v = np.exp((a - 1) * np.log(x) - x - special.gammaln(a))
-        return np.where(x > 0, v, np.where((x == 0) & (a < 1), np.inf, 0.0))
+        # the limits at 0, and 0 at inf, where (a - 1) log x - x is NaN for a >= 1
+        edge = np.inf if a < 1 else (1.0 if a == 1 else 0.0)
+        return np.where((x > 0) & (x < np.inf), v, np.where(x == 0, edge, 0.0))
 
     cdf = lambda x: special.gammainc(a, np.maximum(np.asarray(x, float), 0.0))
-    sfn = lambda x: special.gammaincc(a, np.maximum(np.asarray(x, float), 0.0))
+    if a == round(a) <= ERLANG_MAX:
+        sfn = _erlang_sf(int(a))
+    else:
+        sfn = lambda x: special.gammaincc(a, np.maximum(np.asarray(x, float), 0.0))
     ppf = lambda p: special.gammaincinv(a, p)
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
@@ -291,8 +340,10 @@ def _beta(alpha: float, beta: float = 1.0) -> Distribution:
         inside = (x > 0) & (x < 1)
         with np.errstate(all="ignore"):
             v = np.exp((a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - lnB)
-        edge = np.where(((x == 0) & (a < 1)) | ((x == 1) & (b < 1)), np.inf, 0.0)
-        return np.where(inside, v, edge)
+        # the density's limit at each end: 1 / B(1, b) = b at 0, 1 / B(a, 1) = a at 1
+        lo = np.inf if a < 1 else (b if a == 1 else 0.0)
+        hi = np.inf if b < 1 else (a if b == 1 else 0.0)
+        return np.where(inside, v, np.where(x == 0, lo, np.where(x == 1, hi, 0.0)))
 
     xc = lambda x: np.clip(np.asarray(x, float), 0.0, 1.0)
     cdf = lambda x: special.betainc(a, b, xc(x))

@@ -101,7 +101,7 @@ def test_mc_lattice_estimates_are_pinned(spec):
 # row gives them, so any change to the table read shows; gamma and beta read
 # the table because their ppf is iterative, the others have no ppf
 _TABLE_MC_BITS = {
-    "gamma:alpha=2": ("0x1.69d4a26d3af92p+0", "0x1.7df07a943dc28p+0", "0x1.99bd985253bd7p-6", "0x1.980a81f4f01a0p-6"),
+    "gamma:alpha=2": ("0x1.69d4a26d3af92p+0", "0x1.7df07a943dc28p+0", "0x1.99bd985253bd6p-6", "0x1.980a81f4f01a2p-6"),
     "beta:alpha=2": ("0x1.e20cf3e2abd16p-3", "0x1.10676b8837a96p-2", "0x1.6b29642b8c57cp-9", "0x1.cf6a40449d4cfp-9"),
     "erf-hazard": ("0x1.84e42d71a47f9p-1", "0x1.58dbae3fc166cp-1", "0x1.62faf2ae235dap-6", "0x1.02d94b2901deap-6"),
     "normal-mix": ("0x1.1879076144cddp+0", "0x1.13112128b1354p+0", "0x1.a7dbaaaa94501p-6", "0x1.643e1b1d750a5p-6"),
