@@ -189,11 +189,12 @@ _ERLANG_CAP = 2048.0
 
 def _erlang_sf(n: int):
     """Q(n, x) = e^(-x) (1 + q) at max(x, 0), q = sum_(1 <= k < n) x^k / k! by
-    Horner's rule (Abramowitz & Stegun 1964, 6.5.13), within 4.1 eps of 50-digit
-    values wherever Q is a normal double, where gammaincc errs by up to 520 eps:
-    e^(-x) is taken as e^(-x/2) twice, so that it does not underflow where 1 + q
-    keeps Q normal. 1 for x <= 0, 0 at inf, NaN at NaN;
-    at n = 1 it is exp(-x), bit for bit the sf of weibull(1)."""
+    Horner's rule (Abramowitz & Stegun 1964, 6.5.13). e^(-x) is taken as
+    e^(-x/2) twice, so that it does not underflow where 1 + q keeps Q normal.
+    On [0, 1e3], for n <= 12, it is within 4.1 eps of 50-digit values wherever
+    Q is a normal double; gammaincc errs there by up to 520 eps. 1 for x <= 0,
+    0 at inf, NaN at NaN; at n = 1 it is exp(-x), bit for bit the sf of
+    weibull(1)."""
     c = [1.0 / math.factorial(k) for k in range(n - 1, 0, -1)]
 
     def sf(x):

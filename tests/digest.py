@@ -27,7 +27,6 @@ The name does not start with `test_`, so pytest does not collect it.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import subprocess
 import sys
@@ -102,14 +101,13 @@ def digest(src: Path):
             for name in ("sd_hat", "gmd_hat", "lambda_hat", "ci_sd", "ci_gmd", "ci_lambda"):
                 yield op.key, f"{name}@{seed}", _value(getattr(e, name))
 
-    # the laws of the curve and mc-verify rows, each read on a fresh build
-    laws = {spec: functools.partial(dp.make_distribution, spec)
-            for spec in [s for s, _, _ in workloads.CURVES] + workloads.FAMILY_REPRESENTATIVE}
+    # the laws of the curve and mc-verify rows, each built afresh
+    specs = [s for s, _, _ in workloads.CURVES] + workloads.FAMILY_REPRESENTATIVE
+    laws = {spec: dp.make_distribution(spec) for spec in specs}
     spec, side, u = workloads.MC_TRUNCATION
-    laws[f"truncate({spec}, {side}, {u:g})"] = lambda: dp.truncate(dp.make_distribution(spec), side, u)
-    for name, build in laws.items():
+    laws[f"truncate({spec}, {side}, {u:g})"] = dp.truncate(dp.make_distribution(spec), side, u)
+    for name, d in laws.items():
         key = f"law {name}"
-        d = build()
         tables = (False,) if d.is_lattice else (False, True)
         for table in tables:
             qs = d.quantile(np.array(QUANTILE_PS), table=table)

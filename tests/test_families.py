@@ -67,6 +67,7 @@ def test_gamma_one_is_weibull_one():
     x = np.concatenate([g.probe_grid(), w.probe_grid(), [0.0]])
     assert np.array_equal(g.pdf(x), w.pdf(x))
     assert np.array_equal(g.sf(x), w.sf(x))
+    assert hazard_rate(g, 0.0) == hazard_rate(w, 0.0) == 1.0
     vg, vw = classify(g), classify(w)
     assert (vg.verdict, vg.basis) == (vw.verdict, vw.basis)
     for name in ("sd", "gmd"):
@@ -108,8 +109,3 @@ def test_density_at_support_ends_is_its_limit(spec):
     if np.isfinite(hi) and np.isfinite(_END_DENSITIES[spec][1]):
         assert reverse_hazard_rate(d, hi) == _END_DENSITIES[spec][1]
         assert reverse_hazard_rate(d, hi - 1e-9) == pytest.approx(_END_DENSITIES[spec][1], abs=1e-7)
-
-
-def test_gamma_one_and_weibull_one_rates_agree_at_zero():
-    g, w = make_distribution("gamma:alpha=1"), make_distribution("weibull:alpha=1")
-    assert hazard_rate(g, 0.0) == hazard_rate(w, 0.0) == 1.0
