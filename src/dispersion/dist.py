@@ -9,10 +9,11 @@ concurrent workers; the only mutable state is a per-law cache of read-only
 tables, owned by this module and built lazily on first use (Distribution
 lists them): the enumerated lattice table, summed from one pmf pass and read
 by every lattice scan, the guide table every lattice quantile reads and the
-sums over the tail it leaves out, the one scan grid, the certified inverse
-table behind the continuous quantiles of laws without a ppf and the Monte
-Carlo draws of those and of laws whose ppf is iterative, and the stop-loss
-table behind every mean excess. Each is built once and never rebuilt. On
+sums over the tail it leaves out, the one scan grid, solved from the inverse
+table's nodes where the ppf is missing or iterative, the certified refinement
+of that table behind explicit continuous quantiles of laws without a ppf and
+the Monte Carlo draws of those and of laws whose ppf is iterative, and the
+stop-loss table behind every mean excess. Each is built once and never rebuilt. On
 continuous laws the stop-loss table runs on into the tail, a read of it
 between nodes evaluates no law, and a curve reads it once per outer node
 interval, at its right node; on the lattice it is read past its top by sf and the tail's sum of S, never
@@ -68,6 +69,8 @@ CURVE_CELLS = 2**16
 # of its table carrying mass >= SUM_CUT
 SCAN_POINTS = 2048
 SCAN_CLIP = 1e-6
+# most Newton steps of a scan grid point solved from the inverse table (_grid_solve)
+GRID_STEPS = 3
 
 # continuous stop-loss table: G = _ANTIDERIV @ (S at the 16 Gauss-Legendre
 # nodes of [-1, 1]) are the Legendre coefficients of int_s^1 p, p the degree-15
@@ -181,8 +184,8 @@ class Distribution:
     the read-only tables built on first use: lattice_table(), which also serves
     quantile() through _lattice_guide(), with table_tail() beside it, the one
     probe_grid() with the pdf, cdf and sf columns of probe_values() beside it,
-    the continuous inverse table (stop_loss() takes its nodes) and its
-    refinement that quantile() reads when the law has no ppf or `table` is set,
+    the continuous inverse table (stop_loss() and probe_grid() take its nodes)
+    and its refinement that only quantile() reads, with no ppf or `table` set,
     and one stop-loss table: excess_table() on the lattice, read at any integer
     by _excess_read() and along a curve's rows by _table_rows(); on continuous
     laws the node table of stop_loss(), with the power coefficients of Pi on
@@ -249,8 +252,9 @@ class Distribution:
         law has one, else the node solver of the table (_exact_inverse), whose
         Newton steps on log cdf (log sf above) keep p's relative accuracy deep
         in a tail and beside a density pole.
-        Monte Carlo sets `table` where the ppf is iterative (`ppf_iterative`:
-        gamma, beta and the maps of them that keep their ppf), so it draws
+        A scan grid comes through here only where the ppf is direct (probe_grid).
+        Monte Carlo sets `table` where the ppf is iterative (`ppf_iterative`: gamma
+        but gamma(1), beta and the maps of them that keep their ppf), so it draws
         those laws through the certified table, whose nodes are ppf(u);
         200,000 draws of gamma(2) take 10 ms that way, table build included,
         and 76 ms by gammaincinv. A direct ppf, such as weibull's, draws them
@@ -628,6 +632,9 @@ class Distribution:
         """Quantile-spaced grid of SCAN_POINTS points over [q(SCAN_CLIP),
         q(1 - SCAN_CLIP)].
 
+        A continuous law with a direct ppf reads it; one whose ppf is missing
+        or iterative solves the grid by _grid_solve and keeps the cdf and sf
+        columns that checked it for probe_values, with no certified table.
         For lattice laws this instead returns every support point carrying
         mass >= SUM_CUT. The grid is built once per law and read-only.
         """
@@ -639,9 +646,44 @@ class Distribution:
                     raise UnsupportedKind(f"no lattice point carries mass >= {SUM_CUT:g}")
             else:
                 ps = np.linspace(SCAN_CLIP, 1.0 - SCAN_CLIP, SCAN_POINTS)
-                xs = np.maximum.accumulate(np.asarray(self.quantile(ps), dtype=float))
+                if self.ppf is not None and not self.ppf_iterative:
+                    xs = np.maximum.accumulate(np.asarray(self.quantile(ps), dtype=float))
+                else:
+                    xs, self._cache["grid", "cdf"], self._cache["grid", "sf"] = self._grid_solve(ps)
             self._cache["grid"] = _read_only(xs)[0]
         return self._cache["grid"]
+
+    def _grid_solve(self, ps: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(x, cdf, sf) at sorted probabilities ps inside the inverse table's end
+        nodes: from the cubic (slopes 1/pdf) between the two nodes of
+        _inverse_table() around each target, Newton steps on cdf up to 1/2 and on
+        sf above (_sides), inside the bracket the nodes start and each residual
+        narrows, else to its midpoint. An x whose cdf or sf misses by more than
+        INV_TOL steps again, up to GRID_STEPS steps, then takes the exact inverse,
+        as _invert's misses do. x is made nondecreasing, the columns with it."""
+        u, xn, fn = self._inverse_table()
+        k = np.clip(np.searchsorted(u, ps, side="right") - 1, 0, len(u) - 2)
+        du, lo, hi, cdf, sf = u[k + 1] - u[k], xn[k], xn[k + 1], np.empty_like(ps), np.empty_like(ps)
+        with np.errstate(all="ignore"):
+            x = _horner(_cubic(lo, hi, du / fn[k], du / fn[k + 1]), (ps - u[k]) / du)
+            r, live = self._node_residuals(ps, x), slice(None)  # every point, then the misses
+            for _ in range(GRID_STEPS):
+                xl, rl, pl = x[live], r[live], ps[live]
+                lo[live], hi[live] = a, b = np.where(rl < 0, xl, lo[live]), np.where(rl < 0, hi[live], xl)
+                step = np.where(rl == 0, xl, xl - rl / self.pdf(xl))
+                x[live] = xl = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+                cdf[live], sf[live] = cl, sl = self.cdf(xl), self.sf(xl)
+                r[live] = np.where(pl <= 0.5, cl - pl, -sl - (pl - 1.0))
+                live = np.flatnonzero(~(np.abs(r) <= INV_TOL))
+                if not live.size:
+                    break
+            if live.size:
+                x[live] = xl = self._exact_inverse(ps[live])
+                cdf[live], sf[live] = self.cdf(xl), self.sf(xl)
+        if (np.diff(x) < 0).any():  # a point below its predecessor takes that point and its columns
+            i = np.maximum.accumulate(np.where(x < np.maximum.accumulate(x), 0, np.arange(len(x))))
+            x, cdf, sf = x.take(i), cdf.take(i), sf.take(i)
+        return (x, *_read_only(cdf, sf))
 
     def probe_values(self, *which: str) -> tuple[np.ndarray, ...]:
         """(probe_grid(), then pdf, cdf or sf on it for each name in `which`).

@@ -18,9 +18,11 @@ closed form. Two families are built by others' builders: normal-mix is
 `_weibull(1)`, the exponential it equals.
 
 Gamma laws of integer shape n <= ERLANG_MAX (Erlang laws) take their sf from
-the closed Poisson sum Q(n, x) = e^(-x) sum_(k<n) x^k / k! (`_erlang_sf`),
-every other shape from `gammaincc`; cdf and ppf are `gammainc` and
-`gammaincinv` at every shape. So gamma(1)'s sf is weibull(1)'s, bit for bit.
+the closed Poisson sum Q(n, x) = e^(-x) sum_(k<n) x^k / k! (`_erlang_sf`);
+below shape 1, for x in (0, 1.1], from the series `gammaincc` takes there
+(`_small_shape_sf`), elsewhere from `gammaincc`. cdf and ppf are `gammainc` and
+`gammaincinv`, but gamma(1)'s ppf is weibull(1)'s -log1p(-p) (`gammaincinv` errs
+by 18 ulp), so its sf and ppf are weibull(1)'s, bit for bit.
 A density whose exponent at a support end is zero takes its finite limit
 there: gamma(1) is 1 at 0, and beta(1, b) is b at 0 and beta(a, 1) a at 1.
 
@@ -214,6 +216,38 @@ def _erlang_sf(n: int):
     return sf
 
 
+# log Gamma(1 + e) = -euler e + e^2 sum_(k>=2) c_k e^(k-2), c_k = (-1)^k zeta(k) / k (Abramowitz
+# & Stegun 1964, 6.1.33); at |e| <= 1/2 the terms fall below 1e-18 of the sum by k = 60
+_ZETA = special.zeta(np.arange(2.0, 87.0))
+_LOG_GAMMA_1P = (-1.0) ** np.arange(2, 87) * _ZETA / np.arange(2, 87)
+# a gamma law below shape 1 takes the series of _small_shape_sf for x in (0, 1.1]
+_SERIES_X = 1.1
+
+
+def _small_shape_sf(a: float):
+    """Q(a, x), 0 < a < 1: for x in (0, _SERIES_X] scipy igamc's series there, Q =
+    -expm1(a log x - lg) - a e^(a log x - lg) sum_(n>=1) (-x)^n / (n! (a + n)), lg = log
+    Gamma(1 + a) taken once (the zeta series at a up to 1/2, else log a plus it at a - 1),
+    to 20 terms (the 20th is below 1e-17 of the sum); elsewhere gammaincc's bits."""
+    e, lg1 = (a, 0.0) if a <= 0.5 else (a - 1.0, math.log(a))
+    lg1 += e * (-np.euler_gamma + e * float(np.polynomial.polynomial.polyval(e, _LOG_GAMMA_1P)))
+    c = [1.0 / (math.factorial(n) * (a + n)) for n in range(20, 0, -1)]
+
+    def sf(x):
+        x = np.maximum(np.asarray(x, float), 0.0)
+        near = (x > 0.0) & (x <= _SERIES_X)
+        out = np.asarray(special.gammaincc(a, np.where(near, 0.0, x)))
+        y = -x[near]
+        s = np.full_like(y, c[0])
+        for cn in c[1:]:
+            s = s * y + cn
+        e = np.expm1(a * np.log(-y) - lg1)  # x^a / Gamma(1 + a) - 1
+        out[near] = -e - a * (1.0 + e) * (s * y)
+        return out[()]
+
+    return sf
+
+
 def _gamma(alpha: float) -> Distribution:
     a = _check("gamma", "alpha", alpha, alpha > 0, "alpha > 0")
 
@@ -228,12 +262,14 @@ def _gamma(alpha: float) -> Distribution:
     cdf = lambda x: special.gammainc(a, np.maximum(np.asarray(x, float), 0.0))
     if a == round(a) <= ERLANG_MAX:
         sfn = _erlang_sf(int(a))
+    elif a < 1:
+        sfn = _small_shape_sf(a)
     else:
         sfn = lambda x: special.gammaincc(a, np.maximum(np.asarray(x, float), 0.0))
-    ppf = lambda p: special.gammaincinv(a, p)
+    ppf = (lambda p: -np.log1p(-np.asarray(p, float))) if a == 1 else (lambda p: special.gammaincinv(a, p))
     return Distribution(
         support=Support(0.0, np.inf, CONTINUOUS),
-        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf, ppf_iterative=True,
+        pdf=pdf, cdf=cdf, sf=sfn, ppf=ppf, ppf_iterative=a != 1,
         # GMD = 2 Gamma(a + 1/2) / (sqrt(pi) Gamma(a)) = 2 / B(a, 1/2)
         closed=ClosedForms(mean=a, sd=math.sqrt(a), gmd=2 * _gamma_half_ratio(a) / SQRT_PI),
     )
@@ -251,7 +287,7 @@ def _survival_pair(cumhaz):
 # c_k = (-1)^k zeta(k) (2 - 2^k) / k: the linear terms cancel exactly. 85 terms
 # reach 2e-16 at e = 1/3. Above shape 3, sqrt(Gamma(1 + 2/a) - Gamma(1 + 1/a)^2)
 # cancels (1e-15 relative at 4, 1e-13 at 50, NaN at 1e8), and 1 - 2^(-1/a) too
-_WEIBULL_LOG_RATIO = np.array([(-1) ** k * special.zeta(k) * (2 - 2.0**k) / k for k in range(2, 87)])
+_WEIBULL_LOG_RATIO = (-1.0) ** np.arange(2, 87) * _ZETA * (2 - 2.0 ** np.arange(2, 87)) / np.arange(2, 87)
 _WEIBULL_SERIES_SHAPE = 3.0
 
 
@@ -264,7 +300,7 @@ def _weibull(alpha: float) -> Distribution:
         with np.errstate(all="ignore"):
             v = a * x ** (a - 1) * np.exp(-(x**a))
         edge = np.inf if a < 1 else (1.0 if a == 1 else 0.0)
-        return np.where(x > 0, v, np.where(x == 0, edge, 0.0))
+        return np.where((x > 0) & (x < np.inf), v, np.where(x == 0, edge, 0.0))  # 0 at inf, not inf * 0
 
     cdf, sfn = _survival_pair(lambda x: x**a)
     ppf = lambda p: (-np.log1p(-np.asarray(p, float))) ** (1.0 / a)
@@ -437,7 +473,8 @@ def _damped_hazard(theta: float) -> Distribution:
 
     def pdf(x):
         x = np.asarray(x, float)
-        return np.where(x >= 0, (x * np.exp(-t * x) + 1.0) * sfn(x), 0.0)
+        with np.errstate(invalid="ignore"):  # 0 at inf, where x e^(-theta x) is inf * 0
+            return np.where((x >= 0) & (x < np.inf), (x * np.exp(-t * x) + 1.0) * sfn(x), 0.0)
 
     return Distribution(support=Support(0.0, np.inf, CONTINUOUS), pdf=pdf, cdf=cdf, sf=sfn)
 

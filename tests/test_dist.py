@@ -34,6 +34,7 @@ from dispersion.dist import (
     INV_TOL,
     LATTICE,
     LATTICE_LIMIT,
+    SCAN_CLIP,
     SCAN_POINTS,
     SUM_CUT,
     Distribution,
@@ -812,20 +813,68 @@ def test_erfi_survival_ignores_the_other_points_of_a_call(spec):
 
 @pytest.mark.parametrize("spec", ["erfi-interval", "gamma:alpha=2", "normal-mix"])
 def test_classify_inverts_one_scan_grid(spec, monkeypatch):
+    # points solved, by quantile or by the scan grid's own Newton solve
     points = []
-    quantile = Distribution.quantile
+    for name in ("quantile", "_grid_solve"):
 
-    def counted(self, p):
-        points.append(np.size(p))
-        return quantile(self, p)
+        def counted(self, p, *args, fn=getattr(Distribution, name), **kwargs):
+            points.append(np.size(p))
+            return fn(self, p, *args, **kwargs)
 
-    monkeypatch.setattr(Distribution, "quantile", counted)
+        monkeypatch.setattr(Distribution, name, counted)
     v = classify(make_distribution(spec))
     # the grid once for the five scans the verdict reads
     assert sum(points) == SCAN_POINTS
     # the audit's six residual scans reuse it and add the two quartiles of the IQR
     assert v.evidence.hazard.equivalence_audit_pass
     assert sum(points) == SCAN_POINTS + 2
+
+
+def _solves_its_grid(spec: str) -> bool:
+    d = make_distribution(spec)
+    return not d.is_lattice and (d.ppf is None or d.ppf_iterative)
+
+
+# continuous STANDARD_INSTANCES laws whose ppf is missing or iterative, and
+# gamma laws on either side of shape 1 and of the small-shape series
+_NEWTON_GRID_LAWS = list(dict.fromkeys(
+    [s for s in STANDARD_INSTANCES if _solves_its_grid(s)]
+    + [f"gamma:alpha={a}" for a in (0.02, 0.05, 0.15, 0.5, 0.95, 1.05, 2.35, 2.95)]
+))
+
+
+@pytest.mark.parametrize("spec", _NEWTON_GRID_LAWS)
+def test_newton_scan_grid_meets_the_inverse_tolerance(spec):
+    d = make_distribution(spec)
+    xs, cdf, sf = d.probe_values("cdf", "sf")
+    ps = np.linspace(SCAN_CLIP, 1.0 - SCAN_CLIP, SCAN_POINTS)
+    # the columns the grid solve kept are the law's own values at the grid
+    assert np.array_equal(cdf, d.cdf(xs)) and np.array_equal(sf, d.sf(xs))
+    r = np.where(ps <= 0.5, cdf - ps, sf - (1.0 - ps))
+    assert np.all(np.abs(r) <= INV_TOL)
+    assert np.all(np.diff(xs) >= 0)
+
+
+@pytest.mark.parametrize("spec", ["erfi-interval", "gamma:alpha=2", "beta:alpha=3,beta=2", "damped-hazard:theta=0.1"])
+def test_one_newton_step_solves_a_smooth_scan_grid(spec):
+    # past the inverse table: the residual side of each start, pdf there, and
+    # the cdf and sf columns after the one step, with no further step
+    d = make_distribution(spec)
+    d._inverse_table()
+    points = []
+    for name in ("pdf", "cdf", "sf"):
+        fn = getattr(d, name)
+        setattr(d, name, lambda x, fn=fn: points.append(np.size(x)) or fn(x))
+    d._exact_inverse = lambda u: pytest.fail("grid point left to the exact inverse")
+    d.probe_grid()
+    assert sum(points) == 4 * SCAN_POINTS
+
+
+@pytest.mark.parametrize("spec", ["erfi-interval", "gamma:alpha=0.5", "beta:alpha=3,beta=2", "normal-mix"])
+def test_classify_builds_no_certified_inverse_table(spec):
+    d = make_distribution(spec)
+    classify(d)
+    assert "inverse" in d._cache and "hermite" not in d._cache
 
 
 @pytest.mark.parametrize("spec", ["normal", "logistic", "gpd:alpha=0.25"])

@@ -428,6 +428,25 @@ def test_beta_grid_on_its_pole_names_the_support_end(spec):
         classify(d)
 
 
+# the verdicts of laws whose clipped quantile rounds onto a density pole. In
+# 40-digit mpmath, beta(2, 0.3)'s hazard rises while its reverse hazard falls
+# to about 4.0 near x = 0.7 and then rises, and its log density changes
+# curvature there; beta(0.1, 0.1) has a log-convex density and U-shaped rates.
+# So neither meets a hypothesis. Gamma below shape 1 has a decreasing hazard.
+_POLE_VERDICTS = {
+    "beta:alpha=2,beta=0.3": (INCONCLUSIVE, NO_BASIS),
+    "beta:alpha=0.1,beta=0.1": (INCONCLUSIVE, NO_BASIS),
+    "gamma:alpha=0.0102": (SD_DOMINATES, THM_SD_CONT),
+}
+
+
+@pytest.mark.xfail(raises=errors.GridEmpty, strict=True, reason="ROADMAP item 5")
+@pytest.mark.parametrize("spec", list(_POLE_VERDICTS))
+def test_law_with_a_density_pole_on_its_grid_classifies(spec):
+    v = classify(make_distribution(spec))
+    assert (v.verdict, v.basis) == _POLE_VERDICTS[spec]
+
+
 def test_verdict_serializes():
     rec = classify(make_distribution("poisson:theta=2")).to_record()
     assert rec["verdict"] == GMD_DOMINATES
